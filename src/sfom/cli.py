@@ -3,17 +3,20 @@
 Polynomials are given as comma-separated integer coefficients in ascending
 order (constant first), as a file containing the same, or as `-` for stdin.
 All JSON output serializes big integers as decimal strings.  Exit codes:
-0 success, 2 malformed input, 3 input detected reducible over Z.
+0 success, 2 malformed input, 3 input detected reducible over Z, 4 internal
+invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import basis as bs
 from . import intarith as ia
+from .artinalg import NonExactDivision
 from .sfom import sfom as run_tree
 from . import sftypes as st
 from . import validate as vd
@@ -43,9 +46,25 @@ def _read_poly(source: str) -> IntPoly:
     return f
 
 
-def detect_reducible(f: IntPoly) -> bool:
-    """Best-effort reducibility flags: repeated factors and rational roots."""
-    if ia.discriminant(f) == 0:
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-str digit limit while computed results are
+    serialized; input parsing keeps the default limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def detect_reducible(f: IntPoly, disc: int) -> bool:
+    """Best-effort reducibility flags: repeated factors (disc = disc(f) is 0)
+    and rational roots."""
+    if disc == 0:
         return True
     c0 = abs(f[0])
     candidates = set(range(-50, 51))
@@ -65,32 +84,47 @@ def detect_reducible(f: IntPoly) -> bool:
 
 def cmd_basis(args) -> int:
     f = _read_poly(args.poly)
-    if detect_reducible(f):
+    disc = ia.discriminant(f)
+    if detect_reducible(f, disc):
         print("error: polynomial is reducible over Z", file=sys.stderr)
         return 3
-    result = bs.global_basis(f, args.disc, seed=args.seed)
-    obj = result.to_obj()
-    if args.merged_only:
-        obj = {"f": obj["f"], "global": obj["global"]}
-    print(json.dumps(obj))
+    D = disc if args.disc is None else args.disc
+    result = bs.global_basis(f, D, seed=args.seed)
+    with _unlimited_digits():
+        obj = result.to_obj()
+        if args.merged_only:
+            obj = {"f": obj["f"], "global": obj["global"]}
+        print(json.dumps(obj))
     return 0
 
 
-def cmd_tree(args) -> int:
+def _tree_or_factor(args):
+    """(f, tree outcome) for --poly and --modulus; the outcome is None after
+    a detected factor of the modulus has been printed."""
     f = _read_poly(args.poly)
+    if any(args.modulus % p == 0 for p in range(2, ia.pdeg(f) + 1)):
+        print("error: --modulus must have no prime factor <= deg f",
+              file=sys.stderr)
+        raise SystemExit(2)
     out = run_tree(f, args.modulus)
     if out.n_factor is not None:
-        print(json.dumps({"n_factor": str(out.n_factor)}))
-        return 0
-    print(json.dumps(out.rep.to_obj()))
+        with _unlimited_digits():
+            print(json.dumps({"n_factor": str(out.n_factor)}))
+        return f, None
+    return f, out
+
+
+def cmd_tree(args) -> int:
+    _, out = _tree_or_factor(args)
+    if out is not None:
+        with _unlimited_digits():
+            print(json.dumps(out.rep.to_obj()))
     return 0
 
 
 def cmd_polygon(args) -> int:
-    f = _read_poly(args.poly)
-    out = run_tree(f, args.modulus)
-    if out.n_factor is not None:
-        print(json.dumps({"n_factor": str(out.n_factor)}))
+    f, out = _tree_or_factor(args)
+    if out is None:
         return 0
     leaves = out.rep.leaves
     if not (0 <= args.leaf < len(leaves)):
@@ -172,6 +206,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError, NonExactDivision) as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"error: internal: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,9 +8,7 @@ primes as inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
 
 from . import basis as bs
 from . import intarith as ia
@@ -221,36 +219,39 @@ def ring_closed(lat: bs.IntegerLattice, f: IntPoly) -> bool:
 
 
 def order_discriminant(lat: bs.IntegerLattice, f: IntPoly) -> int:
-    """disc of the order spanned by the lattice, via the exact trace form."""
+    """disc of the order spanned by the lattice, via the exact trace form.
+
+    The integer Gram matrix of the numerators is den^2 times the trace form,
+    so its determinant is divided exactly by den^(2n).
+    """
     n = lat.n
     sums = power_sums(f)
     rows = [ia.ptrim(row) for row in lat.rows]
-    T = [[Fraction(trace_of(mul_mod(rows[i], rows[j], f), f, sums),
-                   lat.den * lat.den) for j in range(n)] for i in range(n)]
-    det = _fraction_det(T)
-    if det.denominator != 1:
+    gram = [[trace_of(mul_mod(rows[i], rows[j], f), f, sums)
+             for j in range(n)] for i in range(n)]
+    det, rem = divmod(_bareiss_det(gram), lat.den ** (2 * n))
+    if rem:
         raise RuntimeError("trace form of an order must have integer determinant")
-    return int(det)
+    return det
 
 
-def _fraction_det(M) -> Fraction:
+def _bareiss_det(M) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
     n = len(M)
     M = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
+    sign, prev = 1, 1
+    for c in range(n - 1):
         piv = next((r for r in range(c, n) if M[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
+            sign = -sign
         for r in range(c + 1, n):
-            if M[r][c]:
-                factor = M[r][c] * inv
-                M[r] = [x - factor * y for x, y in zip(M[r], M[c])]
-    return det
+            M[r] = [(M[r][j] * M[c][c] - M[r][c] * M[c][j]) // prev
+                    if j > c else 0 for j in range(n)]
+        prev = M[c][c]
+    return sign * M[n - 1][n - 1] if n else 1
 
 
 def index_disc_identity(lat: bs.IntegerLattice, f: IntPoly) -> bool:
@@ -259,43 +260,35 @@ def index_disc_identity(lat: bs.IntegerLattice, f: IntPoly) -> bool:
     return ia.discriminant(f) == idx * idx * order_discriminant(lat, f)
 
 
-def charpoly_is_integral(num: IntPoly, den: int, f: IntPoly) -> bool:
-    """Whether num(theta)/den is an algebraic integer (exact char poly test)."""
+def charpoly(num: IntPoly, f: IntPoly) -> list[int]:
+    """Characteristic polynomial of num(theta), monic first: c_0 = 1, ..., c_n.
+
+    The traces p_k = tr(num(theta)^k) give the coefficients by Newton's
+    identities k * c_k = -sum_{i<k} c_i * p_{k-i}, all in integers.
+    """
     n = ia.pdeg(f)
-    rows = []
-    cur = ia.pdivmod_monic(num, f)[1]
-    base = cur
-    for i in range(n):
-        shifted = mul_mod(base, ia.pshift((1,), i), f) if i else base
-        rows.append([Fraction(shifted[k] if k < len(shifted) else 0, den)
-                     for k in range(n)])
-    coeffs = _charpoly(rows)
-    return all(c.denominator == 1 for c in coeffs)
-
-
-def _charpoly(M) -> list[Fraction]:
-    """Faddeev-LeVerrier characteristic polynomial coefficients (monic first)."""
-    n = len(M)
-    I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]
-    Mk = [row[:] for row in I]
+    sums = power_sums(f)
+    a = ia.pdivmod_monic(num, f)[1]
+    traces = [n]
+    power = (1,)
+    for _ in range(n):
+        power = mul_mod(power, a, f)
+        traces.append(trace_of(power, f, sums))
+    coeffs = [1]
     for k in range(1, n + 1):
-        Mk = _matmul(M, Mk)
-        c = -_trace(Mk) / k
+        c, rem = divmod(-sum(coeffs[i] * traces[k - i] for i in range(k)), k)
+        if rem:
+            raise RuntimeError("Newton's identities left a remainder")
         coeffs.append(c)
-        for i in range(n):
-            Mk[i][i] += c
     return coeffs
 
 
-def _matmul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+def charpoly_is_integral(num: IntPoly, den: int, f: IntPoly) -> bool:
+    """Whether num(theta)/den is an algebraic integer (exact char poly test).
 
-
-def _trace(A) -> Fraction:
-    return sum(A[i][i] for i in range(len(A)))
+    The char poly of num(theta)/den has coefficients c_k / den^k.
+    """
+    return all(c % den ** k == 0 for k, c in enumerate(charpoly(num, f)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from conftest import example1
+from conftest import example1, example3
 from sfom import cli
+from sfom.basis import global_basis
 
 
 def run(capsys, argv):
@@ -56,6 +57,44 @@ def test_reducible_input(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # x^6+1 = (x^2+1)(x^4-x^2+1) has no rational root, so it passes the
+    # reducibility flags and trips an internal invariant instead
+    (["basis", "--poly", "1,0,0,0,0,0,1"], (3, 4), ""),
+    # primes <= deg f break the squarefree decomposition preconditions
+    (["tree", "--poly", "4,0,1", "--modulus", "2"], (2,), "prime factor"),
+    (["tree", "--poly", EX1, "--modulus", "105"], (2,), "prime factor"),
+    (["polygon", "--poly", EX1, "--modulus", "6", "--level", "1"], (2,),
+     "prime factor"),
+])
+def test_documented_exit_codes(capsys, argv, code, message):
+    got, _, err = run(capsys, argv)
+    assert got in code
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert message in err
+    if got == 4:
+        assert err.startswith("error: internal: ")
+
+
+# degree 30 with small coefficients: per-modulus numerators N^k run past
+# Python's 4,300-digit int-to-str limit
+BIG_OUTPUT = ("-66,45,95,-84,-35,-70,26,94,15,20,66,-3,-47,-76,24,-93,-1,10,55,"
+              "95,96,-100,78,14,-32,84,-42,51,-74,-19,1")
+
+
+def test_basis_output_above_digit_limit(capsys):
+    code, out, err = run(capsys, ["basis", "--poly=" + BIG_OUTPUT])
+    assert code == 0, err
+    assert max(len(tok) for tok in out.split('"')) > 4300
+    f = tuple(int(c) for c in BIG_OUTPUT.split(","))
+    with cli._unlimited_digits():
+        expected = global_basis(f).to_obj()
+    assert json.loads(out) == expected
+    # the limit is back once the output is written
+    with pytest.raises(ValueError):
+        str(10 ** 5000)
+
+
 def test_tree_golden(capsys):
     code, out, _ = run(capsys, ["tree", "--poly", EX1, "--modulus", "35"])
     assert code == 0
@@ -103,6 +142,17 @@ def test_verify_cli(capsys):
     assert code == 0
     checks = json.loads(out)
     assert all(c["status"] == "pass" for c in checks)
+
+
+def test_verify_cli_degree_24(capsys):
+    f, _ = example3(2, 35)
+    code, out, _ = run(capsys, ["verify", "--poly=" + ",".join(map(str, f)),
+                                "--known-primes", "5,7"])
+    assert code == 0
+    checks = json.loads(out)
+    assert {"elements-integral", "p-maximal-5", "p-maximal-7"} <= {
+        c["check"] for c in checks}
+    assert all(c["status"] == "pass" for c in checks), checks
 
 
 def test_seed_byte_stability(capsys):

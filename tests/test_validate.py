@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import example1, example3, pollard_factor
+from conftest import (example1, example2, example3, pollard_factor,
+                      refine_fixture, sylvester_resultant)
 from sfom import intarith as ia
 from sfom.basis import IntegerLattice, global_basis, n_integral_basis
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
-from sfom.validate import (charpoly_is_integral, index_disc_identity,
+from sfom.validate import (charpoly, charpoly_is_integral, index_disc_identity,
                            order_discriminant, p_maximal, power_sums,
                            project_check, pz_enlarge, quotient_value_bound,
                            resultant_valuation_check, ring_closed,
@@ -24,10 +25,26 @@ def test_charpoly_integrality():
     f = (1, 0, 1)
     assert charpoly_is_integral((0, 1), 1, f)
     assert not charpoly_is_integral((0, 1), 2, f)
-    # (1 + theta)/2 is not integral for x^2+1 but is for x^2+3... check x^2-5
+    # (1 + theta)/2: trace 1 is integral, norm 1/2 is not
+    assert not charpoly_is_integral((1, 1), 2, f)
     f = (-5, 0, 1)
     assert charpoly_is_integral((1, 1), 2, f)  # golden-ratio-like integer
     assert not charpoly_is_integral((1, 1), 3, f)
+
+
+@pytest.mark.parametrize("f", [
+    example1(35), example2(11, 3, 5), example3(1, 35)[0], refine_fixture(35)])
+def test_charpoly_matches_resultant(f, rng):
+    """char poly of num(theta) at y equals Res_x(f, y - num(x))."""
+    n = ia.pdeg(f)
+    for _ in range(3):
+        num = tuple(rng.randrange(-40, 41) for _ in range(n))
+        coeffs = charpoly(num, f)
+        assert coeffs[0] == 1 and len(coeffs) == n + 1
+        for y in range(n + 1):
+            value = sum(c * y ** (n - k) for k, c in enumerate(coeffs))
+            g = ia.psub((y,), num)
+            assert value == sylvester_resultant(f, g), (f, num, y)
 
 
 def test_p_maximal_examples():
