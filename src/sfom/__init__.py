@@ -49,5 +49,3 @@ from .validate import (
     ring_closed,
     verify_report,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

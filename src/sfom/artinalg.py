@@ -89,10 +89,7 @@ class AlgebraTower:
         return self._ones[L]
 
     def embed_int(self, k: int, L: int) -> AlgElem:
-        e: AlgElem = AlgElem(0, k % self.N)
-        for i in range(L):
-            e = AlgElem(i + 1, (e,) + (self._zeros[i],) * (self.dims[i] - 1))
-        return e
+        return self.lift_elem(AlgElem(0, k % self.N), L)
 
     def lift_elem(self, a: AlgElem, L: int) -> AlgElem:
         """Embed an element into a higher level by constant coordinates."""
@@ -158,16 +155,6 @@ class AlgebraTower:
             raise self.factor_event(L - 1, d)
         return self.poly_to_elem(u, L)
 
-    def e_is_unit(self, a: AlgElem) -> bool:
-        """True if invertible; may raise FactorEvent instead of returning False."""
-        if self.is_zero(a):
-            return False
-        try:
-            self.e_invert(a)
-        except FactorEvent:
-            raise
-        return True
-
     def z(self, L: int) -> AlgElem:
         """Generator of A_L over A_{L-1} (class of y)."""
         if L < 1:
@@ -178,10 +165,7 @@ class AlgebraTower:
             coords[1] = self._ones[L - 1]
             return AlgElem(L, tuple(coords))
         t = self.moduli[L - 1]  # y reduces to -t(0)
-        return self.lift_to_level(self.e_neg(t.coeffs[0]), L)
-
-    def lift_to_level(self, a: AlgElem, L: int) -> AlgElem:
-        return self.lift_elem(a, L)
+        return self.lift_elem(self.e_neg(t.coeffs[0]), L)
 
     def zpow(self, L: int, k: int) -> AlgElem:
         """z_{L-1}^k for any sign of k; t_{L-1}(0) must be a unit for k < 0."""
@@ -202,10 +186,7 @@ class AlgebraTower:
         """Coordinates of a level-L element as a polynomial over level L-1."""
         if a.level == 0:
             raise ValueError("level-0 elements have no coordinate polynomial")
-        coords = list(a.coords)
-        while coords and self.is_zero(coords[-1]):
-            coords.pop()
-        return PolyA(a.level - 1, tuple(coords))
+        return self.p_trim(a.level - 1, a.coords)
 
     def poly_to_elem(self, p: PolyA, L: int) -> AlgElem:
         """Reduced polynomial over level L-1, padded into a level-L element."""
@@ -225,11 +206,6 @@ class AlgebraTower:
 
     def p_y(self, L: int) -> PolyA:
         return PolyA(L, (self.zero(L), self.one(L)))
-
-    def p_const(self, a: AlgElem) -> PolyA:
-        if self.is_zero(a):
-            return PolyA(a.level, ())
-        return PolyA(a.level, (a,))
 
     def p_trim(self, L: int, coeffs) -> PolyA:
         c = list(coeffs)
@@ -294,12 +270,6 @@ class AlgebraTower:
             self.e_mul(self.embed_int(i, L), c) for i, c in enumerate(p.coeffs)
         ][1:]
         return self.p_trim(L, out)
-
-    def p_eval(self, p: PolyA, x: AlgElem) -> AlgElem:
-        out = self.zero(p.level)
-        for c in reversed(p.coeffs):
-            out = self.e_add(self.e_mul(out, x), c)
-        return out
 
     def p_eval_up(self, p: PolyA, x: AlgElem) -> AlgElem:
         """Evaluate a level-L polynomial at a level-(L+1) point."""

@@ -96,7 +96,11 @@ class IntegerLattice:
 
     @classmethod
     def from_rows(cls, rows, den: int, n: int) -> "IntegerLattice":
-        red = hnf_rows(rows, n)
+        return cls._reduced(hnf_rows(rows, n), den, n)
+
+    @classmethod
+    def _reduced(cls, red, den: int, n: int) -> "IntegerLattice":
+        """Lattice of HNF rows `red` over `den`, with common factors cancelled."""
         g = den
         for row in red:
             for x in row:
@@ -106,13 +110,7 @@ class IntegerLattice:
     @classmethod
     def from_elements(cls, elements, f: IntPoly, N: int) -> "IntegerLattice":
         n = ia.pdeg(f)
-        k = max((el.den_exp for el in elements), default=0)
-        den = N ** k
-        rows = []
-        for el in elements:
-            scale = N ** (k - el.den_exp)
-            rows.append([scale * (el.num[i] if i < len(el.num) else 0)
-                         for i in range(n)])
+        rows, den = _element_rows(elements, N, n)
         return cls.from_rows(rows, den, n)
 
     @classmethod
@@ -120,32 +118,31 @@ class IntegerLattice:
         return cls(1, tuple(tuple(1 if i == j else 0 for j in range(n))
                             for i in range(n)), n)
 
-    def det(self) -> int:
-        out = 1
-        for i in range(self.n):
-            out *= self.rows[i][i]
-        return out
-
     def index_over_power_basis(self) -> int:
         num = self.den ** self.n
-        d = self.det()
+        d = ia.math.prod(self.rows[i][i] for i in range(self.n))
         if num % d:
             raise ValueError("lattice does not contain the power basis")
         return num // d
 
-    def contains(self, vec, den: int = 1) -> bool:
-        """Membership of vec/den, by forward elimination against the HNF rows."""
-        scaled = [x * self.den for x in vec]
-        for j in range(self.n):
-            c = scaled[j]
-            piv = self.rows[j][j] * den
-            if c % piv:
-                return False
-            q = c // piv
+    def solve(self, vec, den: int = 1) -> list[int] | None:
+        """Integer c with sum_j c_j * rows_j / self.den == vec / den, by forward
+        substitution against the HNF rows; None when vec/den is not in the
+        lattice."""
+        # cancel common factors first: products come with den = self.den^2
+        g = ia.math.gcd(den, self.den)
+        den //= g
+        rest = [x * (self.den // g) for x in vec]
+        coords = []
+        for j, row in enumerate(self.rows):
+            q, r = divmod(rest[j], row[j] * den)
+            if r:
+                return None
+            coords.append(q)
             if q:
                 for i in range(j, self.n):
-                    scaled[i] -= q * den * self.rows[j][i]
-        return True
+                    rest[i] -= q * den * row[i]
+        return coords
 
     def basis_vectors(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.den) for x in row] for row in self.rows]
@@ -173,13 +170,19 @@ def _merge_row_groups(groups, include_power_basis: bool, n: int
         for row in group_rows:
             rows.append([scale * x for x in row])
     modulus = den if include_power_basis else None
-    red = hnf_rows(rows, n, modulus=modulus)
-    g = den
-    for row in red:
-        for x in row:
-            g = ia.math.gcd(g, x)
-    return IntegerLattice(den // g,
-                          tuple(tuple(x // g for x in row) for row in red), n)
+    return IntegerLattice._reduced(hnf_rows(rows, n, modulus=modulus), den, n)
+
+
+def _element_rows(elements, N: int, n: int) -> tuple[list, int]:
+    """(rows, N^k): the elements num/N^den_exp as integer rows over N^k, with
+    k the largest den_exp."""
+    k = max((el.den_exp for el in elements), default=0)
+    rows = []
+    for el in elements:
+        scale = N ** (k - el.den_exp)
+        rows.append([scale * (el.num[i] if i < len(el.num) else 0)
+                     for i in range(n)])
+    return rows, N ** k
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +216,9 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
     leaf = leaves[0]
     if leaf.order < 1:
         raise ValueError("order-zero leaves use order_zero_basis")
-    fdim_top = sum(l.fdim for l in leaves)
-    levels = []
-    eprod = 1
-    for i in range(1, leaf.order + 1):
-        node = leaf.trunc(i)
-        eprod *= node.e
-        an = st.analyze(node, f)
-        s_right = an.s1
-        exp = st.expand(f, node.g)
-        width = node.e * (fdim_top if i == leaf.order else node.fdim)
-        entries = []
-        for j in range(width):
-            q = exp.quotients[s_right - j - 1]
-            entries.append((q, Fraction(st.analyze(node, q).v, eprod)))
-        levels.append(entries)
+    levels = [[] for _ in range(leaf.order)]
+    for i, _, q, H in level_quotients(leaf, f, sum(l.fdim for l in leaves)):
+        levels[i - 1].append((q, H))
     f0 = leaf.trunc(0).fdim
     out = []
 
@@ -243,6 +234,26 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
     for j0 in range(f0):
         rec(0, ia.pshift((1,), j0), Fraction(0), [j0])
     return out
+
+
+def level_quotients(leaf: st.SFType, f: IntPoly, fdim_top: int):
+    """(i, j, q, H) for the division-chain quotients of f at each level i of
+    the chain of `leaf`.
+
+    q is the quotient ending j steps left of the right endpoint of the
+    lambda-component of f, for 0 <= j < e_i * f_i, where f_i is `fdim_top` at
+    the top level; H = v_i(q) / (e_1...e_i) is its accumulated value.
+    """
+    eprod = 1
+    for i in range(1, leaf.order + 1):
+        node = leaf.trunc(i)
+        eprod *= node.e
+        s_right = st.analyze(node, f).s1
+        exp = st.expand(f, node.g)
+        width = node.e * (fdim_top if i == leaf.order else node.fdim)
+        for j in range(width):
+            q = exp.quotients[s_right - j - 1]
+            yield i, j, q, Fraction(st.analyze(node, q).v, eprod)
 
 
 def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
@@ -272,10 +283,6 @@ def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
 
 # ---------------------------------------------------------------------------
 # global driver
-
-
-def _primes_upto(n: int) -> list[int]:
-    return ia._small_primes(n) if n >= 2 else []
 
 
 @dataclass
@@ -325,11 +332,8 @@ def global_basis(f: IntPoly, D: int | None = None, seed: int = 0
         raise ValueError("discriminant is zero: polynomial is not squarefree")
     D_work = abs(D_in)
     results = []
-    for p in _primes_upto(n):
-        k = 0
-        while D_work % p == 0:
-            D_work //= p
-            k += 1
+    for p in ia._small_primes(n):
+        k, D_work = ia.ord_n(D_work, p)
         if k > 1:
             rep = op.om_prime(f, p, seed)
             results.append((p, n_integral_basis(rep, f, p,
@@ -351,14 +355,6 @@ def global_basis(f: IntPoly, D: int | None = None, seed: int = 0
             # squarefree as far as gcd refinement can tell
         results.append((N, n_integral_basis(rep, f, N, assume_squarefree=True)))
     results.sort(key=lambda t: t[0])
-    groups = []
-    for N, basis in results:
-        k = max((el.den_exp for el in basis), default=0)
-        rows = []
-        for el in basis:
-            scale = N ** (k - el.den_exp)
-            rows.append([scale * (el.num[i] if i < len(el.num) else 0)
-                         for i in range(n)])
-        groups.append((rows, N ** k))
+    groups = [_element_rows(basis, N, n) for N, basis in results]
     merged = _merge_row_groups(groups, True, n)
     return GlobalBasisResult(f, D_in, results, merged)

@@ -16,7 +16,7 @@ import sys
 
 from . import basis as bs
 from . import intarith as ia
-from .artinalg import NonExactDivision
+from .artinalg import AlgebraTower, NonExactDivision
 from .sfom import sfom as run_tree
 from . import sftypes as st
 from . import validate as vd
@@ -24,7 +24,6 @@ from .intarith import IntPoly
 
 
 def _read_poly(source: str) -> IntPoly:
-    text = source
     if source == "-":
         text = sys.stdin.read()
     else:
@@ -61,10 +60,26 @@ def _unlimited_digits():
         sys.set_int_max_str_digits(old)
 
 
-def detect_reducible(f: IntPoly, disc: int) -> bool:
-    """Best-effort reducibility flags: repeated factors (disc = disc(f) is 0)
+# word-size primes whose reductions certify that f is squarefree
+_SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _squarefree_mod_primes(f: IntPoly) -> bool:
+    """True when gcd(f mod p, f' mod p) is constant for one of a few fixed
+    primes p; since f is monic, disc f is then nonzero mod p.  False means
+    only that no prime was conclusive."""
+    for p in _SQUAREFREE_PRIMES:
+        tower = AlgebraTower(p)
+        fp = tower.p_from_int_poly(f)
+        if tower.p_gcd(fp, tower.p_deriv(fp)).degree() == 0:
+            return True
+    return False
+
+
+def detect_reducible(f: IntPoly, squarefree: bool) -> bool:
+    """Best-effort reducibility flags: repeated factors (f not squarefree)
     and rational roots."""
-    if disc == 0:
+    if not squarefree:
         return True
     c0 = abs(f[0])
     candidates = set(range(-50, 51))
@@ -84,11 +99,16 @@ def detect_reducible(f: IntPoly, disc: int) -> bool:
 
 def cmd_basis(args) -> int:
     f = _read_poly(args.poly)
-    disc = ia.discriminant(f)
-    if detect_reducible(f, disc):
+    if args.disc is None:
+        D = ia.discriminant(f)
+        squarefree = D != 0
+    else:
+        # the exact disc f is needed only when no prime is conclusive
+        D = args.disc
+        squarefree = _squarefree_mod_primes(f) or ia.discriminant(f) != 0
+    if detect_reducible(f, squarefree):
         print("error: polynomial is reducible over Z", file=sys.stderr)
         return 3
-    D = disc if args.disc is None else args.disc
     result = bs.global_basis(f, D, seed=args.seed)
     with _unlimited_digits():
         obj = result.to_obj()
@@ -145,9 +165,11 @@ def cmd_polygon(args) -> int:
 
 def cmd_verify(args) -> int:
     f = _read_poly(args.poly)
-    primes = []
-    if args.known_primes:
-        primes = [int(p) for p in args.known_primes.split(",") if p]
+    primes = [int(p) for p in args.known_primes.split(",") if p]
+    for p in primes:
+        if not ia.is_probable_prime(p):
+            print(f"error: --known-primes: {p} is not prime", file=sys.stderr)
+            return 2
     checks = vd.verify_report(f, args.disc, primes, seed=args.seed)
     print(json.dumps(checks))
     return 0 if all(c["status"] == "pass" for c in checks) else 1
@@ -163,16 +185,12 @@ def main(argv=None) -> int:
         p.add_argument("--poly", required=True,
                        help="ascending integer coefficients, a file, or -")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true",
-                       help="accepted for compatibility; output is JSON")
 
     p = sub.add_parser("basis", help="global integral basis")
     common(p)
     p.add_argument("--disc", type=int, default=None,
                    help="work with this integer instead of disc(f)")
     p.add_argument("--merged-only", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted; moduli are processed sequentially")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("tree", help="serialized tree for one modulus")

@@ -92,12 +92,38 @@ def coprime_splitting(d: int, N: int) -> list[int]:
     """
     if not (1 < d < N) or N % d != 0:
         raise ValueError("need a proper divisor 1 < d < N")
-    bases = [b for b, _ in factor_refinement([d, N])]
-    out = []
-    for b in bases:
-        root, _ = perfect_power(b)
-        out.append(root)
-    return sorted(set(out))
+    return sorted({perfect_power(b)[0] for b, _ in factor_refinement([d, N])})
+
+
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Strong probable-prime test to the bases 2, 3, ..., 37.
+
+    No composite below 3.3 * 10^24 passes all twelve bases, so the answer is
+    exact below that bound.
+    """
+    if n < 2:
+        return False
+    for p in _SPRP_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _small_primes(bound: int) -> list[int]:
@@ -125,25 +151,16 @@ def int_sfd(N: int, scan_bound: int = 1000) -> list[tuple[int, int]]:
         if p * p > rest:
             break
         if rest % p == 0:
-            k, rest2 = 0, rest
-            while rest2 % p == 0:
-                rest2 //= p
-                k += 1
+            k, rest = ord_n(rest, p)
             pieces.append((p, k))
-            rest = rest2
     if rest > 1:
         b, k = perfect_power(rest)
         pieces.append((b, k))
-    refined = factor_refinement([b for b, e in pieces for _ in range(e)])
     by_exp: dict[int, int] = {}
-    for b, e in refined:
-        by_exp[e] = by_exp.get(e, 0) * b if e in by_exp else b
-    out = sorted(by_exp.items(), key=lambda t: t[0])
-    result = [(d, e) for e, d in out]
-    check = 1
-    for d, e in result:
-        check *= d ** e
-    if check != N:
+    for b, e in factor_refinement([b for b, e in pieces for _ in range(e)]):
+        by_exp[e] = by_exp.get(e, 1) * b
+    result = [(d, e) for e, d in sorted(by_exp.items())]
+    if math.prod(d ** e for d, e in result) != N:
         raise RuntimeError("squarefree decomposition failed to recombine")
     return result
 
@@ -162,10 +179,6 @@ def ptrim(coeffs) -> IntPoly:
 def pdeg(f: IntPoly) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(f) - 1
-
-
-def pconst(c: int) -> IntPoly:
-    return (c,) if c else ()
 
 
 def padd(f: IntPoly, g: IntPoly) -> IntPoly:

@@ -10,9 +10,10 @@ half-order exponent, characteristic 2 the trace map).
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 
-from . import intarith as ia
 from .sfom import SFOMRep, _drive
 from .artinalg import AlgebraTower, FactorEvent, PolyA
 from .intarith import IntPoly
@@ -20,9 +21,9 @@ from .intarith import IntPoly
 
 def om_prime(f: IntPoly, p: int, seed: int = 0) -> SFOMRep:
     """Tree for f at the prime p; leaves carry irreducible moduli everywhere."""
-    rng = random.Random(seed)
+    decompose = functools.partial(ff_factor, rng=random.Random(seed))
     try:
-        out = _drive(f, p, _prime_decompose, rng=rng, prime=p)
+        out = _drive(f, p, decompose, prime=p)
     except FactorEvent as ev:  # pragma: no cover - impossible over a field
         raise AssertionError(f"field arithmetic raised a factor event: {ev}")
     if out.rep is None:  # pragma: no cover
@@ -30,23 +31,12 @@ def om_prime(f: IntPoly, p: int, seed: int = 0) -> SFOMRep:
     return out.rep
 
 
-def _prime_decompose(tower: AlgebraTower, R: PolyA, rng) -> list[tuple[PolyA, int]]:
-    return ff_factor(tower, R, rng)
-
-
 # ---------------------------------------------------------------------------
 # factorization over a tower level that is a finite field
 
 
-def _char(tower: AlgebraTower) -> int:
-    return tower.N
-
-
 def _field_size(tower: AlgebraTower, L: int) -> int:
-    q = tower.N
-    for d in tower.dims[:L]:
-        q **= d
-    return q
+    return tower.N ** math.prod(tower.dims[:L])
 
 
 def ff_factor(tower: AlgebraTower, f: PolyA, rng=None) -> list[tuple[PolyA, int]]:
@@ -78,8 +68,7 @@ def _poly_sort_key(tower: AlgebraTower, p: PolyA) -> tuple:
 
 def ff_sfd(tower: AlgebraTower, f: PolyA) -> list[tuple[PolyA, int]]:
     """Squarefree decomposition over a finite field, any characteristic."""
-    p = _char(tower)
-    L = f.level
+    p = tower.N
     out: dict[int, PolyA] = {}
 
     def accumulate(g: PolyA, mult: int) -> None:
@@ -110,7 +99,7 @@ def ff_sfd(tower: AlgebraTower, f: PolyA) -> list[tuple[PolyA, int]]:
 
 def _pth_root(tower: AlgebraTower, f: PolyA) -> PolyA:
     """Inverse Frobenius: f = g(y^p) gives g with coefficients c^(q/p)."""
-    p = _char(tower)
+    p = tower.N
     L = f.level
     q = _field_size(tower, L)
     coeffs = []
@@ -154,7 +143,7 @@ def _factor_squarefree(tower: AlgebraTower, f: PolyA, rng) -> list[PolyA]:
 
 
 def _random_poly(tower: AlgebraTower, L: int, deg: int, rng) -> PolyA:
-    p = _char(tower)
+    p = tower.N
 
     def rand_elem(lv: int):
         if lv == 0:
@@ -173,7 +162,7 @@ def _equal_degree(tower: AlgebraTower, g: PolyA, d: int, rng) -> list[PolyA]:
     if g.degree() == d:
         return [g]
     q = _field_size(tower, L)
-    p = _char(tower)
+    p = tower.N
     while True:
         r = _random_poly(tower, L, g.degree() - 1, rng)
         if not r.coeffs:

@@ -71,12 +71,9 @@ class SFOMRep:
     def ramified(self) -> bool:
         return any(leaf.e_prod() > 1 for leaf in self.leaves)
 
-    def order_zero_leaves(self) -> list:
-        return [leaf for leaf in self.leaves if leaf.order == 0]
-
     def order_zero_t(self) -> PolyA | None:
         """Product of the order-zero leaf moduli (the multiplicity-one part)."""
-        parts = self.order_zero_leaves()
+        parts = [leaf for leaf in self.leaves if leaf.order == 0]
         if not parts:
             return None
         tower = parts[0].tower
@@ -131,29 +128,25 @@ def sfom(f: IntPoly, N: int, shuffle_seed: int | None = None) -> SplitOutcome:
     every prime of N to exceed deg f, which the global driver arranges by
     stripping small primes first.
     """
-    return _drive(f, N, _sf_decompose, shuffle_seed=shuffle_seed)
+    return _drive(f, N, AlgebraTower.p_sfd, shuffle_seed=shuffle_seed)
 
 
-def _sf_decompose(tower: AlgebraTower, R: PolyA, rng) -> list[tuple[PolyA, int]]:
-    return tower.p_sfd(R)
-
-
-def _drive(f: IntPoly, N: int, decompose, rng=None, prime: int | None = None,
+def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
            shuffle_seed: int | None = None) -> SplitOutcome:
+    """Grow the tree; decompose(tower, R) splits a residual polynomial into
+    (modulus, multiplicity) pairs."""
     f = ia.ptrim(f)
     n = ia.pdeg(f)
     if n < 2 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree > 1")
     if N <= 1:
         raise ValueError("need N > 1")
-    if rng is None:
-        rng = random.Random(0)
     state = _State(AlgebraTower(N))
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
     try:
-        red = st.reduce_mod_n(state.tower0, f)
+        red = state.tower0.p_from_int_poly(f)
         try:
-            parts = decompose(state.tower0, red, rng)
+            parts = decompose(state.tower0, red)
         except FactorEvent as ev:
             # no moduli exist yet, so the event can only split N itself
             if ev.level != -1:
@@ -172,7 +165,7 @@ def _drive(f: IntPoly, N: int, decompose, rng=None, prime: int | None = None,
                     state.worklist[-1], state.worklist[i])
             item = state.worklist.pop()
             try:
-                _process(state, item, f, decompose, rng)
+                _process(state, item, f, decompose)
             except FactorEvent as ev:
                 state.worklist.append(item)
                 _handle_event(state, ev, item)
@@ -183,7 +176,7 @@ def _drive(f: IntPoly, N: int, decompose, rng=None, prime: int | None = None,
     return SplitOutcome(rep=rep)
 
 
-def _process(state: _State, item: _Item, f: IntPoly, decompose, rng) -> None:
+def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
     base = state.tower0 if item.parent is None else item.parent.tower
     omega = item.omega
     if omega is None:
@@ -208,7 +201,7 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose, rng) -> None:
         raise RuntimeError("principal polygon length disagrees with multiplicity")
     for side in polygon.sides:
         R = st.residual_of(node, g, side.h, side.e, f)
-        for t2, mult in reversed(decompose(node.tower, R, rng)):
+        for t2, mult in reversed(decompose(node.tower, R)):
             state.worklist.append(_Item(node, g, side.h, side.e, t2, R, mult))
 
 
@@ -220,13 +213,10 @@ def _handle_event(state: _State, ev: FactorEvent, ctx: _Item) -> None:
     if ev.level >= len(ctx_key):
         raise AssertionError("event above the active chain")
     target_key = ctx_key[:ev.level + 1]
-    if ev.level < len(ctx_key) - 1:
-        anc = ctx.parent.trunc(ev.level)
-        parent = anc.parent
-        g, h, e, t, src = anc.g, anc.h, anc.e, anc.t, anc.residual_src
-    else:
-        parent = ctx.parent
-        g, h, e, t, src = ctx.g, ctx.h, ctx.e, ctx.t, ctx.residual_src
+    # the split level is the pending item itself or one of its ancestors
+    lvl = ctx if ev.level == len(ctx_key) - 1 else ctx.parent.trunc(ev.level)
+    parent = lvl.parent
+    g, h, e, t, src = lvl.g, lvl.h, lvl.e, lvl.t, lvl.residual_src
     div_tower = parent.tower if parent is not None else state.tower0
     psi = div_tower.p_exact_divide(t, ev.factor)
     kept_work = [it for it in state.worklist
@@ -248,17 +238,12 @@ def _prefix_match(key: tuple, prefix: tuple) -> bool:
 
 
 def _check_masses(rep: SFOMRep) -> None:
-    per_root: dict[int, int] = {}
-    roots = rep.roots
+    mass: dict[int, int] = {}  # id of a root -> e*f summed over its leaves
     for leaf in rep.leaves:
-        root = leaf.trunc(0)
-        i = next(j for j, r in enumerate(roots) if r is root)
-        per_root[i] = per_root.get(i, 0) + leaf.e_prod() * leaf.f_prod()
-    total = 0
-    for i, r in enumerate(roots):
-        expected = r.omega * r.fdim
-        if per_root.get(i, 0) != expected:
-            raise RuntimeError("leaf degree mass does not match its root")
-        total += expected
-    if total != ia.pdeg(rep.f):
+        root = id(leaf.trunc(0))
+        mass[root] = mass.get(root, 0) + leaf.e_prod() * leaf.f_prod()
+    roots = rep.roots
+    if any(mass[id(r)] != r.omega * r.fdim for r in roots):
+        raise RuntimeError("leaf degree mass does not match its root")
+    if sum(r.omega * r.fdim for r in roots) != ia.pdeg(rep.f):
         raise RuntimeError("tree does not account for the full degree")

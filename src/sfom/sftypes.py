@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intarith as ia
-from .artinalg import AlgebraTower, AlgElem, FactorEvent, PolyA
+from .artinalg import AlgebraTower, AlgElem, PolyA
 from .intarith import IntPoly
 
 # ---------------------------------------------------------------------------
@@ -34,10 +34,6 @@ class Side:
     u0: int
     s1: int
     u1: int
-
-    @property
-    def lam(self) -> Fraction:
-        return Fraction(self.h, self.e)
 
     @property
     def width(self) -> int:
@@ -74,10 +70,6 @@ class NewtonPolygon:
             g = ia.math.gcd(y1 - y2, x2 - x1)
             sides.append(Side((y1 - y2) // g, (x2 - x1) // g, x1, y1, x2, y2))
         return cls(tuple(pts), tuple(hull), tuple(sides))
-
-    @property
-    def length(self) -> int:
-        return self.vertices[-1][0]
 
     @property
     def principal_length(self) -> int:
@@ -216,19 +208,10 @@ class SFType:
         return tuple((n.g, n.h, n.e, n.t.coeffs) for n in self.chain())
 
     def e_prod(self) -> int:
-        out = 1
-        for n in self.chain():
-            out *= n.e
-        return out
+        return ia.math.prod(n.e for n in self.chain())
 
     def f_prod(self) -> int:
-        out = 1
-        for n in self.chain():
-            out *= n.fdim
-        return out
-
-    def lam(self) -> Fraction:
-        return Fraction(self.h, self.e)
+        return ia.math.prod(n.fdim for n in self.chain())
 
 
 def make_root(tower0: AlgebraTower, t0: PolyA, omega: int, residual_src: PolyA,
@@ -245,7 +228,7 @@ def make_child(parent: SFType, g: IntPoly, h: int, e: int, t: PolyA,
     m = ia.pdeg(g)
     if m != parent.e * parent.fdim * parent.m:
         raise ValueError("representative degree does not match level data")
-    V = parent.e * parent.fdim * (parent.e * parent.V + parent.h)
+    V = _pending_V(parent)
     ell = pow(h, -1, e) if e > 1 else 0
     ellp = (1 - ell * h) // e
     node = SFType(parent, parent.order + 1, tower, g, h, e, V, m, ell, ellp,
@@ -303,40 +286,73 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
     tower = node.tower
     r = node.order
     if r == 0:
-        v = min(ia.ord_n(c, tower.N)[0] for c in a if c)
-        R = tower.p_trim(0, [
-            tower.embed_int(c // tower.N ** v, 0) for c in a
-        ])
+        v, R = _reduce0(tower, a)
         gamma = tower.p_eval_up(R, tower.z(1))
         out = Analysis(v, None, 0, v, 0, v, 0, R, gamma, (a,))
     else:
         exp = expand(a, node.g)
-        pts = {}
-        for s, b in enumerate(exp.coeffs):
-            if b:
-                sub = analyze(node.parent, b)
-                pts[s] = (sub.v + s * node.V, sub)
-        polygon = NewtonPolygon.from_cloud([(s, u) for s, (u, _) in pts.items()])
-        v = polygon.min_value(node.h, node.e)
-        s0, u0, s1, u1 = polygon.component(node.h, node.e)
+        polygon, v, (s0, u0, s1, u1), R = _residual(
+            node.parent, exp.coeffs, node.V, node.h, node.e)
         nu = node.ellp * s0 - node.ell * u0
-        coeffs = []
-        for j in range((s1 - s0) // node.e + 1):
-            s = s0 + j * node.e
-            entry = pts.get(s)
-            if entry is not None and node.e * entry[0] + node.h * s == v:
-                coeffs.append(entry[1].gamma)
-            else:
-                coeffs.append(tower.zero(r))
-        R = tower.p_trim(r, coeffs)
-        if R.degree() != (s1 - s0) // node.e:
-            raise RuntimeError("residual lost its leading coefficient")
         gamma = tower.e_mul(
             tower.zpow(r + 1, nu), tower.p_eval_up(R, tower.z(r + 1))
         )
         out = Analysis(v, polygon, s0, u0, s1, u1, nu, R, gamma, exp.coeffs)
     node._analyses[a] = out
     return out
+
+
+def _reduce0(tower: AlgebraTower, a: IntPoly) -> tuple[int, PolyA]:
+    """(v, R) for a nonzero a: v = ord_N of its content, R = a / N^v mod N."""
+    N = tower.N
+    v = min(ia.ord_n(c, N)[0] for c in a if c)
+    return v, tower.p_trim(0, [tower.embed_int(c // N ** v, 0) for c in a])
+
+
+def _cloud(node: SFType, coeffs, V: int, certify: bool = False) -> tuple:
+    """Newton polygon of an expansion over `node`, with its points.
+
+    `coeffs` are the coefficients a_s of an expansion in powers of some g
+    with v_{node.order}(g) = V.  Returns (points, polygon), where points maps
+    s to (v(a_s) + s * V, analysis of a_s) for every nonzero a_s.  With
+    `certify`, the a_s are analyzed through `_certified`, in coefficient
+    order.
+    """
+    pts = {}
+    for s, b in enumerate(coeffs):
+        if b:
+            sub = _certified(node, b) if certify else analyze(node, b)
+            pts[s] = (sub.v + s * V, sub)
+    polygon = NewtonPolygon.from_cloud([(s, u) for s, (u, _) in pts.items()])
+    return pts, polygon
+
+
+def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
+    """Residual polynomial operator for slope -h/e on an expansion over `node`.
+
+    Returns (polygon, v, (s0, u0, s1, u1), R): v is the minimum of
+    e * u + h * s over the cloud, (s0, u0)-(s1, u1) the component where it is
+    attained, and R the polynomial over level node.order + 1 whose j-th
+    coefficient is the residue of a_{s0 + j e} if that point lies on the
+    component, else zero.
+    """
+    pts, polygon = _cloud(node, coeffs, V)
+    v = polygon.min_value(h, e)
+    s0, u0, s1, u1 = polygon.component(h, e)
+    tower = node.tower
+    L = node.order + 1
+    residues = []
+    for j in range((s1 - s0) // e + 1):
+        s = s0 + j * e
+        entry = pts.get(s)
+        if entry is not None and e * entry[0] + h * s == v:
+            residues.append(entry[1].gamma)
+        else:
+            residues.append(tower.zero(L))
+    R = tower.p_trim(L, residues)
+    if R.degree() != (s1 - s0) // e:
+        raise RuntimeError("residual lost its leading coefficient")
+    return polygon, v, (s0, u0, s1, u1), R
 
 
 def certify_robust(node: SFType, a: IntPoly) -> None:
@@ -358,19 +374,22 @@ def certify_robust(node: SFType, a: IntPoly) -> None:
                 if g != 1:
                     raise tower.factor_event(-1, g)
     else:
-        parent = node.parent
         for b in analyze(node, a).coeffs:
             if b:
-                certify_robust(parent, b)
-                _coprime_to_modulus(parent, analyze(parent, b).R)
+                _certified(node.parent, b)
     node._certified.add(a)
 
 
-def _coprime_to_modulus(node: SFType, R: PolyA) -> None:
+def _certified(node: SFType, b: IntPoly) -> Analysis:
+    """analyze(node, b) once b is certified robust and its residual coprime
+    to node.t (FactorEvent on failure)."""
+    certify_robust(node, b)
+    sub = analyze(node, b)
     tower = node.tower
-    d = tower.p_gcd(R, node.t)
+    d = tower.p_gcd(sub.R, node.t)
     if not tower.p_is_one(d):
         raise tower.factor_event(node.order, d)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +430,7 @@ def newton(node: SFType, g: IntPoly, bound: int, f: IntPoly) -> NewtonPolygon:
     is coprime to node.t.  Failures raise FactorEvent.
     """
     exp = expand(f, g, bound)
-    pts = []
-    for s, b in enumerate(exp.coeffs):
-        if b:
-            certify_robust(node, b)
-            sub = analyze(node, b)
-            _coprime_to_modulus(node, sub.R)
-            pts.append((s, sub.v + s * _pending_V(node)))
-    return NewtonPolygon.from_cloud(pts)
+    return _cloud(node, exp.coeffs, _pending_V(node), certify=True)[1]
 
 
 def _pending_V(node: SFType) -> int:
@@ -434,29 +446,8 @@ def residual_of(node: SFType, g: IntPoly, h: int, e: int, f: IntPoly) -> PolyA:
     """
     if ia.math.gcd(h, e) != 1:
         raise ValueError("slope must be reduced")
-    tower = node.tower
-    V = _pending_V(node)
     exp = expand(f, g)
-    pts = {}
-    for s, b in enumerate(exp.coeffs):
-        if b:
-            sub = analyze(node, b)
-            pts[s] = (sub.v + s * V, sub)
-    polygon = NewtonPolygon.from_cloud([(s, u) for s, (u, _) in pts.items()])
-    minval = polygon.min_value(h, e)
-    s0, u0, s1, u1 = polygon.component(h, e)
-    coeffs = []
-    for j in range((s1 - s0) // e + 1):
-        s = s0 + j * e
-        entry = pts.get(s)
-        if entry is not None and e * entry[0] + h * s == minval:
-            coeffs.append(entry[1].gamma)
-        else:
-            coeffs.append(tower.zero(node.order + 1))
-    R = tower.p_trim(node.order + 1, coeffs)
-    if R.degree() != (s1 - s0) // e:
-        raise RuntimeError("residual lost its leading coefficient")
-    return R
+    return _residual(node, exp.coeffs, _pending_V(node), h, e)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +537,7 @@ def construct_with_residue(node: SFType, v: int, alpha: AlgElem) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# reduction and polygon dumps
-
-
-def reduce_mod_n(tower: AlgebraTower, f: IntPoly) -> PolyA:
-    """Image of f in (Z/NZ)[y]."""
-    return tower.p_from_int_poly(f, 0)
+# order-zero residual and polygon dumps
 
 
 def r0(a: IntPoly, N: int) -> tuple[int, PolyA]:
@@ -559,9 +545,7 @@ def r0(a: IntPoly, N: int) -> tuple[int, PolyA]:
     a = ia.ptrim(a)
     if not a:
         raise ValueError("r0 of zero")
-    tower = AlgebraTower(N)
-    v = min(ia.ord_n(c, N)[0] for c in a if c)
-    return v, tower.p_trim(0, [tower.embed_int(c // N ** v, 0) for c in a])
+    return _reduce0(AlgebraTower(N), a)
 
 
 def polygon_dump(polygon: NewtonPolygon) -> str:

@@ -31,39 +31,30 @@ def project_check(rep: SFOMRep, f: IntPoly, p: int, seed: int = 0) -> dict:
     composite leaf.  Returns a report dict with an "ok" flag.
     """
     N = rep.N
-    rho = ia.ord_n(N, p)[0] if N % p == 0 else 0
-    if rho == 0:
+    if N % p:
         raise ValueError("p does not divide N")
+    rho = ia.ord_n(N, p)[0]
     prep = op.om_prime(f, p, seed)
     report = {"p": p, "rho": rho, "ok": True, "details": []}
 
-    comp = []
-    for leaf in rep.leaves:
-        if st.ord_ty(leaf, f) != 1:
-            report["ok"] = False
-            report["details"].append("composite leaf without multiplicity one")
-        chain = leaf.chain()
-        slopes = tuple((lvl.h, lvl.e) for lvl in chain[1:])
-        comp.append({
-            "order": leaf.order,
-            "slopes": slopes,
-            "root_lift": st.lift_order_zero(chain[0].t),
-            "f_target": leaf.f_prod(),
-            "e_target": leaf.e_prod(),
-        })
-    prime_leaves = []
-    for leaf in prep.leaves:
-        if st.ord_ty(leaf, f) != 1:
-            report["ok"] = False
-            report["details"].append("prime leaf without multiplicity one")
-        chain = leaf.chain()
-        prime_leaves.append({
-            "order": leaf.order,
-            "slopes": tuple((lvl.h, lvl.e) for lvl in chain[1:]),
-            "root_lift": st.lift_order_zero(chain[0].t),
-            "e": leaf.e_prod(),
-            "f": leaf.f_prod(),
-        })
+    def profiles(tree, kind):
+        out = []
+        for leaf in tree.leaves:
+            if st.ord_ty(leaf, f) != 1:
+                report["ok"] = False
+                report["details"].append(f"{kind} leaf without multiplicity one")
+            chain = leaf.chain()
+            out.append({
+                "order": leaf.order,
+                "slopes": tuple((lvl.h, lvl.e) for lvl in chain[1:]),
+                "root_lift": st.lift_order_zero(chain[0].t),
+                "e": leaf.e_prod(),
+                "f": leaf.f_prod(),
+            })
+        return out
+
+    comp = profiles(rep, "composite")
+    prime_leaves = profiles(prep, "prime")
 
     def matches(group_leaf, pleaf) -> bool:
         if pleaf["order"] != group_leaf["order"]:
@@ -99,13 +90,13 @@ def project_check(rep: SFOMRep, f: IntPoly, p: int, seed: int = 0) -> dict:
     for i, g in enumerate(comp):
         got_f = sum(prime_leaves[k]["f"] for k in assignment[i])
         es = {prime_leaves[k]["e"] for k in assignment[i]}
-        expect_e = g["e_target"]
+        expect_e = g["e"]
         if rho > 1:
             expect_e = expect_e // ia.math.gcd(rho, expect_e)
-        if got_f != g["f_target"] or es != {expect_e}:
+        if got_f != g["f"] or es != {expect_e}:
             report["ok"] = False
             report["details"].append(
-                f"leaf {i}: residue mass {got_f} vs {g['f_target']}, e {es}")
+                f"leaf {i}: residue mass {got_f} vs {g['f']}, e {es}")
     report["groups"] = [len(a) for a in assignment]
     return report
 
@@ -122,7 +113,7 @@ def _complete_assignment(comp, prime_leaves, assignment, unassigned) -> bool:
                 got = sum(prime_leaves[k]["f"] for k in assignment[i])
                 got += sum(prime_leaves[ks[j]]["f"]
                            for j in range(len(ks)) if current[j] == i)
-                if got != g["f_target"]:
+                if got != g["f"]:
                     return False
             for j, k in enumerate(ks):
                 assignment[current[j]].append(k)
@@ -161,19 +152,11 @@ def quotient_value_bound(f: IntPoly, leaf: st.SFType, p: int, rho: int) -> list:
     """
     n = ia.pdeg(f)
     out = []
-    eprod = 1
-    for i in range(1, leaf.order + 1):
-        node = leaf.trunc(i)
-        eprod *= node.e
-        an = st.analyze(node, f)
-        exp = st.expand(f, node.g)
-        for j in range(node.e * node.fdim):
-            q = exp.quotients[an.s1 - j - 1]
-            H = Fraction(st.analyze(node, q).v, eprod)
-            if H == 0:
-                continue
-            val = ia.ord_n(ia.resultant(f, q), p)[0]
-            out.append((i, j, H, val, Fraction(n * rho) * H))
+    for i, j, q, H in bs.level_quotients(leaf, f, leaf.fdim):
+        if H == 0:
+            continue
+        val = ia.ord_n(ia.resultant(f, q), p)[0]
+        out.append((i, j, H, val, Fraction(n * rho) * H))
     return out
 
 
@@ -205,17 +188,23 @@ def mul_mod(a: IntPoly, b: IntPoly, f: IntPoly) -> IntPoly:
     return r
 
 
+def _product_coords(lat: bs.IntegerLattice, f: IntPoly):
+    """coords(i, j): integer coordinates of w_i * w_j over the lattice basis
+    w, or None when the product leaves the lattice."""
+    rows = [ia.ptrim(row) for row in lat.rows]
+
+    def coords(i, j):
+        prod = mul_mod(rows[i], rows[j], f)
+        vec = [prod[k] if k < len(prod) else 0 for k in range(lat.n)]
+        return lat.solve(vec, lat.den * lat.den)
+    return coords
+
+
 def ring_closed(lat: bs.IntegerLattice, f: IntPoly) -> bool:
     """Every product of two basis vectors stays inside the lattice."""
-    n = lat.n
-    rows = [ia.ptrim(row) for row in lat.rows]
-    for i in range(n):
-        for j in range(i, n):
-            prod = mul_mod(rows[i], rows[j], f)
-            vec = [prod[k] if k < len(prod) else 0 for k in range(n)]
-            if not lat.contains(vec, lat.den * lat.den):
-                return False
-    return True
+    coords = _product_coords(lat, f)
+    return all(coords(i, j) is not None
+               for i in range(lat.n) for j in range(i, lat.n))
 
 
 def order_discriminant(lat: bs.IntegerLattice, f: IntPoly) -> int:
@@ -340,35 +329,11 @@ def _kernel_mod_p(M, p: int) -> list[list[int]]:
 
 def _mult_table(lat: bs.IntegerLattice, f: IntPoly) -> list:
     """table[i][j] = integer coordinates of w_i * w_j in the lattice basis."""
-    n = lat.n
-    rows = [ia.ptrim(row) for row in lat.rows]
-    table = []
-    for i in range(n):
-        row_t = []
-        for j in range(n):
-            prod = mul_mod(rows[i], rows[j], f)
-            vec = [prod[k] if k < len(prod) else 0 for k in range(n)]
-            row_t.append(_solve_hnf(lat, vec))
-        table.append(row_t)
-    return table
-
-
-def _solve_hnf(lat: bs.IntegerLattice, vec) -> list[int]:
-    """Coordinates of vec (in den^2-scaled power basis) over the HNF rows."""
-    out = [0] * lat.n
-    v = list(vec)
-    for j in range(lat.n):
-        piv = lat.rows[j][j] * lat.den
-        if v[j] % piv:
-            raise ValueError("vector outside the lattice")
-        q = v[j] // piv
-        out[j] = q
-        if q:
-            for i in range(j, lat.n):
-                v[i] -= q * lat.den * lat.rows[j][i]
-    if any(v):
+    coords = _product_coords(lat, f)
+    table = [[coords(i, j) for j in range(lat.n)] for i in range(lat.n)]
+    if any(c is None for row in table for c in row):
         raise ValueError("vector outside the lattice")
-    return out
+    return table
 
 
 def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bs.IntegerLattice:
@@ -394,9 +359,7 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bs.IntegerLattice:
         m += 1
     frob_rows = []
     for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        acc = v
+        acc = [int(i == j) for j in range(n)]
         for _ in range(m):
             # acc^p by repeated squaring on the exponent p
             base = acc
@@ -413,27 +376,25 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bs.IntegerLattice:
     rad = _left_kernel_mod_p(frob_rows, p)
     # ideal I = <radical lifts> + pO, as lattice coordinates over lat
     ideal_rows = [list(v) for v in rad]
-    for i in range(n):
-        row = [0] * n
-        row[i] = p
-        ideal_rows.append(row)
-    ideal = bs.hnf_rows(ideal_rows, n)
+    ideal_rows += [[p * (i == j) for j in range(n)] for i in range(n)]
+    ideal = bs.IntegerLattice.from_rows(ideal_rows, 1, n)
     # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
     big = []
     for i in range(n):
         vimg = []
         for j in range(n):
             prod = [0] * n
-            for k, c in enumerate(ideal[j]):
+            for k, c in enumerate(ideal.rows[j]):
                 if c:
                     for l in range(n):
                         prod[l] += c * table[i][k][l]
-            vimg.extend(_solve_rows(ideal, prod, p))
+            coords = ideal.solve(prod)
+            if coords is None:
+                raise ValueError("vector outside the ideal lattice")
+            vimg.extend(c % p for c in coords)
         big.append(vimg)
     kern = _left_kernel_mod_p(big, p)
-    rows = []
-    for row in lat.rows:
-        rows.append([p * x for x in row])
+    rows = [[p * x for x in row] for row in lat.rows]
     for v in kern:
         vec = [0] * n
         for i, c in enumerate(v):
@@ -442,22 +403,6 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bs.IntegerLattice:
                     vec[k] += c * lat.rows[i][k]
         rows.append(vec)
     return bs.IntegerLattice.from_rows(rows, lat.den * p, n)
-
-
-def _solve_rows(hnf, vec, p: int) -> list[int]:
-    """Coordinates of vec over upper-triangular hnf rows, reduced mod p."""
-    v = list(vec)
-    out = [0] * len(hnf)
-    for j in range(len(hnf)):
-        piv = hnf[j][j]
-        if v[j] % piv:
-            raise ValueError("vector outside the ideal lattice")
-        q = v[j] // piv
-        out[j] = q % p
-        if q:
-            for i in range(j, len(hnf)):
-                v[i] -= q * hnf[j][i]
-    return out
 
 
 def p_maximal(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bool:

@@ -11,7 +11,7 @@ from sfom.basis import (BasisElement, IntegerLattice, NeedsSquarefree,
                         order_zero_basis, terminal_basis)
 from sfom.sfom import sfom
 from sfom.validate import (charpoly_is_integral, index_disc_identity,
-                           p_maximal, ring_closed)
+                           mul_mod, p_maximal, ring_closed)
 
 
 def test_hnf_rows_canonical():
@@ -37,7 +37,7 @@ def test_lattice_membership(rng):
             coeffs = [rng.randrange(-3, 4) for _ in range(3)]
             vec = [sum(c * row[k] for c, row in zip(coeffs, lat.rows))
                    for k in range(3)]
-            assert lat.contains(vec, lat.den)
+            assert lat.solve(vec, lat.den) is not None
 
 
 def test_hnf_merge_examples():
@@ -65,7 +65,62 @@ def test_hnf_merge_coprime_denominators_bruteforce():
                    + 15 * sum(c * r[k] for c, r in zip(cb, b.basis_vectors()))
                    for k in range(2)]
             vec = [int(x) for x in vec]
-            assert merged.contains(vec, 15)
+            assert merged.solve(vec, 15) is not None
+
+
+def test_solve_exhaustive_mod_denominator():
+    # the merged lattice of the brute-force test: every vec/15 with vec in
+    # [0, 15)^2 is a member exactly when adding it leaves the HNF unchanged,
+    # and a member's coordinates rebuild it
+    a = IntegerLattice.from_rows([[3, 1], [0, 3]], 3, 2)
+    b = IntegerLattice.from_rows([[5, 0], [2, 5]], 5, 2)
+    lat = hnf_merge([a, b], False, (1, 0, 1))
+    members = 0
+    for vec in product(range(15), repeat=2):
+        rows = [[15 * x for x in row] for row in lat.rows]
+        rows.append([lat.den * x for x in vec])
+        member = IntegerLattice.from_rows(rows, 15 * lat.den, 2) == lat
+        coords = lat.solve(vec, 15)
+        assert (coords is not None) == member
+        if member:
+            members += 1
+            assert [15 * sum(c * row[k] for c, row in zip(coords, lat.rows))
+                    for k in range(2)] == [lat.den * x for x in vec]
+    assert 1 < members < 225
+
+
+def _solve_hnf_reference(lat, vec):
+    """Coordinates of vec (in the den^2-scaled power basis) over the HNF
+    rows, None off the lattice; the product solver of the oracles before
+    IntegerLattice.solve."""
+    out = [0] * lat.n
+    v = list(vec)
+    for j in range(lat.n):
+        piv = lat.rows[j][j] * lat.den
+        if v[j] % piv:
+            return None
+        q = v[j] // piv
+        out[j] = q
+        if q:
+            for i in range(j, lat.n):
+                v[i] -= q * lat.den * lat.rows[j][i]
+    return None if any(v) else out
+
+
+def test_solve_matches_the_product_solver():
+    f = example1(35)
+    lat = global_basis(f).merged
+    rows = [ia.ptrim(row) for row in lat.rows]
+    for i, j in product(range(lat.n), repeat=2):
+        prod = mul_mod(rows[i], rows[j], f)
+        vec = [prod[k] if k < len(prod) else 0 for k in range(lat.n)]
+        want = _solve_hnf_reference(lat, vec)
+        assert want is not None
+        assert lat.solve(vec, lat.den ** 2) == want
+        # a 1/den^2 shift leaves the lattice, whose denominator is den > 1
+        vec[i] += 1
+        assert lat.solve(vec, lat.den ** 2) is None
+        assert _solve_hnf_reference(lat, vec) is None
 
 
 def test_order_zero_basis_examples():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import example1, example3
 from sfom import cli
+from sfom import intarith as ia
 from sfom.basis import global_basis
 
 
@@ -93,6 +94,38 @@ def test_basis_output_above_digit_limit(capsys):
     # the limit is back once the output is written
     with pytest.raises(ValueError):
         str(10 ** 5000)
+
+
+def test_basis_disc_skips_the_full_discriminant(capsys, monkeypatch):
+    # degree 24: squarefree is certified modulo small primes instead
+    N = 10007 * 10009
+    f, _ = example3(2, N)
+    expected = global_basis(f, N).to_obj()
+
+    def no_discriminant(f):
+        raise AssertionError("full discriminant computed")
+
+    monkeypatch.setattr(ia, "discriminant", no_discriminant)
+    code, out, err = run(capsys, ["basis", "--poly=" + ",".join(map(str, f)),
+                                  "--disc", str(N)])
+    assert code == 0, err
+    assert json.loads(out) == expected
+
+
+def test_basis_disc_still_rejects_repeated_factors(capsys):
+    # (x^2+1)^2 has no rational root; no prime certifies it squarefree and
+    # the exact discriminant is 0
+    code, _, err = run(capsys, ["basis", "--poly", "1,0,2,0,1", "--disc", "5"])
+    assert code == 3 and "reducible" in err
+
+
+@pytest.mark.parametrize("primes", ["6", "1", "0", "35", "5,6"])
+def test_verify_rejects_non_prime_known_primes(capsys, primes):
+    code, out, err = run(capsys, ["verify", "--poly", EX1,
+                                  "--known-primes", primes])
+    bad = [p for p in primes.split(",") if p not in ("5", "7")][0]
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: --known-primes: {bad} is not prime"
 
 
 def test_tree_golden(capsys):

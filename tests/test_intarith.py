@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sfom import intarith as ia
-from conftest import example1, sylvester_resultant
+from conftest import example1, is_probable_prime, sylvester_resultant
 
 
 def test_ord_n_examples():
@@ -122,3 +122,17 @@ def test_poly_division_roundtrip(rng):
         q, r = ia.pdivmod_monic(f, g)
         assert ia.padd(ia.pmul(q, g), r) == f
         assert ia.pdeg(r) < ia.pdeg(g)
+
+
+def test_is_probable_prime_against_the_test_oracle():
+    for n in range(-2, 10 ** 4):
+        assert ia.is_probable_prime(n) == is_probable_prime(n), n
+    primes = [2 ** 61 - 1, 2 ** 89 - 1, 10007, 10009, 2147483647,
+              10 ** 18 + 9, 10 ** 24 + 7]
+    # Carmichael numbers, strong pseudoprimes to the bases 2..7 and 2..11,
+    # and products of two primes
+    composites = [561, 1105, 1729, 2465, 41041, 825265, 321197185,
+                  3215031751, 2152302898747, 10007 * 10009,
+                  (2 ** 61 - 1) * (2 ** 89 - 1)]
+    for n in primes + composites:
+        assert ia.is_probable_prime(n) == is_probable_prime(n) == (n in primes)

@@ -1,6 +1,5 @@
 import importlib
 import json
-import random
 
 import pytest
 
@@ -110,7 +109,7 @@ def _manual_state_for_injection():
     f = example2(35, 3, 5)
     N = 35
     tower0 = AlgebraTower(N)
-    red = st.reduce_mod_n(tower0, f)
+    red = tower0.p_from_int_poly(f)
     t0 = tower0.p_from_int_poly((0, 1))
     root = st.make_root(tower0, t0, 6, red)
     g1 = (0, 1)
@@ -133,10 +132,9 @@ def test_refine_injected_split_of_level_one():
     assert all(it.omega is None for it in state.worklist)
     ts = sorted(poly_ints(it.t) for it in state.worklist)
     assert ts == sorted([[3, 1], [c % 35 for c in ia.pmul((1, 1), (2, 1))]])
-    rng = random.Random(0)
     while state.worklist:
         it = state.worklist.pop()
-        sfm._process(state, it, f, sfm._sf_decompose, rng)
+        sfm._process(state, it, f, AlgebraTower.p_sfd)
     assert len(state.leaves) == 2
     assert sum(l.e_prod() * l.f_prod() for l in state.leaves) == 6
 
@@ -148,12 +146,11 @@ def test_refine_injected_split_cascades_on_nonunit_piece():
     tower = root.tower.extend(item.t)
     phi = root.tower.p_from_int_poly((1, 1), 1)
     sfm._handle_event(state, tower.factor_event(1, phi), item)
-    rng = random.Random(0)
     with pytest.raises(sfm._NFactor) as exc:
         while state.worklist:
             it = state.worklist.pop()
             try:
-                sfm._process(state, it, f, sfm._sf_decompose, rng)
+                sfm._process(state, it, f, AlgebraTower.p_sfd)
             except FactorEvent as ev2:
                 state.worklist.append(it)
                 sfm._handle_event(state, ev2, it)
@@ -198,12 +195,11 @@ def test_refine_cascade_escalates_to_n_factor():
     ev = tower.factor_event(0, phi)
     sfm._handle_event(state, ev, item)
     assert len(state.worklist) == 2
-    rng = random.Random(0)
     with pytest.raises(sfm._NFactor) as exc:
         while state.worklist:
             it = state.worklist.pop()
             try:
-                sfm._process(state, it, (0, 0, 0, 0, 1), sfm._sf_decompose, rng)
+                sfm._process(state, it, (0, 0, 0, 0, 1), AlgebraTower.p_sfd)
             except FactorEvent as ev2:
                 state.worklist.append(it)
                 sfm._handle_event(state, ev2, it)

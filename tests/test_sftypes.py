@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import elem_int, example1, poly_ints
+from conftest import elem_int, example1, example3, poly_ints
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.artinalg import AlgebraTower, FactorEvent
+from sfom.omprime import om_prime
+from sfom.sfom import sfom
 
 
 def build_example1_chain(N=35):
     f = example1(N)
     T0 = AlgebraTower(N)
-    red = st.reduce_mod_n(T0, f)
+    red = T0.p_from_int_poly(f)
     root = st.make_root(T0, T0.p_from_int_poly((0, 1)), 4, red)
     g1 = st.lift_order_zero(root.t)
     R1 = st.residual_of(root, g1, 1, 2, f)
@@ -344,6 +346,22 @@ def test_residual_suffix_of_quotients(chain):
                        and not node.tower.is_zero(cs[j]))
             want = node.tower.p_trim(node.order, cs[lead:])
             assert st.analyze(node, q).R == want
+
+
+def test_residual_of_matches_analyze_of_the_child():
+    # the residual operator run from the parent, before the child exists,
+    # agrees with the one the finished child applies to f
+    f1 = example1(35)
+    f3, _ = example3(2, 35)
+    trees = [(f1, sfom(f1, 35).rep), (f3, om_prime(f3, 5)), (f3, om_prime(f3, 7))]
+    checked = 0
+    for f, rep in trees:
+        nodes = {id(n): n for leaf in rep.leaves for n in leaf.chain()[1:]}
+        for child in nodes.values():
+            R = st.residual_of(child.parent, child.g, child.h, child.e, f)
+            assert R == st.analyze(child, f).R
+            checked += 1
+    assert checked >= 10
 
 
 def test_representative_self_check_random(rng):
