@@ -5,7 +5,7 @@ over Z/NZ for a composite N; zero-divisor hits split N (or a tower modulus)
 instead of failing, so the discriminant never needs to be factored.
 """
 
-from .artinalg import AlgebraTower, AlgElem, FactorEvent, NonExactDivision, PolyA
+from .artinalg import AlgebraTower, FactorEvent, NonExactDivision, PolyA
 from .basis import (
     BasisElement,
     GlobalBasisResult,

@@ -13,7 +13,9 @@ failures.  Every event is verified at raise time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .intarith import IntPoly
 
@@ -36,14 +38,6 @@ class NonExactDivision(Exception):
 
 
 @dataclass(frozen=True)
-class AlgElem:
-    """Element of a tower level: int residue at level 0, coordinate tuple above."""
-
-    level: int
-    coords: object  # int at level 0, tuple[AlgElem, ...] above
-
-
-@dataclass(frozen=True)
 class PolyA:
     """Dense polynomial over a tower level, trailing zeros trimmed."""
 
@@ -58,9 +52,14 @@ class PolyA:
 
 
 class AlgebraTower:
-    """Immutable chain of quotient rings with moduli [t_0, ..., t_{r-1}]."""
+    """Immutable chain of quotient rings with moduli [t_0, ..., t_{r-1}].
 
-    __slots__ = ("N", "moduli", "dims", "_zeros", "_ones")
+    An element of A_L is a flat tuple of sizes[L] = d_0...d_{L-1} residues
+    mod N (sizes[0] = 1): its d_{L-1} coordinates in A_{L-1}, written one
+    after another.
+    """
+
+    __slots__ = ("N", "moduli", "dims", "sizes")
 
     def __init__(self, N: int, moduli: tuple = ()):
         if N <= 1:
@@ -68,69 +67,55 @@ class AlgebraTower:
         self.N = N
         self.moduli = tuple(moduli)
         self.dims = tuple(t.degree() for t in self.moduli)
-        zeros = [AlgElem(0, 0)]
-        ones = [AlgElem(0, 1 % N)]
-        for L, d in enumerate(self.dims):
-            pad = (zeros[L],) * d
-            zeros.append(AlgElem(L + 1, pad))
-            ones.append(AlgElem(L + 1, (ones[L],) + pad[1:]))
-        self._zeros = zeros
-        self._ones = ones
+        self.sizes = tuple(accumulate(self.dims, operator.mul, initial=1))
 
     # -- element layer ------------------------------------------------------
+    # A level with d = 1 is the ring below it, so e_mul, e_invert and e_pow
+    # work in the lowest level of their operand's size.
 
     def levels(self) -> int:
         return len(self.moduli)
 
-    def zero(self, L: int) -> AlgElem:
-        return self._zeros[L]
+    def zero(self, L: int) -> tuple:
+        return (0,) * self.sizes[L]
 
-    def one(self, L: int) -> AlgElem:
-        return self._ones[L]
+    def one(self, L: int) -> tuple:
+        return self.embed_int(1, L)
 
-    def embed_int(self, k: int, L: int) -> AlgElem:
-        return self.lift_elem(AlgElem(0, k % self.N), L)
+    def embed_int(self, k: int, L: int) -> tuple:
+        return self.lift_elem((k % self.N,), L)
 
-    def lift_elem(self, a: AlgElem, L: int) -> AlgElem:
+    def lift_elem(self, a: tuple, L: int) -> tuple:
         """Embed an element into a higher level by constant coordinates."""
-        e = a
-        for i in range(a.level, L):
-            e = AlgElem(i + 1, (e,) + (self._zeros[i],) * (self.dims[i] - 1))
-        return e
+        return a + (0,) * (self.sizes[L] - len(a))
 
-    def is_zero(self, a: AlgElem) -> bool:
-        return a == self._zeros[a.level]
+    def is_zero(self, a: tuple) -> bool:
+        return not any(a)
 
-    def is_one(self, a: AlgElem) -> bool:
-        return a == self._ones[a.level]
+    def is_one(self, a: tuple) -> bool:
+        return a[0] == 1 and not any(a[1:])
 
-    def e_add(self, a: AlgElem, b: AlgElem) -> AlgElem:
-        L = a.level
+    def e_add(self, a: tuple, b: tuple) -> tuple:
+        return tuple((x + y) % self.N for x, y in zip(a, b))
+
+    def e_neg(self, a: tuple) -> tuple:
+        return tuple(-x % self.N for x in a)
+
+    def e_sub(self, a: tuple, b: tuple) -> tuple:
+        return tuple((x - y) % self.N for x, y in zip(a, b))
+
+    def e_mul(self, a: tuple, b: tuple) -> tuple:
+        L = self.sizes.index(len(a))
         if L == 0:
-            return AlgElem(0, (a.coords + b.coords) % self.N)
-        return AlgElem(L, tuple(self.e_add(x, y) for x, y in zip(a.coords, b.coords)))
-
-    def e_neg(self, a: AlgElem) -> AlgElem:
-        L = a.level
-        if L == 0:
-            return AlgElem(0, (-a.coords) % self.N)
-        return AlgElem(L, tuple(self.e_neg(x) for x in a.coords))
-
-    def e_sub(self, a: AlgElem, b: AlgElem) -> AlgElem:
-        return self.e_add(a, self.e_neg(b))
-
-    def e_mul(self, a: AlgElem, b: AlgElem) -> AlgElem:
-        L = a.level
-        if L == 0:
-            return AlgElem(0, (a.coords * b.coords) % self.N)
-        prod = self.p_mul(self.elem_to_poly(a), self.elem_to_poly(b))
+            return (a[0] * b[0] % self.N,)
+        prod = self.p_mul(self.elem_to_poly(a, L), self.elem_to_poly(b, L))
         _, rem = self.p_divmod_monic(prod, self.moduli[L - 1])
         return self.poly_to_elem(rem, L)
 
-    def e_pow(self, a: AlgElem, k: int) -> AlgElem:
+    def e_pow(self, a: tuple, k: int) -> tuple:
         if k < 0:
             return self.e_pow(self.e_invert(a), -k)
-        out = self.one(a.level)
+        out = self.one(self.sizes.index(len(a)))
         base = a
         while k:
             if k & 1:
@@ -140,34 +125,30 @@ class AlgebraTower:
                 base = self.e_mul(base, base)
         return out
 
-    def e_invert(self, a: AlgElem) -> AlgElem:
+    def e_invert(self, a: tuple) -> tuple:
         """Inverse certified by a recursive Bezout chain; FactorEvent on failure."""
-        L = a.level
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero")
+        L = self.sizes.index(len(a))
         if L == 0:
-            g = math.gcd(a.coords, self.N)
+            g = math.gcd(a[0], self.N)
             if g != 1:
                 raise self.factor_event(-1, g)
-            return AlgElem(0, pow(a.coords, -1, self.N))
-        d, u, _ = self.p_xgcd(self.elem_to_poly(a), self.moduli[L - 1])
+            return (pow(a[0], -1, self.N),)
+        d, u, _ = self.p_xgcd(self.elem_to_poly(a, L), self.moduli[L - 1])
         if not self.p_is_one(d):
             raise self.factor_event(L - 1, d)
         return self.poly_to_elem(u, L)
 
-    def z(self, L: int) -> AlgElem:
+    def z(self, L: int) -> tuple:
         """Generator of A_L over A_{L-1} (class of y)."""
         if L < 1:
             raise ValueError("no generator at level 0")
-        d = self.dims[L - 1]
-        coords = [self._zeros[L - 1]] * d
-        if d >= 2:
-            coords[1] = self._ones[L - 1]
-            return AlgElem(L, tuple(coords))
-        t = self.moduli[L - 1]  # y reduces to -t(0)
-        return self.lift_elem(self.e_neg(t.coeffs[0]), L)
+        if self.dims[L - 1] >= 2:
+            return self.lift_elem(self.zero(L - 1) + self.one(L - 1), L)
+        return self.e_neg(self.moduli[L - 1].coeffs[0])  # y reduces to -t(0)
 
-    def zpow(self, L: int, k: int) -> AlgElem:
+    def zpow(self, L: int, k: int) -> tuple:
         """z_{L-1}^k for any sign of k; t_{L-1}(0) must be a unit for k < 0."""
         zl = self.z(L)
         if k >= 0:
@@ -182,19 +163,16 @@ class AlgebraTower:
         )
         return self.e_pow(zinv, -k)
 
-    def elem_to_poly(self, a: AlgElem) -> PolyA:
+    def elem_to_poly(self, a: tuple, L: int) -> PolyA:
         """Coordinates of a level-L element as a polynomial over level L-1."""
-        if a.level == 0:
-            raise ValueError("level-0 elements have no coordinate polynomial")
-        return self.p_trim(a.level - 1, a.coords)
+        k = self.sizes[L - 1]
+        return self.p_trim(L - 1, [a[i:i + k] for i in range(0, len(a), k)])
 
-    def poly_to_elem(self, p: PolyA, L: int) -> AlgElem:
+    def poly_to_elem(self, p: PolyA, L: int) -> tuple:
         """Reduced polynomial over level L-1, padded into a level-L element."""
-        d = self.dims[L - 1]
-        if p.degree() >= d:
+        if p.degree() >= self.dims[L - 1]:
             raise ValueError("coordinates not reduced")
-        coords = list(p.coeffs) + [self._zeros[L - 1]] * (d - len(p.coeffs))
-        return AlgElem(L, tuple(coords))
+        return self.lift_elem(tuple(chain.from_iterable(p.coeffs)), L)
 
     # -- polynomial layer ----------------------------------------------------
 
@@ -238,7 +216,7 @@ class AlgebraTower:
     def p_sub(self, p: PolyA, q: PolyA) -> PolyA:
         return self.p_add(p, self.p_neg(q))
 
-    def p_scale(self, p: PolyA, a: AlgElem) -> PolyA:
+    def p_scale(self, p: PolyA, a: tuple) -> PolyA:
         return self.p_trim(p.level, [self.e_mul(a, c) for c in p.coeffs])
 
     def p_mul(self, p: PolyA, q: PolyA) -> PolyA:
@@ -271,9 +249,9 @@ class AlgebraTower:
         ][1:]
         return self.p_trim(L, out)
 
-    def p_eval_up(self, p: PolyA, x: AlgElem) -> AlgElem:
+    def p_eval_up(self, p: PolyA, x: tuple) -> tuple:
         """Evaluate a level-L polynomial at a level-(L+1) point."""
-        L1 = x.level
+        L1 = p.level + 1
         out = self.zero(L1)
         for c in reversed(p.coeffs):
             out = self.e_add(self.e_mul(out, x), self.lift_elem(c, L1))
@@ -435,10 +413,11 @@ class AlgebraTower:
 
     # -- serialization ---------------------------------------------------------
 
-    def elem_to_obj(self, a: AlgElem):
-        if a.level == 0:
-            return str(a.coords)
-        return [self.elem_to_obj(c) for c in a.coords]
+    def elem_to_obj(self, a: tuple, L: int):
+        if L == 0:
+            return str(a[0])
+        k = self.sizes[L - 1]
+        return [self.elem_to_obj(a[i:i + k], L - 1) for i in range(0, len(a), k)]
 
     def poly_to_obj(self, p: PolyA):
-        return [self.elem_to_obj(c) for c in p.coeffs]
+        return [self.elem_to_obj(c, p.level) for c in p.coeffs]

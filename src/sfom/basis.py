@@ -30,7 +30,6 @@ class BasisElement:
 
     num: IntPoly
     den_exp: int
-    provenance: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ def order_zero_basis(t: PolyA, f: IntPoly, N: int) -> list[BasisElement]:
     out = []
     for j in range(t.degree()):
         _, num = ia.pdivmod_monic(ia.pshift(q, j), f)
-        out.append(BasisElement(num, 0, ("order0", j)))
+        out.append(BasisElement(num, 0))
     return out
 
 
@@ -222,17 +221,16 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
     f0 = leaf.trunc(0).fdim
     out = []
 
-    def rec(i, num, H, tags):
+    def rec(i, num, H):
         if i == len(levels):
             _, red = ia.pdivmod_monic(num, f)
-            out.append(BasisElement(red, H.numerator // H.denominator,
-                                    ("leaf", tuple(tags))))
+            out.append(BasisElement(red, H.numerator // H.denominator))
             return
-        for j, (q, Hq) in enumerate(levels[i]):
-            rec(i + 1, ia.pmul(num, q), H + Hq, tags + [j])
+        for q, Hq in levels[i]:
+            rec(i + 1, ia.pmul(num, q), H + Hq)
 
     for j0 in range(f0):
-        rec(0, ia.pshift((1,), j0), Fraction(0), [j0])
+        rec(0, ia.pshift((1,), j0), Fraction(0))
     return out
 
 

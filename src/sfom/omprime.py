@@ -11,7 +11,6 @@ half-order exponent, characteristic 2 the trace map).
 from __future__ import annotations
 
 import functools
-import math
 import random
 
 from .sfom import SFOMRep, _drive
@@ -36,7 +35,7 @@ def om_prime(f: IntPoly, p: int, seed: int = 0) -> SFOMRep:
 
 
 def _field_size(tower: AlgebraTower, L: int) -> int:
-    return tower.N ** math.prod(tower.dims[:L])
+    return tower.N ** tower.sizes[L]
 
 
 def ff_factor(tower: AlgebraTower, f: PolyA, rng=None) -> list[tuple[PolyA, int]]:
@@ -55,15 +54,8 @@ def ff_factor(tower: AlgebraTower, f: PolyA, rng=None) -> list[tuple[PolyA, int]
     for sqf, mult in ff_sfd(tower, f):
         for irr in _factor_squarefree(tower, sqf, rng):
             out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree(), _poly_sort_key(tower, t[0])))
+    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     return out
-
-
-def _poly_sort_key(tower: AlgebraTower, p: PolyA) -> tuple:
-    def flat(e):
-        return (e.coords,) if e.level == 0 else tuple(flat(c) for c in e.coords)
-
-    return tuple(flat(c) for c in p.coeffs)
 
 
 def ff_sfd(tower: AlgebraTower, f: PolyA) -> list[tuple[PolyA, int]]:
@@ -143,17 +135,9 @@ def _factor_squarefree(tower: AlgebraTower, f: PolyA, rng) -> list[PolyA]:
 
 
 def _random_poly(tower: AlgebraTower, L: int, deg: int, rng) -> PolyA:
-    p = tower.N
-
-    def rand_elem(lv: int):
-        if lv == 0:
-            return tower.embed_int(rng.randrange(p), 0)
-        return tower.poly_to_elem(
-            tower.p_trim(lv - 1,
-                         [rand_elem(lv - 1) for _ in range(tower.dims[lv - 1])]),
-            lv)
-
-    return tower.p_trim(L, [rand_elem(L) for _ in range(deg + 1)])
+    n = tower.sizes[L]
+    return tower.p_trim(L, [tuple(rng.randrange(tower.N) for _ in range(n))
+                            for _ in range(deg + 1)])
 
 
 def _equal_degree(tower: AlgebraTower, g: PolyA, d: int, rng) -> list[PolyA]:

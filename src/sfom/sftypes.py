@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intarith as ia
-from .artinalg import AlgebraTower, AlgElem, PolyA
+from .artinalg import AlgebraTower, PolyA
 from .intarith import IntPoly
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,6 @@ class Expansion:
     quotients[s-1] is the s-th quotient q_s, so that q_s = a_s + a_{s+1} g + ...
     """
 
-    base: IntPoly
     coeffs: tuple
     quotients: tuple
 
@@ -148,7 +147,7 @@ def expand(f: IntPoly, g: IntPoly, bound: int | None = None) -> Expansion:
     if bound is not None:
         coeffs = coeffs[: bound + 1]
         quots = quots[: bound]
-    return Expansion(g, tuple(coeffs), tuple(quots))
+    return Expansion(tuple(coeffs), tuple(quots))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ class Analysis:
     u1: int
     nu: int
     R: PolyA
-    gamma: AlgElem
+    gamma: tuple
     coeffs: tuple
 
 
@@ -456,7 +455,7 @@ def residual_of(node: SFType, g: IntPoly, h: int, e: int, f: IntPoly) -> PolyA:
 
 def lift_order_zero(t: PolyA) -> IntPoly:
     """Monic lift with least nonnegative residues; robust since t is strongly unitary."""
-    return ia.ptrim([c.coords for c in t.coeffs])
+    return ia.ptrim([c[0] for c in t.coeffs])
 
 
 def representative(node: SFType) -> IntPoly:
@@ -496,7 +495,7 @@ def _representative_self_check(node: SFType, g: IntPoly) -> None:
         raise RuntimeError("representative residual check failed")
 
 
-def construct_with_residue(node: SFType, v: int, alpha: AlgElem) -> IntPoly:
+def construct_with_residue(node: SFType, v: int, alpha: tuple) -> IntPoly:
     """An a in Z[x], deg a < next-level degree, with value v and residue alpha.
 
     The postcondition (analyze(node, a).v == v and .gamma == alpha) is
@@ -510,8 +509,7 @@ def construct_with_residue(node: SFType, v: int, alpha: AlgElem) -> IntPoly:
     if node.order == 0:
         if v < 0:
             raise ValueError("no integer polynomial attains a negative value")
-        coords = tower.elem_to_poly(alpha)
-        a = ia.ptrim([tower.N ** v * c.coords for c in coords.coeffs])
+        a = ia.ptrim([tower.N ** v * c for c in alpha])
     else:
         e, h = node.e, node.h
         s0 = (node.ell * v) % e
@@ -520,7 +518,7 @@ def construct_with_residue(node: SFType, v: int, alpha: AlgElem) -> IntPoly:
             raise RuntimeError("component abscissa out of residue class")
         nu0 = node.ellp * s0 - node.ell * u0
         twisted = tower.e_mul(tower.zpow(node.order + 1, -nu0), alpha)
-        beta = tower.elem_to_poly(twisted)
+        beta = tower.elem_to_poly(twisted, node.order + 1)
         a = ()
         for k, bk in enumerate(beta.coeffs):
             if tower.is_zero(bk):

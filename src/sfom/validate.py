@@ -338,6 +338,8 @@ def _mult_table(lat: bs.IntegerLattice, f: IntPoly) -> list:
 
 def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bs.IntegerLattice:
     """One radical/multiplier-ring enlargement step of the order at p."""
+    if not ia.is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
     n = lat.n
     table = _mult_table(lat, f)
 
@@ -434,12 +436,14 @@ def verify_report(f: IntPoly, D: int | None = None,
     add("elements-integral", all(
         charpoly_is_integral(el.num, N ** el.den_exp, f)
         for N, b in result.moduli for el in b))
+    reps = {}  # composite modulus -> its tree, built once
     for p in known_primes or []:
         add(f"p-maximal-{p}", p_maximal(lat, f, p))
         for N, _ in result.moduli:
             if N % p == 0 and N != p:
-                out = run_tree(f, N)
-                if out.rep is not None:
-                    rp = project_check(out.rep, f, p, seed)
+                if N not in reps:
+                    reps[N] = run_tree(f, N).rep
+                if reps[N] is not None:
+                    rp = project_check(reps[N], f, p, seed)
                     add(f"project-{N}-{p}", rp["ok"], "; ".join(rp["details"]))
     return checks

@@ -61,15 +61,9 @@ def refine_fixture(N=35):
 # element helpers
 
 
-def elem_int(e):
-    """Constant element of any tower level, unwrapped to its base residue."""
-    while e.level > 0:
-        e = e.coords[0]
-    return e.coords
-
-
 def poly_ints(p):
-    return [elem_int(c) for c in p.coeffs]
+    """Base residues of a polynomial's constant coefficients."""
+    return [c[0] for c in p.coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ def test_criterion_2_example1_basis():
         n_integral_basis(rep, f, N, assume_squarefree=True), f, N)
     from sfom.basis import BasisElement
     want = IntegerLattice.from_elements([
-        BasisElement((1,), 0, ()), BasisElement((0, 1), 0, ()),
-        BasisElement((0, 0, 1), 1, ()), BasisElement((0, N, 0, 1), 2, ()),
+        BasisElement((1,), 0), BasisElement((0, 1), 0),
+        BasisElement((0, 0, 1), 1), BasisElement((0, N, 0, 1), 2),
     ], f, N)
     elapsed = time.monotonic() - t0
     ok = lat == want and elapsed < 1.0
@@ -123,8 +123,8 @@ def test_criterion_3_example2():
     want_els = []
     for k in range(r):
         num = tuple(coef[2 * r - 2 * k:])
-        want_els.append(BasisElement(num, k, ()))
-        want_els.append(BasisElement(ia.pshift(num, 1), k, ()))
+        want_els.append(BasisElement(num, k))
+        want_els.append(BasisElement(ia.pshift(num, 1), k))
     ok &= lat == IntegerLattice.from_elements(want_els, f, p)
     elapsed = time.monotonic() - t0
     ok &= elapsed < 1.0

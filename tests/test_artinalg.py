@@ -198,3 +198,50 @@ def test_factor_events_verified_at_raise(T):
     assert ev.level == 0
     with pytest.raises(AssertionError):
         T1.factor_event(0, T.p_from_int_poly((3, 1)))  # not a divisor
+
+
+def test_degree_one_level_is_the_ring_below(T, rng, monkeypatch):
+    # A_1 = A_0[i]/(i^2 + 1); A_2 = A_1[y]/(y - c) is A_1 again, with z_2 = c
+    T1 = T.extend(P(T, 1, 0, 1))
+    c = T1.e_add(T1.embed_int(2, 1), T1.e_mul(T1.embed_int(3, 1), T1.z(1)))
+    T2 = T1.extend(PolyA(1, (T1.e_neg(c), T1.one(1))))
+    # the same top modulus (y - 1)(y - 3) with and without the degree-1 level
+    full = T2.extend(T2.p_from_int_poly((3, -4, 1), 2))
+    short = T1.extend(T1.p_from_int_poly((3, -4, 1), 1))
+    assert full.sizes == (1, 2, 2, 4) and short.sizes == (1, 2, 4)
+    assert full.z(2) == c
+    for k in range(-3, 4):
+        assert full.zpow(2, k) == T1.e_pow(c, k)
+        assert full.zpow(3, k) == short.zpow(2, k)
+
+    divisors = []
+    divmod_monic = AlgebraTower.p_divmod_monic
+
+    def recording(self, s, t):
+        divisors.append(t)
+        return divmod_monic(self, s, t)
+
+    monkeypatch.setattr(AlgebraTower, "p_divmod_monic", recording)
+
+    def invert(tower, a, top):
+        try:
+            return "unit", tower.e_invert(a)
+        except FactorEvent as ev:
+            if ev.level == -1:
+                return "N", ev.factor
+            # the top modulus sits one level lower in `short`
+            return ("top" if ev.level == top else ev.level), ev.factor.coeffs
+
+    elems = [full.e_sub(full.z(3), full.one(3)),  # splits the top modulus
+             full.embed_int(5, 3),  # splits N
+             full.lift_elem(T1.e_sub(c, T1.one(1)), 3)]  # norm 10 in A_1
+    elems += [tuple(rng.randrange(35) for _ in range(4)) for _ in range(40)]
+    kinds = set()
+    for a in elems:
+        b = tuple(rng.randrange(35) for _ in range(4))
+        assert full.e_mul(a, b) == short.e_mul(a, b)
+        got = invert(full, a, 2)
+        assert got == invert(short, a, 1)
+        kinds.add(got[0])
+    assert kinds == {"unit", "N", "top"}
+    assert not any(t is full.moduli[1] for t in divisors)

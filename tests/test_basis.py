@@ -43,7 +43,7 @@ def test_lattice_membership(rng):
 def test_hnf_merge_examples():
     f = (1, 0, 1)
     L1 = IntegerLattice.from_elements(
-        [BasisElement((1,), 0, ()), BasisElement((0, 1), 0, ())], f, 35)
+        [BasisElement((1,), 0), BasisElement((0, 1), 0)], f, 35)
     assert hnf_merge([L1, L1], False, f) == L1
     fe = example1(35)
     rep = sfom(fe, 35).rep
@@ -145,8 +145,8 @@ def test_terminal_basis_example1():
     lat = IntegerLattice.from_elements(
         n_integral_basis(rep, f, N, assume_squarefree=True), f, N)
     want = IntegerLattice.from_elements([
-        BasisElement((1,), 0, ()), BasisElement((0, 1), 0, ()),
-        BasisElement((0, 0, 1), 1, ()), BasisElement((0, N, 0, 1), 2, ()),
+        BasisElement((1,), 0), BasisElement((0, 1), 0),
+        BasisElement((0, 0, 1), 1), BasisElement((0, N, 0, 1), 2),
     ], f, N)
     assert lat == want
 
@@ -161,8 +161,8 @@ def test_terminal_basis_example2():
     want_els = []
     for k in range(r):
         num = tuple(coef[2 * r - 2 * k:])
-        want_els.append(BasisElement(num, k, ()))
-        want_els.append(BasisElement(ia.pshift(num, 1), k, ()))
+        want_els.append(BasisElement(num, k))
+        want_els.append(BasisElement(ia.pshift(num, 1), k))
     assert lat == IntegerLattice.from_elements(want_els, f, p)
 
 

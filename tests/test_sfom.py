@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import (elem_int, example1, example2, example3, is_irreducible_over_z,
+from conftest import (example1, example2, example3, is_irreducible_over_z,
                       poly_ints, refine_fixture)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower, FactorEvent

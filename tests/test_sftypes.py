@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import elem_int, example1, example3, poly_ints
+from conftest import example1, example3, poly_ints
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.artinalg import AlgebraTower, FactorEvent

@@ -6,6 +6,7 @@ import pytest
 from conftest import (example1, example2, example3, pollard_factor,
                       refine_fixture, sylvester_resultant)
 from sfom import intarith as ia
+from sfom import validate
 from sfom.basis import IntegerLattice, global_basis, n_integral_basis
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
@@ -140,6 +141,32 @@ def test_verify_report_end_to_end():
     names = {c["check"] for c in checks}
     assert {"ring-closed", "index-discriminant", "p-maximal-5",
             "p-maximal-7"} <= names
+
+
+def test_verify_report_builds_each_composite_tree_once(monkeypatch):
+    calls = []
+
+    def counting_run_tree(f, N, *args, **kwargs):
+        calls.append(N)
+        return sfom(f, N, *args, **kwargs)
+
+    monkeypatch.setattr(validate, "run_tree", counting_run_tree)
+    checks = verify_report(example1(35), known_primes=[5, 7])
+    assert calls == [35]
+    assert [(c["check"], c["status"]) for c in checks] == [
+        ("basis-count", "pass"), ("ring-closed", "pass"),
+        ("index-discriminant", "pass"), ("elements-integral", "pass"),
+        ("p-maximal-5", "pass"), ("project-35-5", "pass"),
+        ("p-maximal-7", "pass"), ("project-35-7", "pass")]
+
+
+@pytest.mark.parametrize("p", [0, 1, 6])
+def test_p_maximal_rejects_non_primes(p):
+    Z2 = IntegerLattice.power_basis(2)
+    with pytest.raises(ValueError):
+        pz_enlarge(Z2, (1, 0, 1), p)
+    with pytest.raises(ValueError):
+        p_maximal(Z2, (1, 0, 1), p)
 
 
 def test_random_fields_end_to_end(rng):
