@@ -25,7 +25,7 @@ from .intarith import (
     resultant,
 )
 from .omprime import ff_factor, om_prime
-from .sfom import SFOMRep, SplitOutcome, sfom
+from .sfom import ReducibleInput, SFOMRep, SplitOutcome, sfom
 from .sftypes import (
     Expansion,
     NewtonPolygon,

@@ -376,7 +376,7 @@ class AlgebraTower:
 
     # -- tower construction --------------------------------------------------
 
-    def extend(self, t: PolyA, certify: bool = True) -> AlgebraTower:
+    def extend(self, t: PolyA) -> AlgebraTower:
         """New tower with modulus t appended at the top level.
 
         Certification checks t is monic and strongly unitary (FactorEvent
@@ -387,10 +387,9 @@ class AlgebraTower:
             raise ValueError("modulus must live at the top level")
         if t.degree() < 1:
             raise ValueError("modulus must have positive degree")
-        if certify:
-            self.p_assert_strongly_unitary(t)
-            if L >= 1 and self.is_zero(t.coeffs[0]):
-                raise ValueError("modulus must have nonzero constant term")
+        self.p_assert_strongly_unitary(t)
+        if L >= 1 and self.is_zero(t.coeffs[0]):
+            raise ValueError("modulus must have nonzero constant term")
         if not self.p_is_monic(t):
             raise ValueError("modulus must be monic")
         return AlgebraTower(self.N, self.moduli + (t,))

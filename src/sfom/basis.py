@@ -210,8 +210,6 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
     at the right endpoint of the side, with denominators floor of the
     accumulated scaled values.
     """
-    if isinstance(leaves, st.SFType):
-        leaves = [leaves]
     leaf = leaves[0]
     if leaf.order < 1:
         raise ValueError("order-zero leaves use order_zero_basis")
@@ -267,11 +265,10 @@ def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
     t0 = rep.order_zero_t()
     if t0 is not None:
         out.extend(order_zero_basis(t0, f, N))
-    sides: dict = {}
+    sides: dict = {}  # (parent node, slope) -> the leaves on that side
     for leaf in rep.leaves:
         if leaf.order >= 1:
-            key = leaf.chain_key()[:-1] + ((leaf.g, leaf.h, leaf.e),)
-            sides.setdefault(key, []).append(leaf)
+            sides.setdefault((leaf.parent, leaf.h, leaf.e), []).append(leaf)
     for group in sides.values():
         out.extend(terminal_basis(group, f))
     if len(out) != ia.pdeg(f):

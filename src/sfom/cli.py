@@ -3,8 +3,8 @@
 Polynomials are given as comma-separated integer coefficients in ascending
 order (constant first), as a file containing the same, or as `-` for stdin.
 All JSON output serializes big integers as decimal strings.  Exit codes:
-0 success, 2 malformed input, 3 input detected reducible over Z, 4 internal
-invariant failure.
+0 success, 2 malformed input, 3 input reducible over Z (flagged up front or
+certified by a factor the tree finds), 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from . import basis as bs
 from . import intarith as ia
 from .artinalg import AlgebraTower, NonExactDivision
-from .sfom import sfom as run_tree
+from .sfom import ReducibleInput, sfom as run_tree
 from . import sftypes as st
 from . import validate as vd
 from .intarith import IntPoly
@@ -221,6 +221,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except ReducibleInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -135,19 +135,19 @@ def _small_primes(bound: int) -> list[int]:
     return [p for p in range(2, bound + 1) if sieve[p]]
 
 
-def int_sfd(N: int, scan_bound: int = 1000) -> list[tuple[int, int]]:
+def int_sfd(N: int) -> list[tuple[int, int]]:
     """Squarefree decomposition N = prod d_i^l_i with l_1 < l_2 < ...
 
-    Runs a small trial-division scan, perfect-power extraction and gcd-free
-    refinement only; it never attempts to factor a hard composite.  A square
-    factor whose primes are not exposed by a gcd stays undetected, so a hard
-    squarefree-looking N comes back as [(N, 1)].
+    Runs trial division by the primes below 1000, perfect-power extraction
+    and gcd-free refinement only; it never attempts to factor a hard
+    composite.  A square factor whose primes are not exposed by a gcd stays
+    undetected, so a hard squarefree-looking N comes back as [(N, 1)].
     """
     if N <= 1:
         raise ValueError("need N > 1")
     pieces: list[tuple[int, int]] = []
     rest = N
-    for p in _small_primes(scan_bound):
+    for p in _small_primes(1000):
         if p * p > rest:
             break
         if rest % p == 0:

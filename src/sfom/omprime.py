@@ -38,15 +38,13 @@ def _field_size(tower: AlgebraTower, L: int) -> int:
     return tower.N ** tower.sizes[L]
 
 
-def ff_factor(tower: AlgebraTower, f: PolyA, rng=None) -> list[tuple[PolyA, int]]:
+def ff_factor(tower: AlgebraTower, f: PolyA, rng) -> list[tuple[PolyA, int]]:
     """Complete factorization over the finite field at f's level.
 
     Returns (irreducible monic factor, multiplicity) pairs, sorted by degree
     then coefficient data so the output does not depend on the random choices
     of the equal-degree stage.
     """
-    if rng is None:
-        rng = random.Random(0)
     if not f.coeffs:
         raise ValueError("factoring zero")
     f = tower.p_make_monic(f)

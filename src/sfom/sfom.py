@@ -22,6 +22,14 @@ from .artinalg import AlgebraTower, FactorEvent, PolyA
 from .intarith import IntPoly
 
 
+class ReducibleInput(ValueError):
+    """f has the proper monic factor `factor` over Z."""
+
+    def __init__(self, factor: IntPoly):
+        super().__init__("polynomial is reducible over Z")
+        self.factor = factor
+
+
 class _NFactor(Exception):
     def __init__(self, factor: int):
         super().__init__(str(factor))
@@ -32,8 +40,8 @@ class _NFactor(Exception):
 class _Item:
     """A pending level: a type-to-be of order (parent.order + 1 if parent else 0).
 
-    omega None marks a refine stub whose modulus still needs certification
-    and whose multiplicity must be recomputed from residual_src.
+    omega None marks a refine stub whose multiplicity must be recomputed from
+    residual_src.
     """
 
     parent: st.SFType | None
@@ -43,10 +51,6 @@ class _Item:
     t: PolyA
     residual_src: PolyA
     omega: int | None
-
-    def chain_key(self) -> tuple:
-        prefix = self.parent.chain_key() if self.parent is not None else ()
-        return prefix + ((self.g, self.h, self.e, self.t.coeffs),)
 
 
 @dataclass
@@ -60,12 +64,7 @@ class SFOMRep:
 
     @property
     def roots(self) -> list:
-        seen = []
-        for leaf in self.leaves:
-            r = leaf.trunc(0)
-            if all(r is not other for other in seen):
-                seen.append(r)
-        return seen
+        return list(dict.fromkeys(leaf.trunc(0) for leaf in self.leaves))
 
     @property
     def ramified(self) -> bool:
@@ -167,7 +166,6 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
             try:
                 _process(state, item, f, decompose)
             except FactorEvent as ev:
-                state.worklist.append(item)
                 _handle_event(state, ev, item)
     except _NFactor as s:
         return SplitOutcome(n_factor=s.factor)
@@ -177,13 +175,12 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
 
 
 def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
+    """Turn a pending level into a node; its children are committed only once
+    every side has been decomposed, so a FactorEvent leaves the state as it was."""
     base = state.tower0 if item.parent is None else item.parent.tower
     omega = item.omega
     if omega is None:
-        # refine stub: re-certify the piece and recompute its multiplicity
-        base.p_assert_strongly_unitary(item.t)
-        if item.parent is not None and base.is_zero(item.t.coeffs[0]):
-            raise ValueError("refined modulus lost its constant term")
+        # refine stub: recompute its multiplicity (extend certifies the piece)
         omega = st.ord_in_residual(base, item.residual_src, item.t)
         if omega < 1:
             raise RuntimeError("refined modulus does not divide its residual")
@@ -197,53 +194,47 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
         return
     g = st.representative(node)
     polygon = st.newton(node, g, omega, f)
+    if polygon.points[0][0] > 0:
+        # f mod g = 0 over Z, and omega >= 2 gives deg f >= 2 deg g
+        raise ReducibleInput(g)
     if polygon.principal_length != omega:
         raise RuntimeError("principal polygon length disagrees with multiplicity")
+    children = []
     for side in polygon.sides:
         R = st.residual_of(node, g, side.h, side.e, f)
         for t2, mult in reversed(decompose(node.tower, R)):
-            state.worklist.append(_Item(node, g, side.h, side.e, t2, R, mult))
+            children.append(_Item(node, g, side.h, side.e, t2, R, mult))
+    state.worklist.extend(children)
 
 
 def _handle_event(state: _State, ev: FactorEvent, ctx: _Item) -> None:
-    """Split a modulus: replace every matching node by two truncated stubs."""
+    """Split a modulus: the failed item `ctx` has left the worklist; the split
+    level and everything under it give way to two truncated stubs."""
     if ev.level == -1:
         raise _NFactor(ev.factor)
-    ctx_key = ctx.chain_key()
-    if ev.level >= len(ctx_key):
+    order = 0 if ctx.parent is None else ctx.parent.order + 1
+    if ev.level > order:
         raise AssertionError("event above the active chain")
-    target_key = ctx_key[:ev.level + 1]
-    # the split level is the pending item itself or one of its ancestors
-    lvl = ctx if ev.level == len(ctx_key) - 1 else ctx.parent.trunc(ev.level)
+    # the split level is the failed item itself or one of its ancestors
+    lvl = ctx if ev.level == order else ctx.parent.trunc(ev.level)
     parent = lvl.parent
-    g, h, e, t, src = lvl.g, lvl.h, lvl.e, lvl.t, lvl.residual_src
     div_tower = parent.tower if parent is not None else state.tower0
-    psi = div_tower.p_exact_divide(t, ev.factor)
-    kept_work = [it for it in state.worklist
-                 if not _prefix_match(it.chain_key(), target_key)]
-    kept_leaves = [lf for lf in state.leaves
-                   if not _prefix_match(lf.chain_key(), target_key)]
-    if len(kept_work) == len(state.worklist) and len(kept_leaves) == len(state.leaves):
-        # stale split: the chain it refers to is gone; later recomputation
-        # will resurface any factor that still matters
-        return
-    state.worklist = kept_work
-    state.leaves = kept_leaves
+    psi = div_tower.p_exact_divide(lvl.t, ev.factor)
+    state.worklist = [it for it in state.worklist if it.parent is None
+                      or it.parent.trunc(ev.level) is not lvl]
+    state.leaves = [lf for lf in state.leaves if lf.trunc(ev.level) is not lvl]
     for piece in (ev.factor, psi):
-        state.worklist.append(_Item(parent, g, h, e, piece, src, None))
-
-
-def _prefix_match(key: tuple, prefix: tuple) -> bool:
-    return len(key) >= len(prefix) and key[:len(prefix)] == prefix
+        state.worklist.append(_Item(parent, lvl.g, lvl.h, lvl.e, piece,
+                                    lvl.residual_src, None))
 
 
 def _check_masses(rep: SFOMRep) -> None:
-    mass: dict[int, int] = {}  # id of a root -> e*f summed over its leaves
+    mass: dict = {}  # root -> e*f summed over its leaves
     for leaf in rep.leaves:
-        root = id(leaf.trunc(0))
+        root = leaf.trunc(0)
         mass[root] = mass.get(root, 0) + leaf.e_prod() * leaf.f_prod()
     roots = rep.roots
-    if any(mass[id(r)] != r.omega * r.fdim for r in roots):
+    if any(mass[r] != r.omega * r.fdim for r in roots):
         raise RuntimeError("leaf degree mass does not match its root")
     if sum(r.omega * r.fdim for r in roots) != ia.pdeg(rep.f):
         raise RuntimeError("tree does not account for the full degree")

@@ -202,10 +202,6 @@ class SFType:
             node = node.parent
         return out[::-1]
 
-    def chain_key(self) -> tuple:
-        """Value identity of the level data, for refine matching."""
-        return tuple((n.g, n.h, n.e, n.t.coeffs) for n in self.chain())
-
     def e_prod(self) -> int:
         return ia.math.prod(n.e for n in self.chain())
 
@@ -213,17 +209,17 @@ class SFType:
         return ia.math.prod(n.fdim for n in self.chain())
 
 
-def make_root(tower0: AlgebraTower, t0: PolyA, omega: int, residual_src: PolyA,
-              certify: bool = True) -> SFType:
-    tower = tower0.extend(t0, certify=certify)
+def make_root(tower0: AlgebraTower, t0: PolyA, omega: int,
+              residual_src: PolyA) -> SFType:
+    tower = tower0.extend(t0)
     return SFType(None, 0, tower, None, 0, 1, 0, 1, 0, 1, omega, residual_src)
 
 
 def make_child(parent: SFType, g: IntPoly, h: int, e: int, t: PolyA,
-               omega: int, residual_src: PolyA, certify: bool = True) -> SFType:
+               omega: int, residual_src: PolyA) -> SFType:
     if ia.math.gcd(h, e) != 1 or h < 1 or e < 1:
         raise ValueError("slope must be a positive reduced fraction")
-    tower = parent.tower.extend(t, certify=certify)
+    tower = parent.tower.extend(t)
     m = ia.pdeg(g)
     if m != parent.e * parent.fdim * parent.m:
         raise ValueError("representative degree does not match level data")
@@ -308,19 +304,18 @@ def _reduce0(tower: AlgebraTower, a: IntPoly) -> tuple[int, PolyA]:
     return v, tower.p_trim(0, [tower.embed_int(c // N ** v, 0) for c in a])
 
 
-def _cloud(node: SFType, coeffs, V: int, certify: bool = False) -> tuple:
+def _cloud(node: SFType, coeffs, V: int, analyzer) -> tuple:
     """Newton polygon of an expansion over `node`, with its points.
 
     `coeffs` are the coefficients a_s of an expansion in powers of some g
     with v_{node.order}(g) = V.  Returns (points, polygon), where points maps
-    s to (v(a_s) + s * V, analysis of a_s) for every nonzero a_s.  With
-    `certify`, the a_s are analyzed through `_certified`, in coefficient
-    order.
+    s to (v(a_s) + s * V, analyzer(node, a_s)) for every nonzero a_s, taken
+    in coefficient order; `analyzer` is `analyze`, or `_certified` in `newton`.
     """
     pts = {}
     for s, b in enumerate(coeffs):
         if b:
-            sub = _certified(node, b) if certify else analyze(node, b)
+            sub = analyzer(node, b)
             pts[s] = (sub.v + s * V, sub)
     polygon = NewtonPolygon.from_cloud([(s, u) for s, (u, _) in pts.items()])
     return pts, polygon
@@ -335,7 +330,7 @@ def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
     coefficient is the residue of a_{s0 + j e} if that point lies on the
     component, else zero.
     """
-    pts, polygon = _cloud(node, coeffs, V)
+    pts, polygon = _cloud(node, coeffs, V, analyze)
     v = polygon.min_value(h, e)
     s0, u0, s1, u1 = polygon.component(h, e)
     tower = node.tower
@@ -429,7 +424,7 @@ def newton(node: SFType, g: IntPoly, bound: int, f: IntPoly) -> NewtonPolygon:
     is coprime to node.t.  Failures raise FactorEvent.
     """
     exp = expand(f, g, bound)
-    return _cloud(node, exp.coeffs, _pending_V(node), certify=True)[1]
+    return _cloud(node, exp.coeffs, _pending_V(node), _certified)[1]
 
 
 def _pending_V(node: SFType) -> int:
@@ -553,8 +548,9 @@ def polygon_dump(polygon: NewtonPolygon) -> str:
     return "\n".join(lines)
 
 
-def polygon_svg(polygon: NewtonPolygon, scale: int = 40) -> str:
-    """Minimal SVG rendering with integer-scaled coordinates."""
+def polygon_svg(polygon: NewtonPolygon) -> str:
+    """Minimal SVG rendering, 40 pixels per unit."""
+    scale = 40
     pts = polygon.principal_vertices
     max_u = max(u for _, u in pts)
     width = (pts[-1][0] + 2) * scale

@@ -9,7 +9,7 @@ from sfom import intarith as ia
 from sfom.basis import (BasisElement, IntegerLattice, NeedsSquarefree,
                         global_basis, hnf_merge, hnf_rows, n_integral_basis,
                         order_zero_basis, terminal_basis)
-from sfom.sfom import sfom
+from sfom.sfom import ReducibleInput, sfom
 from sfom.validate import (charpoly_is_integral, index_disc_identity,
                            mul_mod, p_maximal, ring_closed)
 
@@ -291,3 +291,28 @@ def test_unramified_tree_over_nonsquarefree_modulus():
         assert p_maximal(merged, f, p)
     assert project_check(rep, f, 5)["rho"] == 2
     assert project_check(rep, f, 5)["ok"]
+
+
+def test_products_end_in_a_basis_or_a_certified_factor():
+    # the reducibility flags miss a product without rational roots; the tree
+    # either still yields a basis or certifies a proper factor of f
+    rng = random.Random(5)
+
+    def monic():  # degree 2 to 4, coefficients in [-5, 5]
+        return (*(rng.randint(-5, 5) for _ in range(rng.randint(2, 4))), 1)
+
+    outcomes = {"basis": 0, "factor": 0}
+    for _ in range(200):
+        f = ia.pmul(monic(), monic())
+        if ia.discriminant(f) == 0:
+            continue
+        try:
+            result = global_basis(f)
+        except ReducibleInput as exc:
+            _, r = ia.pdivmod_monic(f, exc.factor)
+            assert 0 < ia.pdeg(exc.factor) < ia.pdeg(f) and not ia.ptrim(r)
+            outcomes["factor"] += 1
+        else:
+            assert all(len(b) == ia.pdeg(f) for _, b in result.moduli)
+            outcomes["basis"] += 1
+    assert min(outcomes.values()) > 0

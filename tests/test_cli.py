@@ -60,21 +60,33 @@ def test_reducible_input(capsys):
 
 @pytest.mark.parametrize("argv, code, message", [
     # x^6+1 = (x^2+1)(x^4-x^2+1) has no rational root, so it passes the
-    # reducibility flags and trips an internal invariant instead
-    (["basis", "--poly", "1,0,0,0,0,0,1"], (3, 4), ""),
+    # reducibility flags; the tree at 3 certifies the factor x^2+1
+    (["basis", "--poly", "1,0,0,0,0,0,1"], (3,), ""),
     # primes <= deg f break the squarefree decomposition preconditions
     (["tree", "--poly", "4,0,1", "--modulus", "2"], (2,), "prime factor"),
     (["tree", "--poly", EX1, "--modulus", "105"], (2,), "prime factor"),
     (["polygon", "--poly", EX1, "--modulus", "6", "--level", "1"], (2,),
      "prime factor"),
+    # (x^2+1)(x^2+8) = (x^2+1)^2 mod 7: no rational root either
+    (["basis", "--poly", "8,0,9,0,1"], (3,), "reducible"),
+    (["verify", "--poly", "1,0,0,0,0,0,1"], (3,), "reducible"),
+    (["tree", "--poly", "8,0,9,0,1", "--modulus", "7"], (3,), "reducible"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)
     assert got in code
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert message in err
-    if got == 4:
-        assert err.startswith("error: internal: ")
+
+
+def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant broken\nsecond line")
+
+    monkeypatch.setattr(cli.bs, "global_basis", broken)
+    code, out, err = run(capsys, ["basis", "--poly", EX1])
+    assert code == 4 and out == ""
+    assert err == "error: internal: invariant broken second line\n"
 
 
 # degree 30 with small coefficients: per-modulus numerators N^k run past

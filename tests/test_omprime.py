@@ -8,7 +8,7 @@ from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower
 from sfom.basis import IntegerLattice, hnf_merge, n_integral_basis
 from sfom.omprime import ff_factor, ff_sfd, om_prime
-from sfom.sfom import sfom
+from sfom.sfom import ReducibleInput, sfom
 
 
 def test_ff_factor_examples(rng):
@@ -160,3 +160,11 @@ def test_om_prime_deterministic_across_seeds():
     a = json.dumps(om_prime(f, 11, seed=0).to_obj())
     b = json.dumps(om_prime(f, 11, seed=12345).to_obj())
     assert a == b
+
+
+def test_om_prime_certifies_a_factor_of_a_reducible_input():
+    # x^6+1 = (x^2+1)^3 mod 3, and the representative x^2+1 divides x^6+1
+    # over Z: the expansion has no constant term, so no polygon can cover it
+    with pytest.raises(ReducibleInput) as exc:
+        om_prime((1, 0, 0, 0, 0, 0, 1), 3)
+    assert exc.value.factor == (1, 0, 1)

@@ -127,6 +127,7 @@ def test_refine_injected_split_of_level_one():
     tower = root.tower.extend(item.t)
     phi = root.tower.p_from_int_poly((3, 1), 1)
     ev = tower.factor_event(1, phi)
+    state.worklist.pop()  # the failed item leaves the worklist first
     sfm._handle_event(state, ev, item)
     assert len(state.worklist) == 2
     assert all(it.omega is None for it in state.worklist)
@@ -145,6 +146,7 @@ def test_refine_injected_split_cascades_on_nonunit_piece():
     f, state, item, root = _manual_state_for_injection()
     tower = root.tower.extend(item.t)
     phi = root.tower.p_from_int_poly((1, 1), 1)
+    state.worklist.pop()
     sfm._handle_event(state, tower.factor_event(1, phi), item)
     with pytest.raises(sfm._NFactor) as exc:
         while state.worklist:
@@ -152,26 +154,20 @@ def test_refine_injected_split_cascades_on_nonunit_piece():
             try:
                 sfm._process(state, it, f, AlgebraTower.p_sfd)
             except FactorEvent as ev2:
-                state.worklist.append(it)
                 sfm._handle_event(state, ev2, it)
     assert exc.value.factor == 5
 
 
 def test_refine_injected_split_of_root():
-    # a split at level 0 truncates everything back to two fresh roots
-    f, state, item, root = _manual_state_for_injection()
-    # another deep item under the same root in the worklist must be replaced too
-    state.worklist.append(item)
-    tower = root.tower
-    phi = AlgebraTower(35).p_from_int_poly((0, 1))
-    # root t is y: split events need a proper factor, so use a quadratic root
+    # a split at level 0 truncates everything back to two fresh roots;
+    # split events need a proper factor, so use a quadratic root
     f2 = ia.pmul(ia.pmul((1, 1), (2, 1)), (0, 0, 1))  # x^2(x+1)(x+2) shape mod 35
     tower0 = AlgebraTower(35)
     red = tower0.p_from_int_poly(f2)
     t0 = tower0.p_from_int_poly(ia.pmul((1, 1), (2, 1)))
     root2 = st.make_root(tower0, t0, 1, red)
     item2 = sfm._Item(None, None, 0, 1, t0, red, 1)
-    state2 = sfm._State(tower0, worklist=[item2])
+    state2 = sfm._State(tower0)
     ev = root2.tower.factor_event(0, tower0.p_from_int_poly((1, 1)))
     sfm._handle_event(state2, ev, item2)
     assert len(state2.worklist) == 2
@@ -190,7 +186,7 @@ def test_refine_cascade_escalates_to_n_factor():
     tower0.p_assert_strongly_unitary(t0)  # the product itself is fine
     red = t0
     item = sfm._Item(None, None, 0, 1, t0, red, 2)
-    state = sfm._State(tower0, worklist=[item])
+    state = sfm._State(tower0)
     tower = tower0.extend(t0)
     ev = tower.factor_event(0, phi)
     sfm._handle_event(state, ev, item)
@@ -201,7 +197,6 @@ def test_refine_cascade_escalates_to_n_factor():
             try:
                 sfm._process(state, it, (0, 0, 0, 0, 1), AlgebraTower.p_sfd)
             except FactorEvent as ev2:
-                state.worklist.append(it)
                 sfm._handle_event(state, ev2, it)
     assert exc.value.factor in (5, 7)
 
@@ -223,7 +218,8 @@ def test_leaf_disjointness_and_mass(rng):
     for f, N in [(example1(35), 35), (example2(11, 3, 5), 11),
                  (refine_fixture(35), 35)]:
         rep = sfom(f, N).rep
-        keys = [leaf.chain_key() for leaf in rep.leaves]
+        keys = [tuple((n.g, n.h, n.e, n.t.coeffs) for n in leaf.chain())
+                for leaf in rep.leaves]
         for i, a in enumerate(keys):
             for j, b in enumerate(keys):
                 if i != j:
@@ -289,23 +285,15 @@ def test_refine_replaces_existing_leaves():
     assert sorted(poly_ints(it.t) for it in stateq.worklist) == [[1, 1], [3, 1]]
 
 
-def test_refine_drops_stale_split():
-    # an event whose chain no longer matches anything leaves the state alone
-    f, state, item, root = _manual_state_for_injection()
-    tower0 = AlgebraTower(35)
-    t0q = tower0.p_from_int_poly(ia.pmul((1, 1), (3, 1)))
-    rootq = st.make_root(tower0, t0q, 2, tower0.p_mul(t0q, t0q))
-    other = sfm._Item(None, None, 0, 1, t0q, tower0.p_mul(t0q, t0q), 2)
-    before = list(state.worklist)
-    ev = rootq.tower.factor_event(0, tower0.p_from_int_poly((1, 1)))
-    sfm._handle_event(state, ev, other)
-    assert state.worklist == before
+def _two_sided(N=77):
+    """f = x^5 mod N whose root polygon has the two sides 1/2 and 2/3."""
+    return ia.padd(ia.pmul((2 * N, 0, 1), (3 * N * N, 0, 0, 1)), (4 * N ** 4,))
 
 
 def test_two_sided_polygon_gives_two_leaves():
     # each negative side contributes its own multiplicity-one leaf
     N = 77
-    f = ia.padd(ia.pmul((2 * N, 0, 1), (3 * N * N, 0, 0, 1)), (4 * N ** 4,))
+    f = _two_sided(N)
     assert is_irreducible_over_z(f)
     rep = sfom(f, N).rep
     assert len(rep.leaves) == 2
@@ -313,3 +301,27 @@ def test_two_sided_polygon_gives_two_leaves():
     assert slopes == [(1, 2), (2, 3)]
     assert len(rep.roots) == 1
     assert sum(l.e_prod() * l.f_prod() for l in rep.leaves) == 5
+
+
+def test_failed_level_commits_nothing():
+    # the second side's decomposition fails after the first one succeeded:
+    # neither the first side's children nor the root node may leak
+    N = 77
+    f = _two_sided(N)
+    tower0 = AlgebraTower(N)
+    red = tower0.p_from_int_poly(f)
+    (t0, mult), = tower0.p_sfd(red)
+    root = sfm._Item(None, None, 0, 1, t0, red, mult)
+    state = sfm._State(tower0)
+    calls = []
+
+    def decompose(tower, R):
+        calls.append(R)
+        if len(calls) == 2:
+            raise FactorEvent(-1, 7)
+        return tower.p_sfd(R)
+
+    with pytest.raises(FactorEvent):
+        sfm._process(state, root, f, decompose)
+    assert len(calls) == 2
+    assert state.worklist == [] and state.leaves == []
