@@ -231,17 +231,6 @@ class AlgebraTower:
                 out[i + j] = self.e_add(out[i + j], self.e_mul(a, b))
         return self.p_trim(L, out)
 
-    def p_pow(self, p: PolyA, k: int) -> PolyA:
-        out = self.p_one(p.level)
-        base = p
-        while k:
-            if k & 1:
-                out = self.p_mul(out, base)
-            k >>= 1
-            if k:
-                base = self.p_mul(base, base)
-        return out
-
     def p_deriv(self, p: PolyA) -> PolyA:
         L = p.level
         out = [
@@ -281,16 +270,6 @@ class AlgebraTower:
         if self.is_one(t.coeffs[-1]):
             return t
         return self.p_scale(t, self.e_invert(t.coeffs[-1]))
-
-    def p_quotrem(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
-        """Division by a unitary t; monicizes t first (FactorEvent hook)."""
-        if not t.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.p_is_monic(t):
-            return self.p_divmod_monic(s, t)
-        inv = self.e_invert(t.coeffs[-1])
-        q, r = self.p_divmod_monic(s, self.p_scale(t, inv))
-        return self.p_scale(q, inv), r
 
     def p_gcd(self, s: PolyA, t: PolyA) -> PolyA:
         """Monic d with sA[y] + tA[y] = dA[y], or a FactorEvent."""

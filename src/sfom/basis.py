@@ -40,34 +40,43 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
     """Row HNF of the lattice spanned by `rows`: upper triangular, positive
     diagonal, entries above each pivot reduced into [0, pivot).
 
-    `modulus` may be given when the lattice is known to contain modulus * Z^n
-    (the generators for that sublattice are added implicitly); entries are
-    then kept reduced, which avoids coefficient blowup on large inputs.
+    `modulus` may be given when the lattice is known to contain modulus * Z^n.
+    Its rows modulus * e_j then seed the pivots, every pivot divides the
+    modulus, and the entries right of a pivot are kept in [0, modulus)
+    (Cohen, GTM 138, 2.4.2): reducing them adds multiples of modulus * e_k,
+    which the untouched pivots of the columns k to the right still span.
     """
+    basis: list[list[int] | None] = [None] * n
     work = [list(r) for r in rows if any(r)]
     if modulus is not None:
+        basis = [[modulus * (i == j) for i in range(n)] for j in range(n)]
         work = [[x % modulus for x in row] for row in work]
-        for i in range(n):
-            work.append([modulus * (i == j) for j in range(n)])
-    basis: list[list[int] | None] = [None] * n
+
+    def wrap(vec):
+        return vec if modulus is None else [x % modulus for x in vec]
+
     for row in work:
         for j in range(n):
-            if row[j] == 0:
+            b = row[j]
+            if b == 0:
                 continue
             piv = basis[j]
             if piv is None:
                 basis[j] = row
                 break
-            # remainder-swap steps keep the entries from blowing up
-            while row[j]:
-                q = piv[j] // row[j]
-                if q:
-                    piv = [x - q * y for x, y in zip(piv, row)]
-                    if modulus is not None:
-                        # wrap the tail only; column j must keep its exact value
-                        piv = piv[:j + 1] + [x % modulus for x in piv[j + 1:]]
-                piv, row = row, piv
-            basis[j] = piv
+            # one extended-gcd step on the columns >= j
+            a = piv[j]
+            if b % a == 0:
+                q = b // a
+                row = [0] * (j + 1) + wrap(
+                    [x - q * y for x, y in zip(row[j + 1:], piv[j + 1:])])
+                continue
+            d, u, v = ia.xgcd(a, b)
+            a, b = a // d, b // d
+            basis[j] = [0] * j + [d] + wrap(
+                [u * y + v * x for x, y in zip(row[j + 1:], piv[j + 1:])])
+            row = [0] * (j + 1) + wrap(
+                [a * x - b * y for x, y in zip(row[j + 1:], piv[j + 1:])])
         # a fully reduced row is dropped
     out = []
     for j in range(n):
@@ -106,17 +115,6 @@ class IntegerLattice:
                 g = ia.math.gcd(g, x)
         return cls(den // g, tuple(tuple(x // g for x in row) for row in red), n)
 
-    @classmethod
-    def from_elements(cls, elements, f: IntPoly, N: int) -> "IntegerLattice":
-        n = ia.pdeg(f)
-        rows, den = _element_rows(elements, N, n)
-        return cls.from_rows(rows, den, n)
-
-    @classmethod
-    def power_basis(cls, n: int) -> "IntegerLattice":
-        return cls(1, tuple(tuple(1 if i == j else 0 for j in range(n))
-                            for i in range(n)), n)
-
     def index_over_power_basis(self) -> int:
         num = self.den ** self.n
         d = ia.math.prod(self.rows[i][i] for i in range(self.n))
@@ -142,9 +140,6 @@ class IntegerLattice:
                 for i in range(j, self.n):
                     rest[i] -= q * den * row[i]
         return coords
-
-    def basis_vectors(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
 
 def hnf_merge(lattices, include_power_basis: bool, f: IntPoly) -> IntegerLattice:
@@ -244,12 +239,13 @@ def level_quotients(leaf: st.SFType, f: IntPoly, fdim_top: int):
     for i in range(1, leaf.order + 1):
         node = leaf.trunc(i)
         eprod *= node.e
-        s_right = st.analyze(node, f).s1
         exp = st.expand(f, node.g)
+        s_right = st.cloud(node.parent, exp.coeffs,
+                           node.V).component(node.h, node.e)[2]
         width = node.e * (fdim_top if i == leaf.order else node.fdim)
         for j in range(width):
             q = exp.quotients[s_right - j - 1]
-            yield i, j, q, Fraction(st.analyze(node, q).v, eprod)
+            yield i, j, q, Fraction(st.value(node, q), eprod)
 
 
 def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,

@@ -46,15 +46,34 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(d, u, v) with u * a + v * b = d = gcd(a, b) >= 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1, v0, v1 = u1, u0 - q * u1, v1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
 def perfect_power(n: int) -> tuple[int, int]:
-    """Return (b, k) with n = b^k and k maximal (k = 1 when n is no power)."""
+    """Return (b, k) with n = b^k and k maximal (k = 1 when n is no power).
+
+    Tries prime exponents in ascending order and takes each root it finds:
+    the primes p with n = b^p are exactly those dividing the maximal k.
+    """
     if n < 2:
         raise ValueError("perfect_power needs n >= 2")
-    for k in range(n.bit_length(), 1, -1):
-        b = iroot(n, k)
-        if b ** k == n:
-            return b, k
-    return n, 1
+    k = 1
+    primes = _small_primes(n.bit_length())
+    i = 0
+    while i < len(primes) and primes[i] < n.bit_length():
+        b = iroot(n, primes[i])
+        if b ** primes[i] == n:
+            n, k = b, k * primes[i]
+        else:
+            i += 1
+    return n, k
 
 
 def factor_refinement(nums: list[int]) -> list[tuple[int, int]]:

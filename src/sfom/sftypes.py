@@ -93,27 +93,6 @@ class NewtonPolygon:
         return on[0][0], on[0][1], on[-1][0], on[-1][1]
 
 
-def polygon_sum(a: NewtonPolygon, b: NewtonPolygon) -> tuple:
-    """Principal vertices of the Minkowski sum of two principal polygons."""
-    start = (a.principal_vertices[0][0] + b.principal_vertices[0][0],
-             a.principal_vertices[0][1] + b.principal_vertices[0][1])
-    sides = sorted(a.sides + b.sides, key=lambda s: Fraction(s.h, s.e), reverse=True)
-    verts = [start]
-    for s in sides:
-        x, y = verts[-1]
-        verts.append((x + s.width, y - s.width * s.h // s.e))
-    # merge consecutive sides of equal slope into single vertices
-    out = [verts[0]]
-    for i in range(1, len(verts)):
-        if len(out) >= 2:
-            (x1, y1), (x2, y2) = out[-2], out[-1]
-            x3, y3 = verts[i]
-            if (x2 - x1) * (y3 - y1) == (y2 - y1) * (x3 - x1):
-                out.pop()
-        out.append(verts[i])
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # g-adic expansions
 
@@ -178,6 +157,7 @@ class SFType:
     omega: int
     residual_src: PolyA
     _analyses: dict = field(default_factory=dict, repr=False)
+    _values: dict = field(default_factory=dict, repr=False)
     _certified: set = field(default_factory=set, repr=False)
 
     @property
@@ -229,7 +209,7 @@ def make_child(parent: SFType, g: IntPoly, h: int, e: int, t: PolyA,
     node = SFType(parent, parent.order + 1, tower, g, h, e, V, m, ell, ellp,
                   omega, residual_src)
     if __debug__:
-        assert analyze(parent, g).v == V
+        assert value(parent, g) == V
         _assert_value_recurrence(node)
     return node
 
@@ -304,21 +284,34 @@ def _reduce0(tower: AlgebraTower, a: IntPoly) -> tuple[int, PolyA]:
     return v, tower.p_trim(0, [tower.embed_int(c // N ** v, 0) for c in a])
 
 
-def _cloud(node: SFType, coeffs, V: int, analyzer) -> tuple:
-    """Newton polygon of an expansion over `node`, with its points.
+def value(node: SFType, a: IntPoly) -> int:
+    """v_{node.order}(a) for a nonzero a, from values alone: no residuals.
 
-    `coeffs` are the coefficients a_s of an expansion in powers of some g
-    with v_{node.order}(g) = V.  Returns (points, polygon), where points maps
-    s to (v(a_s) + s * V, analyzer(node, a_s)) for every nonzero a_s, taken
-    in coefficient order; `analyzer` is `analyze`, or `_certified` in `newton`.
+    At order 0 it is the least ord_N of a coefficient; above, the least
+    e * (v(a_s) + s * V) + h * s over the nonzero coefficients of the
+    expansion of a by node.g.
     """
-    pts = {}
-    for s, b in enumerate(coeffs):
-        if b:
-            sub = analyzer(node, b)
-            pts[s] = (sub.v + s * V, sub)
-    polygon = NewtonPolygon.from_cloud([(s, u) for s, (u, _) in pts.items()])
-    return pts, polygon
+    a = ia.ptrim(a)
+    cached = node._analyses.get(a)
+    if cached is not None:
+        return cached.v
+    v = node._values.get(a)
+    if v is None:
+        if node.order == 0:
+            v = min(ia.ord_n(c, node.tower.N)[0] for c in a if c)
+        else:
+            v = cloud(node.parent, expand(a, node.g).coeffs,
+                      node.V).min_value(node.h, node.e)
+        node._values[a] = v
+    return v
+
+
+def cloud(node: SFType, coeffs, V: int) -> NewtonPolygon:
+    """Polygon of the points (s, v(a_s) + s * V) over `node`, for the nonzero
+    coefficients a_s of an expansion in powers of some g with
+    v_{node.order}(g) = V."""
+    return NewtonPolygon.from_cloud(
+        [(s, value(node, b) + s * V) for s, b in enumerate(coeffs) if b])
 
 
 def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
@@ -328,22 +321,16 @@ def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
     e * u + h * s over the cloud, (s0, u0)-(s1, u1) the component where it is
     attained, and R the polynomial over level node.order + 1 whose j-th
     coefficient is the residue of a_{s0 + j e} if that point lies on the
-    component, else zero.
+    component, else zero.  Only the points on the component are analyzed.
     """
-    pts, polygon = _cloud(node, coeffs, V, analyze)
+    polygon = cloud(node, coeffs, V)
     v = polygon.min_value(h, e)
     s0, u0, s1, u1 = polygon.component(h, e)
+    on = {s for s, u in polygon.points if e * u + h * s == v}
     tower = node.tower
     L = node.order + 1
-    residues = []
-    for j in range((s1 - s0) // e + 1):
-        s = s0 + j * e
-        entry = pts.get(s)
-        if entry is not None and e * entry[0] + h * s == v:
-            residues.append(entry[1].gamma)
-        else:
-            residues.append(tower.zero(L))
-    R = tower.p_trim(L, residues)
+    R = tower.p_trim(L, [analyze(node, coeffs[s]).gamma if s in on
+                         else tower.zero(L) for s in range(s0, s1 + 1, e)])
     if R.degree() != (s1 - s0) // e:
         raise RuntimeError("residual lost its leading coefficient")
     return polygon, v, (s0, u0, s1, u1), R
@@ -394,7 +381,7 @@ def vr(node: SFType, f: IntPoly) -> int | None:
     """Scaled pseudo-valuation of order `node.order`; None for f = 0."""
     if not ia.ptrim(f):
         return None
-    return analyze(node, f).v
+    return value(node, f)
 
 
 def nu(node: SFType, a: IntPoly) -> int:
@@ -424,7 +411,10 @@ def newton(node: SFType, g: IntPoly, bound: int, f: IntPoly) -> NewtonPolygon:
     is coprime to node.t.  Failures raise FactorEvent.
     """
     exp = expand(f, g, bound)
-    return _cloud(node, exp.coeffs, _pending_V(node), _certified)[1]
+    for b in exp.coeffs:
+        if b:
+            _certified(node, b)
+    return cloud(node, exp.coeffs, _pending_V(node))
 
 
 def _pending_V(node: SFType) -> int:

@@ -1,17 +1,21 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here are deliberately written from scratch (dense lists mod p,
-Sylvester determinants, brute-force factor enumeration) so they share no code
-with the package paths they check.
+Sylvester determinants, brute-force factor enumeration, a remainder-swap
+HNF) so they share no code with the package paths they check.  The helpers
+over package objects (`p_pow`, `p_quotrem`, `polygon_sum`, `from_elements`,
+`power_basis`, `basis_vectors`) are used by tests only.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from sfom import basis as bs
 from sfom import intarith as ia
 
 # ---------------------------------------------------------------------------
@@ -64,6 +68,116 @@ def refine_fixture(N=35):
 def poly_ints(p):
     """Base residues of a polynomial's constant coefficients."""
     return [c[0] for c in p.coeffs]
+
+
+def p_pow(T, p, k):
+    """p^k in the tower T, by repeated squaring."""
+    out = T.p_one(p.level)
+    base = p
+    while k:
+        if k & 1:
+            out = T.p_mul(out, base)
+        k >>= 1
+        if k:
+            base = T.p_mul(base, base)
+    return out
+
+
+def p_quotrem(T, s, t):
+    """Division by a unitary t in the tower T; monicizes t first (FactorEvent
+    when its leading coefficient is no unit)."""
+    if not t.coeffs:
+        raise ZeroDivisionError("division by zero polynomial")
+    if T.p_is_monic(t):
+        return T.p_divmod_monic(s, t)
+    inv = T.e_invert(t.coeffs[-1])
+    q, r = T.p_divmod_monic(s, T.p_scale(t, inv))
+    return T.p_scale(q, inv), r
+
+
+def polygon_sum(a, b):
+    """Principal vertices of the Minkowski sum of two principal polygons."""
+    start = (a.principal_vertices[0][0] + b.principal_vertices[0][0],
+             a.principal_vertices[0][1] + b.principal_vertices[0][1])
+    sides = sorted(a.sides + b.sides, key=lambda s: Fraction(s.h, s.e),
+                   reverse=True)
+    verts = [start]
+    for s in sides:
+        x, y = verts[-1]
+        verts.append((x + s.width, y - s.width * s.h // s.e))
+    # merge consecutive sides of equal slope into single vertices
+    out = [verts[0]]
+    for i in range(1, len(verts)):
+        if len(out) >= 2:
+            (x1, y1), (x2, y2) = out[-2], out[-1]
+            x3, y3 = verts[i]
+            if (x2 - x1) * (y3 - y1) == (y2 - y1) * (x3 - x1):
+                out.pop()
+        out.append(verts[i])
+    return tuple(out)
+
+
+def from_elements(elements, f, N):
+    """The lattice spanned by the basis elements num / N^den_exp."""
+    n = ia.pdeg(f)
+    rows, den = bs._element_rows(elements, N, n)
+    return bs.IntegerLattice.from_rows(rows, den, n)
+
+
+def power_basis(n):
+    """The lattice Z[theta] = Z^n."""
+    return bs.IntegerLattice(1, tuple(tuple(int(i == j) for j in range(n))
+                                      for i in range(n)), n)
+
+
+def basis_vectors(lat):
+    """The basis vectors rows / den of a lattice, as Fractions."""
+    return [[Fraction(x, lat.den) for x in row] for row in lat.rows]
+
+
+# ---------------------------------------------------------------------------
+# reference Hermite normal form (remainder-swap Euclid on whole rows)
+
+
+def hnf_rows_reference(rows, n, modulus=None):
+    """Row HNF by remainder-swap steps, with the modulus rows appended last;
+    the same output contract as basis.hnf_rows."""
+    work = [list(r) for r in rows if any(r)]
+    if modulus is not None:
+        work = [[x % modulus for x in row] for row in work]
+        for i in range(n):
+            work.append([modulus * (i == j) for j in range(n)])
+    basis = [None] * n
+    for row in work:
+        for j in range(n):
+            if row[j] == 0:
+                continue
+            piv = basis[j]
+            if piv is None:
+                basis[j] = row
+                break
+            while row[j]:
+                q = piv[j] // row[j]
+                if q:
+                    piv = [x - q * y for x, y in zip(piv, row)]
+                    if modulus is not None:
+                        piv = piv[:j + 1] + [x % modulus for x in piv[j + 1:]]
+                piv, row = row, piv
+            basis[j] = piv
+    out = []
+    for j in range(n):
+        if basis[j] is None:
+            raise ValueError("lattice does not have full rank")
+        row = basis[j]
+        if row[j] < 0:
+            row = [-x for x in row]
+        out.append(row)
+    for j in range(n):
+        for i in range(j):
+            q = out[i][j] // out[j][j]
+            if q:
+                out[i] = [x - q * y for x, y in zip(out[i], out[j])]
+    return out
 
 
 # ---------------------------------------------------------------------------

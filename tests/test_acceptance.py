@@ -14,12 +14,12 @@ from itertools import product
 import pytest
 
 from conftest import (example1, example2, example3, fp_gcd, fp_sfd, fp_trim,
-                      is_irreducible_over_z, pollard_factor, poly_ints,
-                      refine_fixture)
+                      from_elements, is_irreducible_over_z, pollard_factor,
+                      poly_ints, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.artinalg import AlgebraTower, FactorEvent
-from sfom.basis import IntegerLattice, global_basis, hnf_merge, n_integral_basis
+from sfom.basis import global_basis, hnf_merge, n_integral_basis
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
 from sfom.validate import (index_disc_identity, p_maximal, project_check,
@@ -60,10 +60,10 @@ def test_criterion_2_example1_basis():
     N = 35
     f = example1(N)
     rep = sfom(f, N).rep
-    lat = IntegerLattice.from_elements(
+    lat = from_elements(
         n_integral_basis(rep, f, N, assume_squarefree=True), f, N)
     from sfom.basis import BasisElement
-    want = IntegerLattice.from_elements([
+    want = from_elements([
         BasisElement((1,), 0), BasisElement((0, 1), 0),
         BasisElement((0, 0, 1), 1), BasisElement((0, N, 0, 1), 2),
     ], f, N)
@@ -116,7 +116,7 @@ def test_criterion_3_example2():
     ok &= leaf.order == 1 and (leaf.h, leaf.e) == (1, 2)
     want_t = ia.pmul(ia.pmul((1, 1), (2, 1)), (3, 1))
     ok &= poly_ints(leaf.t) == [c % p for c in want_t]
-    lat = IntegerLattice.from_elements(
+    lat = from_elements(
         n_integral_basis(rep, f, p, assume_squarefree=True), f, p)
     coef = list(f)
     from sfom.basis import BasisElement
@@ -125,7 +125,7 @@ def test_criterion_3_example2():
         num = tuple(coef[2 * r - 2 * k:])
         want_els.append(BasisElement(num, k))
         want_els.append(BasisElement(ia.pshift(num, 1), k))
-    ok &= lat == IntegerLattice.from_elements(want_els, f, p)
+    ok &= lat == from_elements(want_els, f, p)
     elapsed = time.monotonic() - t0
     ok &= elapsed < 1.0
     _verdict(3, ok, f"one order-1 leaf with t_1=(y+1)(y+2)(y+3) and the "
@@ -323,9 +323,9 @@ def test_criterion_9_engine_agreement(rng):
         rep_p = om_prime(f, p)
         out = sfom(f, p)
         assert out.n_factor is None
-        lat_p = IntegerLattice.from_elements(
+        lat_p = from_elements(
             n_integral_basis(rep_p, f, p, assume_squarefree=True), f, p)
-        lat_c = IntegerLattice.from_elements(
+        lat_c = from_elements(
             n_integral_basis(out.rep, f, p, assume_squarefree=True), f, p)
         if hnf_merge([lat_p], True, f) == hnf_merge([lat_c], True, f):
             agree += 1

@@ -4,11 +4,13 @@ from itertools import product
 
 import pytest
 
-from conftest import example1, example2, pollard_factor, refine_fixture
+from conftest import (basis_vectors, example1, example2, example3,
+                      from_elements, hnf_rows_reference, pollard_factor,
+                      power_basis, refine_fixture)
 from sfom import intarith as ia
 from sfom.basis import (BasisElement, IntegerLattice, NeedsSquarefree,
-                        global_basis, hnf_merge, hnf_rows, n_integral_basis,
-                        order_zero_basis, terminal_basis)
+                        _element_rows, global_basis, hnf_merge, hnf_rows,
+                        n_integral_basis, order_zero_basis, terminal_basis)
 from sfom.sfom import ReducibleInput, sfom
 from sfom.validate import (charpoly_is_integral, index_disc_identity,
                            mul_mod, p_maximal, ring_closed)
@@ -24,6 +26,42 @@ def test_hnf_rows_canonical():
     assert a == b
     with pytest.raises(ValueError):
         hnf_rows([[1, 0, 0], [0, 1, 0]], 3)
+
+
+def _hnf_outcome(hnf, rows, n, modulus):
+    """The HNF of a copy of `rows`, or the message of its ValueError."""
+    try:
+        return hnf([r[:] for r in rows], n, modulus)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_hnf_rows_matches_the_remainder_swap_reference():
+    # small random matrices, with and without a modulus; rank-deficient
+    # inputs must raise the same full-rank error
+    rng = random.Random(6)
+    deficient = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-20, 20) for _ in range(n)]
+                for _ in range(rng.randint(0, 8))]
+        for modulus in (None, rng.randint(1, 50)):
+            want = _hnf_outcome(hnf_rows_reference, rows, n, modulus)
+            assert _hnf_outcome(hnf_rows, rows, n, modulus) == want
+            deficient += isinstance(want, str)
+    assert deficient > 100
+
+
+def test_hnf_rows_matches_the_reference_on_a_merge():
+    # the rows global_basis merges for example3(2, N), over their common den
+    N = 10007 * 10009
+    f, _ = example3(2, N)
+    n = ia.pdeg(f)
+    result = global_basis(f, D=N)
+    (rows, den), = [_element_rows(b, M, n) for M, b in result.moduli]
+    for modulus in (den, None):
+        assert (_hnf_outcome(hnf_rows, rows, n, modulus)
+                == _hnf_outcome(hnf_rows_reference, rows, n, modulus))
 
 
 def test_lattice_membership(rng):
@@ -42,14 +80,14 @@ def test_lattice_membership(rng):
 
 def test_hnf_merge_examples():
     f = (1, 0, 1)
-    L1 = IntegerLattice.from_elements(
+    L1 = from_elements(
         [BasisElement((1,), 0), BasisElement((0, 1), 0)], f, 35)
     assert hnf_merge([L1, L1], False, f) == L1
     fe = example1(35)
     rep = sfom(fe, 35).rep
-    lat = IntegerLattice.from_elements(
+    lat = from_elements(
         n_integral_basis(rep, fe, 35, assume_squarefree=True), fe, 35)
-    assert hnf_merge([lat, IntegerLattice.power_basis(4)], False, fe) == lat
+    assert hnf_merge([lat, power_basis(4)], False, fe) == lat
 
 
 def test_hnf_merge_coprime_denominators_bruteforce():
@@ -61,8 +99,8 @@ def test_hnf_merge_coprime_denominators_bruteforce():
     # brute force: all sums x + y with small coordinates, check membership
     for ca in product(range(-2, 3), repeat=2):
         for cb in product(range(-2, 3), repeat=2):
-            vec = [15 * sum(c * r[k] for c, r in zip(ca, a.basis_vectors()))
-                   + 15 * sum(c * r[k] for c, r in zip(cb, b.basis_vectors()))
+            vec = [15 * sum(c * r[k] for c, r in zip(ca, basis_vectors(a)))
+                   + 15 * sum(c * r[k] for c, r in zip(cb, basis_vectors(b)))
                    for k in range(2)]
             vec = [int(x) for x in vec]
             assert merged.solve(vec, 15) is not None
@@ -142,9 +180,9 @@ def test_terminal_basis_example1():
     N = 35
     f = example1(N)
     rep = sfom(f, N).rep
-    lat = IntegerLattice.from_elements(
+    lat = from_elements(
         n_integral_basis(rep, f, N, assume_squarefree=True), f, N)
-    want = IntegerLattice.from_elements([
+    want = from_elements([
         BasisElement((1,), 0), BasisElement((0, 1), 0),
         BasisElement((0, 0, 1), 1), BasisElement((0, N, 0, 1), 2),
     ], f, N)
@@ -155,7 +193,7 @@ def test_terminal_basis_example2():
     p, r, m = 11, 3, 5
     f = example2(p, r, m)
     rep = sfom(f, p).rep
-    lat = IntegerLattice.from_elements(
+    lat = from_elements(
         n_integral_basis(rep, f, p, assume_squarefree=True), f, p)
     coef = list(f)
     want_els = []
@@ -163,7 +201,7 @@ def test_terminal_basis_example2():
         num = tuple(coef[2 * r - 2 * k:])
         want_els.append(BasisElement(num, k))
         want_els.append(BasisElement(ia.pshift(num, 1), k))
-    assert lat == IntegerLattice.from_elements(want_els, f, p)
+    assert lat == from_elements(want_els, f, p)
 
 
 def test_needs_squarefree_gate():
@@ -208,7 +246,7 @@ def test_global_basis_power_basis_field():
     # squarefree discriminant after the small primes: merged order is Z[theta]
     f = (1, 1, 0, 1)  # disc(x^3 + x + 1) = -31
     result = global_basis(f)
-    assert result.merged == IntegerLattice.power_basis(3)
+    assert result.merged == power_basis(3)
 
 
 def test_global_basis_idempotent_serialization():
@@ -270,7 +308,7 @@ def test_example3_basis_maximal():
     rep = sfom(f, N).rep
     basis = n_integral_basis(rep, f, N, assume_squarefree=True)
     assert len(basis) == 36
-    merged = hnf_merge([IntegerLattice.from_elements(basis, f, N)], True, f)
+    merged = hnf_merge([from_elements(basis, f, N)], True, f)
     for p in (37, 41):
         assert p_maximal(merged, f, p)
 
@@ -286,7 +324,7 @@ def test_unramified_tree_over_nonsquarefree_modulus():
     assert not rep.ramified
     basis = n_integral_basis(rep, f, N)  # gate passes without assuming squarefree
     assert len(basis) == 4
-    merged = hnf_merge([IntegerLattice.from_elements(basis, f, N)], True, f)
+    merged = hnf_merge([from_elements(basis, f, N)], True, f)
     for p in (5, 7):
         assert p_maximal(merged, f, p)
     assert project_check(rep, f, 5)["rho"] == 2

@@ -90,6 +90,34 @@ def test_perfect_power_and_iroot():
     assert ia.iroot(3 ** 30 - 1, 30) == 2
 
 
+def _perfect_power_descending(n):
+    # every exponent from the bit length down; the first hit is maximal
+    for k in range(n.bit_length(), 1, -1):
+        b = ia.iroot(n, k)
+        if b ** k == n:
+            return b, k
+    return n, 1
+
+
+def test_perfect_power_matches_the_descending_search():
+    for n in range(2, 2 ** 14):
+        assert ia.perfect_power(n) == _perfect_power_descending(n), n
+    N = 10007 * 10009
+    for b, k in [(6, 35), (N, 7), (2, 60), (12, 30), (N, 1), (3 * N, 12),
+                 (10 ** 20 + 39, 9)]:
+        assert ia.perfect_power(b ** k) == (b, k)
+        assert _perfect_power_descending(b ** k) == (b, k)
+
+
+def test_xgcd_bezout(rng):
+    for _ in range(500):
+        a, b = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+        if rng.random() < 0.1:
+            a = 0
+        d, u, v = ia.xgcd(a, b)
+        assert d == math.gcd(a, b) and u * a + v * b == d
+
+
 def test_resultant_examples():
     assert ia.resultant((1, 0, 1), (0, 2)) == 4
     a, b = 17, 5

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import example1, example3, poly_ints
+from conftest import (example1, example3, poly_ints, polygon_sum,
+                      refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
+from sfom.basis import level_quotients
 from sfom.artinalg import AlgebraTower, FactorEvent
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
@@ -322,7 +324,7 @@ def test_principal_polygon_minkowski_sum(rng):
             pfh = st.analyze(node, ia.pmul(f, h)).polygon
         except FactorEvent:
             continue
-        assert pfh.principal_vertices == st.polygon_sum(pf, ph)
+        assert pfh.principal_vertices == polygon_sum(pf, ph)
 
 
 def test_principal_length_is_multiplicity(chain):
@@ -346,6 +348,43 @@ def test_residual_suffix_of_quotients(chain):
                        and not node.tower.is_zero(cs[j]))
             want = node.tower.p_trim(node.order, cs[lead:])
             assert st.analyze(node, q).R == want
+
+
+def test_value_matches_analyze():
+    # the integer-only value agrees with the full analysis on every node of
+    # the fixture trees (for f) and on every division-chain quotient
+    f1 = example1(35)
+    f3, _ = example3(2, 35)
+    fr = refine_fixture(35)
+    trees = [(f1, sfom(f1, 35).rep), (f3, om_prime(f3, 5)),
+             (f3, om_prime(f3, 7)), (fr, sfom(fr, 35).rep)]
+    checked = 0
+    for f, rep in trees:
+        nodes = list({id(n): n for leaf in rep.leaves
+                      for n in leaf.chain()}.values())
+        pairs = [(node, f) for node in nodes]
+        for leaf in rep.leaves:
+            eprod = 1
+            for i, j, q, H in level_quotients(leaf, f, leaf.fdim):
+                if j == 0:
+                    eprod *= leaf.trunc(i).e
+                pairs.append((leaf.trunc(i), q))
+                assert H * eprod == st.value(leaf.trunc(i), q)
+
+        def clear_caches():
+            for node in nodes:
+                node._analyses.clear()
+                node._values.clear()
+
+        # value first, on empty caches: it must not lean on analyze's cache
+        clear_caches()
+        values = [st.value(node, a) for node, a in pairs]
+        clear_caches()
+        assert values == [st.analyze(node, a).v for node, a in pairs]
+        for node in nodes:
+            assert st.vr(node, ()) is None and st.vr(node, (0, 0)) is None
+        checked += len(pairs)
+    assert checked >= 60
 
 
 def test_residual_of_matches_analyze_of_the_child():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (example1, example2, example3, pollard_factor,
-                      refine_fixture, sylvester_resultant)
+                      power_basis, refine_fixture, sylvester_resultant)
 from sfom import intarith as ia
 from sfom import validate
 from sfom.basis import IntegerLattice, global_basis, n_integral_basis
@@ -49,7 +49,7 @@ def test_charpoly_matches_resultant(f, rng):
 
 
 def test_p_maximal_examples():
-    Z2 = IntegerLattice.power_basis(2)
+    Z2 = power_basis(2)
     assert p_maximal(Z2, (1, 0, 1), 3)
     f = (-25, 0, 1)  # x^2 - 25 has index-5 enlargement
     assert not p_maximal(Z2, f, 5)
@@ -78,7 +78,7 @@ def _brute_maximal(lat, f, p):
 
 
 def test_p_maximal_bruteforce_quadratics(rng):
-    Z2 = IntegerLattice.power_basis(2)
+    Z2 = power_basis(2)
     for _ in range(30):
         f = ia.ptrim([rng.randrange(-20, 21), rng.randrange(-20, 21), 1])
         if ia.pdeg(f) != 2 or ia.discriminant(f) == 0:
@@ -162,7 +162,7 @@ def test_verify_report_builds_each_composite_tree_once(monkeypatch):
 
 @pytest.mark.parametrize("p", [0, 1, 6])
 def test_p_maximal_rejects_non_primes(p):
-    Z2 = IntegerLattice.power_basis(2)
+    Z2 = power_basis(2)
     with pytest.raises(ValueError):
         pz_enlarge(Z2, (1, 0, 1), p)
     with pytest.raises(ValueError):
