@@ -325,33 +325,47 @@ class AlgebraTower:
         """Squarefree decomposition f = lc * prod s_i^l_i, l_1 < l_2 < ...
 
         Output factors are monic, squarefree, pairwise coprime and certified
-        strongly unitary.  Requires deg f < p for every prime p | N (enforced
-        upstream by the driver, which keeps every prime of N above deg f).
+        strongly unitary.  Musser's gcd loop; a part with vanishing derivative
+        goes through a p-th root, which only a prime N = p can reach: over a
+        composite N the driver keeps every prime of N above deg f.
         """
         if not f.coeffs:
             raise ValueError("squarefree decomposition of zero")
-        f = self.p_make_monic(f)
-        if f.degree() == 0:
-            return []
-        d = self.p_gcd(f, self.p_deriv(f))
-        g = self.p_exact_divide(f, d)
-        out: list[tuple[PolyA, int]] = []
-        level = 1
-        cap = f.degree() + 2
-        while not self.p_is_one(f):
-            cap -= 1
-            if cap < 0:
-                raise RuntimeError("squarefree decomposition did not terminate")
-            f = self.p_exact_divide(f, g)
-            h = self.p_gcd(f, g)
-            s = self.p_exact_divide(g, h)
-            if not self.p_is_one(s):
-                out.append((s, level))
-            g = h
-            level += 1
-        for s, _ in out:
+        out: dict[int, PolyA] = {}  # multiplicity -> product of its parts
+        g, scale = self.p_make_monic(f), 1
+        while g.degree() >= 1:
+            c = g
+            deriv = self.p_deriv(g)
+            if deriv.coeffs:
+                c = self.p_gcd(g, deriv)
+                w = self.p_exact_divide(g, c)
+                i = 1
+                while not self.p_is_one(w):
+                    if i > g.degree():
+                        raise RuntimeError(
+                            "squarefree decomposition did not terminate")
+                    y = self.p_gcd(c, w)
+                    s = self.p_exact_divide(w, y)
+                    if s.degree() >= 1:
+                        m = i * scale
+                        out[m] = self.p_mul(out[m], s) if m in out else s
+                    w = y
+                    c = self.p_exact_divide(c, y)
+                    i += 1
+            if c.degree() < 1:
+                break
+            g, scale = self._pth_root(c), scale * self.N
+        for s in out.values():
             self.p_assert_strongly_unitary(s)
-        return out
+        return [(s, m) for m, s in sorted(out.items())]
+
+    def _pth_root(self, f: PolyA) -> PolyA:
+        """Inverse Frobenius over a prime N = p: f = g(y^p) gives g, each
+        coefficient raised to p^(sizes[L]-1) in the field A_L of p^sizes[L]
+        elements."""
+        k = self.N ** (self.sizes[f.level] - 1)
+        return self.p_trim(f.level,
+                           [self.e_pow(c, k) for c in f.coeffs[::self.N]])
 
     # -- tower construction --------------------------------------------------
 

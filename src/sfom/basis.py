@@ -209,7 +209,7 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
     if leaf.order < 1:
         raise ValueError("order-zero leaves use order_zero_basis")
     levels = [[] for _ in range(leaf.order)]
-    for i, _, q, H in level_quotients(leaf, f, sum(l.fdim for l in leaves)):
+    for i, _, q, H in level_quotients(leaf, sum(l.fdim for l in leaves)):
         levels[i - 1].append((q, H))
     f0 = leaf.trunc(0).fdim
     out = []
@@ -227,9 +227,9 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
     return out
 
 
-def level_quotients(leaf: st.SFType, f: IntPoly, fdim_top: int):
+def level_quotients(leaf: st.SFType, fdim_top: int):
     """(i, j, q, H) for the division-chain quotients of f at each level i of
-    the chain of `leaf`.
+    the chain of `leaf`, read from the expansions the tree kept.
 
     q is the quotient ending j steps left of the right endpoint of the
     lambda-component of f, for 0 <= j < e_i * f_i, where f_i is `fdim_top` at
@@ -239,7 +239,7 @@ def level_quotients(leaf: st.SFType, f: IntPoly, fdim_top: int):
     for i in range(1, leaf.order + 1):
         node = leaf.trunc(i)
         eprod *= node.e
-        exp = st.expand(f, node.g)
+        exp = node.parent.f_exp
         s_right = st.cloud(node.parent, exp.coeffs,
                            node.V).component(node.h, node.e)[2]
         width = node.e * (fdim_top if i == leaf.order else node.fdim)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 from . import basis as bs
@@ -32,11 +33,15 @@ def _read_poly(source: str) -> IntPoly:
                 text = handle.read()
         except OSError:
             text = source
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        coeffs = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise SystemExit(2) from exc
+    coeffs = []
+    for part in text.replace(",", " ").split():
+        try:
+            coeffs.append(int(part))
+        except ValueError:
+            why = ("over the digit limit" if re.fullmatch(r"[+-]?\d+", part)
+                   else "not an integer")
+            print(f"error: --poly: {why}: {part[:40]!r}", file=sys.stderr)
+            raise SystemExit(2) from None
     f = ia.ptrim(coeffs)
     if ia.pdeg(f) < 2 or f[-1] != 1:
         print("error: need a monic polynomial of degree > 1 "

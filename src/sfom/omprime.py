@@ -2,10 +2,11 @@
 
 Over a prime modulus the tower levels are finite fields, division never
 crashes, and the residual polynomials get factored completely instead of
-squarefree-decomposed.  This version handles any prime, including p <= deg f,
-via characteristic-aware squarefree decomposition, distinct-degree splitting,
-and randomized equal-degree splitting (odd characteristic uses the usual
-half-order exponent, characteristic 2 the trace map).
+squarefree-decomposed.  This handles any prime, including p <= deg f: the
+squarefree parts come from `AlgebraTower.p_sfd`, which takes p-th roots in
+characteristic p; this module adds distinct-degree splitting and randomized
+equal-degree splitting (odd characteristic uses the usual half-order
+exponent, characteristic 2 the trace map).
 """
 
 from __future__ import annotations
@@ -45,57 +46,12 @@ def ff_factor(tower: AlgebraTower, f: PolyA, rng) -> list[tuple[PolyA, int]]:
     then coefficient data so the output does not depend on the random choices
     of the equal-degree stage.
     """
-    if not f.coeffs:
-        raise ValueError("factoring zero")
-    f = tower.p_make_monic(f)
     out: list[tuple[PolyA, int]] = []
-    for sqf, mult in ff_sfd(tower, f):
+    for sqf, mult in tower.p_sfd(f):
         for irr in _factor_squarefree(tower, sqf, rng):
             out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     return out
-
-
-def ff_sfd(tower: AlgebraTower, f: PolyA) -> list[tuple[PolyA, int]]:
-    """Squarefree decomposition over a finite field, any characteristic."""
-    p = tower.N
-    out: dict[int, PolyA] = {}
-
-    def accumulate(g: PolyA, mult: int) -> None:
-        if g.degree() >= 1:
-            out[mult] = tower.p_mul(out[mult], g) if mult in out else g
-
-    def rec(g: PolyA, scale: int) -> None:
-        if g.degree() < 1:
-            return
-        deriv = tower.p_deriv(g)
-        if not deriv.coeffs:
-            rec(_pth_root(tower, g), scale * p)
-            return
-        c = tower.p_gcd(g, deriv)
-        w = tower.p_exact_divide(g, c)
-        i = 1
-        while not tower.p_is_one(w):
-            y = tower.p_gcd(w, c)
-            accumulate(tower.p_exact_divide(w, y), i * scale)
-            w = y
-            c = tower.p_exact_divide(c, y)
-            i += 1
-        rec(_pth_root(tower, c), scale * p)
-
-    rec(tower.p_make_monic(f), 1)
-    return [(g, m) for m, g in sorted(out.items())]
-
-
-def _pth_root(tower: AlgebraTower, f: PolyA) -> PolyA:
-    """Inverse Frobenius: f = g(y^p) gives g with coefficients c^(q/p)."""
-    p = tower.N
-    L = f.level
-    q = _field_size(tower, L)
-    coeffs = []
-    for i in range(0, len(f.coeffs), p):
-        coeffs.append(tower.e_pow(f.coeffs[i], q // p))
-    return tower.p_trim(L, coeffs)
 
 
 def _poly_powmod(tower: AlgebraTower, base: PolyA, exp: int, mod: PolyA) -> PolyA:

@@ -193,7 +193,8 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
         state.leaves.append(node)
         return
     g = st.representative(node)
-    polygon = st.newton(node, g, omega, f)
+    node.f_exp = st.expand(f, g)
+    polygon = st.newton(node, node.f_exp, omega)
     if polygon.points[0][0] > 0:
         # f mod g = 0 over Z, and omega >= 2 gives deg f >= 2 deg g
         raise ReducibleInput(g)
@@ -201,7 +202,7 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
         raise RuntimeError("principal polygon length disagrees with multiplicity")
     children = []
     for side in polygon.sides:
-        R = st.residual_of(node, g, side.h, side.e, f)
+        R = st.residual_of(node, node.f_exp, side.h, side.e)
         for t2, mult in reversed(decompose(node.tower, R)):
             children.append(_Item(node, g, side.h, side.e, t2, R, mult))
     state.worklist.extend(children)

@@ -108,7 +108,7 @@ class Expansion:
     quotients: tuple
 
 
-def expand(f: IntPoly, g: IntPoly, bound: int | None = None) -> Expansion:
+def expand(f: IntPoly, g: IntPoly) -> Expansion:
     """Expand f in powers of the monic g; coefficients have degree < deg g."""
     if ia.pdeg(g) < 1:
         raise ValueError("expansion base must have positive degree")
@@ -123,9 +123,6 @@ def expand(f: IntPoly, g: IntPoly, bound: int | None = None) -> Expansion:
         cur = q
     if not coeffs:
         coeffs = [()]
-    if bound is not None:
-        coeffs = coeffs[: bound + 1]
-        quots = quots[: bound]
     return Expansion(tuple(coeffs), tuple(quots))
 
 
@@ -142,6 +139,8 @@ class SFType:
     (ell, ellp) with ell*h + ellp*e = 1 and 0 <= ell < e.  `omega` is the
     multiplicity of t inside `residual_src`, the residual polynomial this
     level's modulus was extracted from (the reduction of f for roots).
+    `f_exp` is the expansion of f by the representative of this node, kept
+    by the tree driver for the basis stage once it has processed the node.
     """
 
     parent: SFType | None
@@ -159,6 +158,7 @@ class SFType:
     _analyses: dict = field(default_factory=dict, repr=False)
     _values: dict = field(default_factory=dict, repr=False)
     _certified: set = field(default_factory=set, repr=False)
+    f_exp: Expansion | None = field(default=None, repr=False)
 
     @property
     def t(self) -> PolyA:
@@ -403,18 +403,19 @@ def ord_in_residual(tower: AlgebraTower, R: PolyA, t: PolyA) -> int:
         R = q
 
 
-def newton(node: SFType, g: IntPoly, bound: int, f: IntPoly) -> NewtonPolygon:
-    """Polygon of the first bound+1 expansion points of f by g, certified.
+def newton(node: SFType, exp: Expansion, bound: int) -> NewtonPolygon:
+    """Polygon of the first bound+1 points of the expansion `exp` of f by a
+    representative of `node`, certified.
 
     The certificate makes f robust for the type about to be created on top
     of `node`: every used coefficient is recursively robust and its residual
     is coprime to node.t.  Failures raise FactorEvent.
     """
-    exp = expand(f, g, bound)
-    for b in exp.coeffs:
+    coeffs = exp.coeffs[:bound + 1]
+    for b in coeffs:
         if b:
             _certified(node, b)
-    return cloud(node, exp.coeffs, _pending_V(node))
+    return cloud(node, coeffs, _pending_V(node))
 
 
 def _pending_V(node: SFType) -> int:
@@ -422,15 +423,15 @@ def _pending_V(node: SFType) -> int:
     return node.e * node.fdim * (node.e * node.V + node.h)
 
 
-def residual_of(node: SFType, g: IntPoly, h: int, e: int, f: IntPoly) -> PolyA:
-    """Residual polynomial of f for slope -h/e over the pending level.
+def residual_of(node: SFType, exp: Expansion, h: int, e: int) -> PolyA:
+    """Residual polynomial for slope -h/e of f, given by its expansion `exp`
+    by a representative of `node`, over the pending level.
 
     Coefficients live in level node.order + 1; robustness of f is assumed to
     have been certified by `newton` for this same expansion.
     """
     if ia.math.gcd(h, e) != 1:
         raise ValueError("slope must be reduced")
-    exp = expand(f, g)
     return _residual(node, exp.coeffs, _pending_V(node), h, e)[-1]
 
 
@@ -466,7 +467,8 @@ def representative(node: SFType) -> IntPoly:
 def _representative_self_check(node: SFType, g: IntPoly) -> None:
     e, h, fdim = node.e, node.h, node.fdim
     width = e * fdim
-    polygon = newton(node.parent, node.g, width, g)
+    exp = expand(g, node.g)
+    polygon = newton(node.parent, exp, width)
     ok = (
         len(polygon.sides) == 1
         and (polygon.sides[0].h, polygon.sides[0].e) == (h, e)
@@ -475,7 +477,7 @@ def _representative_self_check(node: SFType, g: IntPoly) -> None:
     )
     if not ok:
         raise RuntimeError("representative polygon check failed")
-    R = residual_of(node.parent, node.g, h, e, g)
+    R = residual_of(node.parent, exp, h, e)
     if R != node.t:
         raise RuntimeError("representative residual check failed")
 

@@ -152,7 +152,7 @@ def quotient_value_bound(f: IntPoly, leaf: st.SFType, p: int, rho: int) -> list:
     """
     n = ia.pdeg(f)
     out = []
-    for i, j, q, H in bs.level_quotients(leaf, f, leaf.fdim):
+    for i, j, q, H in bs.level_quotients(leaf, leaf.fdim):
         if H == 0:
             continue
         val = ia.ord_n(ia.resultant(f, q), p)[0]

@@ -4,11 +4,14 @@ The oracles here are deliberately written from scratch (dense lists mod p,
 Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
 over package objects (`p_pow`, `p_quotrem`, `polygon_sum`, `from_elements`,
-`power_basis`, `basis_vectors`) are used by tests only.
+`power_basis`, `basis_vectors`) are used by tests only; `hnf_rows_reference`
+and `p_sfd_reference` keep replaced package algorithms for differential
+tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -219,9 +222,19 @@ def fp_deriv(f, p):
     return fp_trim([i * c for i, c in enumerate(f)][1:], p)
 
 
+def fp_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return fp_trim(out, p)
+
+
 def fp_sfd(f, p):
-    """Yun's decomposition over F_p, valid for deg f < p."""
-    assert len(f) - 1 < p
+    """Squarefree decomposition over F_p: Yun's for deg f < p, trial
+    division by every monic polynomial of rising degree otherwise."""
+    if len(f) - 1 >= p:
+        return _fp_sfd_by_trial_division(f, p)
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
     d = fp_gcd(f, fp_deriv(f, p), p)
@@ -236,6 +249,60 @@ def fp_sfd(f, p):
             out.append((tuple(s), level))
         g = h
         level += 1
+    return out
+
+
+def _fp_sfd_by_trial_division(f, p):
+    # the least-degree monic divisor of what is left is irreducible
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    parts = {}  # multiplicity -> product of the irreducibles with it
+    d = 1
+    while len(f) > 1:
+        for tail in itertools.product(range(p), repeat=d):
+            g = list(tail) + [1]
+            k = 0
+            while len(f) > d:
+                q, r = fp_divmod(f, g, p)
+                if r:
+                    break
+                f, k = q, k + 1
+            if k:
+                parts[k] = fp_mul(parts.get(k, [1]), g, p)
+        d += 1
+    return [(tuple(s), k) for k, s in sorted(parts.items())]
+
+
+# ---------------------------------------------------------------------------
+# the squarefree decomposition that p_sfd replaced (Yun's, composite N)
+
+
+def p_sfd_reference(T, f):
+    """Yun's loop over the tower T, valid while every prime of T.N exceeds
+    deg f; the same output contract as AlgebraTower.p_sfd."""
+    if not f.coeffs:
+        raise ValueError("squarefree decomposition of zero")
+    f = T.p_make_monic(f)
+    if f.degree() == 0:
+        return []
+    d = T.p_gcd(f, T.p_deriv(f))
+    g = T.p_exact_divide(f, d)
+    out = []
+    level = 1
+    cap = f.degree() + 2
+    while not T.p_is_one(f):
+        cap -= 1
+        if cap < 0:
+            raise RuntimeError("squarefree decomposition did not terminate")
+        f = T.p_exact_divide(f, g)
+        h = T.p_gcd(f, g)
+        s = T.p_exact_divide(g, h)
+        if not T.p_is_one(s):
+            out.append((s, level))
+        g = h
+        level += 1
+    for s, _ in out:
+        T.p_assert_strongly_unitary(s)
     return out
 
 

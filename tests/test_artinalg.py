@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from conftest import fp_gcd, fp_sfd, fp_trim, p_quotrem, poly_ints
+from conftest import (fp_gcd, fp_mul, fp_sfd, fp_trim, p_pow, p_quotrem,
+                      p_sfd_reference, poly_ints)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower, FactorEvent, NonExactDivision, PolyA
 
@@ -179,6 +181,66 @@ def test_sfd_crt_oracle_randomized(rng):
                 if red != (1,):
                     got[red] = l
             assert got == want, (f, p, got, want)
+
+
+def _sfd_outcome(sfd, f):
+    try:
+        return sfd(f)
+    except FactorEvent as ev:
+        return ("event", ev.level, ev.factor)
+
+
+@pytest.mark.parametrize("primes", [(5, 7), (11, 13, 17), (10007, 10009)])
+def test_p_sfd_matches_the_yun_reference(primes):
+    # Musser's loop against the Yun loop it replaced, at level 0 and over a
+    # certified level 1 whose modulus (y+1)(y+2) splits modulo every prime;
+    # two factors that agree modulo a zero divisor make the gcds split N or t
+    rng = random.Random(8)
+    N = math.prod(primes)
+    T0 = AlgebraTower(N)
+    T1 = T0.extend(T0.p_from_int_poly((2, 3, 1)))
+    top = min(min(primes), 12)  # deg f < top: below every prime of N
+    zero_divisors = [[T.embed_int(p, L) for p in primes] for T, L in
+                     ((T0, 0), (T1, 1))]
+    zero_divisors[1].append(T1.e_add(T1.z(1), T1.one(1)))
+    seen = {"event": 0, "parts": 0}
+    for T, L in ((T0, 0), (T1, 1)):
+        for _ in range(60):
+            f = T.p_one(L)
+            while True:
+                d, k = rng.randrange(1, 3), rng.randrange(1, 4)
+                twin = rng.randrange(4) == 0
+                if f.degree() + d * (k + twin) >= top:
+                    break
+                s = T.p_trim(L, [tuple(rng.randrange(N) for _ in
+                                       range(T.sizes[L])) for _ in range(d)]
+                             + [T.one(L)])
+                f = T.p_mul(f, p_pow(T, s, k))
+                if twin:
+                    zd = rng.choice(zero_divisors[L])
+                    r = T.p_trim(L, [T.e_mul(zd, c) for c in s.coeffs[:-1]])
+                    f = T.p_mul(f, T.p_add(s, r))
+            if f.degree() < 1:
+                continue
+            want = _sfd_outcome(lambda g: p_sfd_reference(T, g), f)
+            assert _sfd_outcome(T.p_sfd, f) == want, (N, L, f)
+            seen["event" if want[0] == "event" else "parts"] += 1
+    assert seen["event"] >= 5 and seen["parts"] >= 5, seen
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_p_sfd_in_characteristic_p(p):
+    # p <= deg f: p-th-power factors reach the p-th-root path
+    rng = random.Random(p)
+    T = AlgebraTower(p)
+    for _ in range(40):
+        f = [1]
+        for _ in range(rng.randrange(1, 4)):
+            s = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
+            for _ in range(rng.choice([1, 2, p, p + 1, p * p])):
+                f = fp_mul(f, s, p)
+        out = T.p_sfd(T.p_from_int_poly(f))
+        assert [(tuple(poly_ints(s)), l) for s, l in out] == fp_sfd(f, p)
 
 
 def test_two_level_tower(T):

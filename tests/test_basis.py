@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import (basis_vectors, example1, example2, example3,
                       from_elements, hnf_rows_reference, pollard_factor,
                       power_basis, refine_fixture)
 from sfom import intarith as ia
+from sfom import sftypes as st
 from sfom.basis import (BasisElement, IntegerLattice, NeedsSquarefree,
                         _element_rows, global_basis, hnf_merge, hnf_rows,
                         n_integral_basis, order_zero_basis, terminal_basis)
@@ -288,6 +290,25 @@ def test_user_supplied_partial_discriminant():
     lat = result.merged
     for p in (5, 7):
         assert p_maximal(lat, f, p)
+
+
+def test_global_basis_expands_f_once_per_representative(monkeypatch):
+    # the tree keeps each expansion of f for the basis stage, so neither the
+    # residuals nor the level quotients expand f by the same g again
+    N = 10007 * 10009
+    f, _ = example3(2, N)
+    seen = Counter()
+    expand = st.expand
+
+    def counting(a, g, *rest):
+        seen[ia.ptrim(a), ia.ptrim(g)] += 1
+        return expand(a, g, *rest)
+
+    monkeypatch.setattr(st, "expand", counting)
+    global_basis(f, D=N)
+    of_f = {g: k for (a, g), k in seen.items() if a == f}
+    assert len(of_f) >= 2
+    assert max(of_f.values()) == 1, of_f
 
 
 def test_global_basis_example2_maximal():

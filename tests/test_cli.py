@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -44,11 +45,25 @@ def test_basis_merged_only(capsys):
     assert set(obj) == {"f", "global"}
 
 
-def test_malformed_input(capsys):
+def test_malformed_input(capsys, tmp_path):
     code, _, _ = run(capsys, ["basis", "--poly", "2,0,2"])  # not monic
     assert code == 2
-    code, _, _ = run(capsys, ["basis", "--poly", "abc"])
+    code, _, err = run(capsys, ["basis", "--poly", "abc"])
     assert code == 2
+    assert err == "error: --poly: not an integer: 'abc'\n"
+    code, _, err = run(capsys, ["basis", "--poly", "1,x,1"])
+    assert code == 2
+    assert err == "error: --poly: not an integer: 'x'\n"
+    # a directory is not a readable file, so its name is parsed as the text
+    code, _, err = run(capsys, ["basis", "--poly", str(tmp_path)])
+    assert code == 2
+    assert err == f"error: --poly: not an integer: {str(tmp_path)[:40]!r}\n"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # input parsing keeps Python's digit limit
+        digits = "7" * (limit + 1)
+        code, _, err = run(capsys, ["basis", "--poly", f"1,{digits},1"])
+        assert code == 2
+        assert err == f"error: --poly: over the digit limit: {digits[:40]!r}\n"
 
 
 def test_reducible_input(capsys):

@@ -7,7 +7,7 @@ from conftest import example2, from_elements, p_pow, poly_ints
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower
 from sfom.basis import hnf_merge, n_integral_basis
-from sfom.omprime import ff_factor, ff_sfd, om_prime
+from sfom.omprime import ff_factor, om_prime
 from sfom.sfom import ReducibleInput, sfom
 
 
@@ -102,7 +102,7 @@ def test_ff_sfd_char_p_powers(rng):
     T2 = AlgebraTower(2)
     f = p_pow(T2, T2.p_from_int_poly((1, 1)), 4)
     f = T2.p_mul(f, p_pow(T2, T2.p_from_int_poly((0, 1)), 2))
-    out = [(poly_ints(g), m) for g, m in ff_sfd(T2, f)]
+    out = [(poly_ints(g), m) for g, m in T2.p_sfd(f)]
     assert sorted(out, key=lambda t: t[1]) == [([0, 1], 2), ([1, 1], 4)]
 
 

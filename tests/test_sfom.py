@@ -113,7 +113,7 @@ def _manual_state_for_injection():
     t0 = tower0.p_from_int_poly((0, 1))
     root = st.make_root(tower0, t0, 6, red)
     g1 = (0, 1)
-    R1 = st.residual_of(root, g1, 1, 2, f)
+    R1 = st.residual_of(root, st.expand(f, g1), 1, 2)
     t1 = root.tower.p_sfd(R1)[0][0]
     item = sfm._Item(root, g1, 1, 2, t1, R1, 1)
     state = sfm._State(tower0, worklist=[item])

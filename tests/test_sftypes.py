@@ -19,11 +19,11 @@ def build_example1_chain(N=35):
     red = T0.p_from_int_poly(f)
     root = st.make_root(T0, T0.p_from_int_poly((0, 1)), 4, red)
     g1 = st.lift_order_zero(root.t)
-    R1 = st.residual_of(root, g1, 1, 2, f)
+    R1 = st.residual_of(root, st.expand(f, g1), 1, 2)
     t1 = root.tower.p_sfd(R1)[0][0]
     node1 = st.make_child(root, g1, 1, 2, t1, 2, R1)
     g2 = st.representative(node1)
-    R2 = st.residual_of(node1, g2, 3, 2, f)
+    R2 = st.residual_of(node1, st.expand(f, g2), 3, 2)
     t2 = node1.tower.p_sfd(R2)[0][0]
     leaf = st.make_child(node1, g2, 3, 2, t2, 1, R2)
     return f, root, node1, leaf
@@ -64,20 +64,23 @@ def test_expand_examples():
 
 def test_newton_and_residual_examples(chain):
     f, root, node1, leaf = chain
-    poly1 = st.newton(root, (0, 1), 4, f)
+    exp1 = st.expand(f, (0, 1))
+    poly1 = st.newton(root, exp1, 4)
     assert poly1.principal_vertices == ((0, 2), (4, 0))
     assert [(s.h, s.e) for s in poly1.sides] == [(1, 2)]
-    R1 = st.residual_of(root, (0, 1), 1, 2, f)
+    R1 = st.residual_of(root, exp1, 1, 2)
     assert poly_ints(R1) == [1, 2, 1]  # (y+1)^2
-    poly2 = st.newton(node1, (35, 0, 1), 2, f)
+    exp2 = st.expand(f, (35, 0, 1))
+    poly2 = st.newton(node1, exp2, 2)
     assert poly2.principal_vertices == ((0, 7), (2, 4))
     assert [(s.h, s.e) for s in poly2.sides] == [(3, 2)]
-    R2 = st.residual_of(node1, (35, 0, 1), 3, 2, f)
+    R2 = st.residual_of(node1, exp2, 3, 2)
     assert poly_ints(R2) == [1, 1]  # y+1
     # f = g^l: single point, no principal sides, constant residual
-    polyg = st.newton(node1, (35, 0, 1), 2, ia.ppow((35, 0, 1), 2))
+    expg = st.expand(ia.ppow((35, 0, 1), 2), (35, 0, 1))
+    polyg = st.newton(node1, expg, 2)
     assert not polyg.sides and polyg.principal_vertices == ((2, 4),)
-    Rv = st.residual_of(node1, (35, 0, 1), 3, 2, ia.ppow((35, 0, 1), 2))
+    Rv = st.residual_of(node1, expg, 3, 2)
     assert Rv.degree() == 0
 
 
@@ -365,7 +368,7 @@ def test_value_matches_analyze():
         pairs = [(node, f) for node in nodes]
         for leaf in rep.leaves:
             eprod = 1
-            for i, j, q, H in level_quotients(leaf, f, leaf.fdim):
+            for i, j, q, H in level_quotients(leaf, leaf.fdim):
                 if j == 0:
                     eprod *= leaf.trunc(i).e
                 pairs.append((leaf.trunc(i), q))
@@ -397,7 +400,8 @@ def test_residual_of_matches_analyze_of_the_child():
     for f, rep in trees:
         nodes = {id(n): n for leaf in rep.leaves for n in leaf.chain()[1:]}
         for child in nodes.values():
-            R = st.residual_of(child.parent, child.g, child.h, child.e, f)
+            R = st.residual_of(child.parent, st.expand(f, child.g),
+                               child.h, child.e)
             assert R == st.analyze(child, f).R
             checked += 1
     assert checked >= 10
@@ -413,7 +417,8 @@ def test_representative_self_check_random(rng):
             continue
         assert ia.pdeg(g) == node.e * node.fdim * node.m
         assert g[-1] == 1
-        assert st.residual_of(node.parent, node.g, node.h, node.e, g) == node.t
+        assert st.residual_of(node.parent, st.expand(g, node.g),
+                              node.h, node.e) == node.t
 
 
 def test_construct_with_residue_random_postconditions(rng):
