@@ -244,8 +244,11 @@ def level_quotients(leaf: st.SFType, fdim_top: int):
                            node.V).component(node.h, node.e)[2]
         width = node.e * (fdim_top if i == leaf.order else node.fdim)
         for j in range(width):
-            q = exp.quotients[s_right - j - 1]
-            yield i, j, q, Fraction(st.value(node, q), eprod)
+            # q_s = a_s + a_{s+1} g + ... is expanded by g as coeffs[s:]
+            s = s_right - j
+            v = st.cloud(node.parent, exp.coeffs[s:],
+                         node.V).min_value(node.h, node.e)
+            yield i, j, exp.quotients[s - 1], Fraction(v, eprod)
 
 
 def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
@@ -304,8 +307,7 @@ class GlobalBasisResult:
         }
 
 
-def global_basis(f: IntPoly, D: int | None = None, seed: int = 0
-                 ) -> GlobalBasisResult:
+def global_basis(f: IntPoly, D: int | None = None) -> GlobalBasisResult:
     """Local bases for a coprime splitting of D plus their merged lattice.
 
     D defaults to disc(f); a user-supplied D stands in for a partial
@@ -326,7 +328,7 @@ def global_basis(f: IntPoly, D: int | None = None, seed: int = 0
     for p in ia._small_primes(n):
         k, D_work = ia.ord_n(D_work, p)
         if k > 1:
-            rep = op.om_prime(f, p, seed)
+            rep = op.om_prime(f, p)
             results.append((p, n_integral_basis(rep, f, p,
                                                 assume_squarefree=True)))
     moduli = [(D_work, False)] if D_work > 1 else []

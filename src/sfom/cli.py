@@ -3,8 +3,9 @@
 Polynomials are given as comma-separated integer coefficients in ascending
 order (constant first), as a file containing the same, or as `-` for stdin.
 All JSON output serializes big integers as decimal strings.  Exit codes:
-0 success, 2 malformed input, 3 input reducible over Z (flagged up front or
-certified by a factor the tree finds), 4 internal invariant failure.
+0 success, 2 malformed input or an unwritable --svg path, 3 input reducible
+over Z (flagged up front or certified by a factor the tree finds), 4 internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def cmd_basis(args) -> int:
     if detect_reducible(f, squarefree):
         print("error: polynomial is reducible over Z", file=sys.stderr)
         return 3
-    result = bs.global_basis(f, D, seed=args.seed)
+    result = bs.global_basis(f, D)
     with _unlimited_digits():
         obj = result.to_obj()
         if args.merged_only:
@@ -163,8 +164,13 @@ def cmd_polygon(args) -> int:
     polygon = st.analyze(node, f).polygon
     print(st.polygon_dump(polygon))
     if args.svg:
-        with open(args.svg, "w") as handle:
-            handle.write(st.polygon_svg(polygon))
+        try:
+            with open(args.svg, "w") as handle:
+                handle.write(st.polygon_svg(polygon))
+        except OSError as exc:
+            print(f"error: --svg: cannot write {args.svg!r}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     return 0
 
 
@@ -175,7 +181,7 @@ def cmd_verify(args) -> int:
         if not ia.is_probable_prime(p):
             print(f"error: --known-primes: {p} is not prime", file=sys.stderr)
             return 2
-    checks = vd.verify_report(f, args.disc, primes, seed=args.seed)
+    checks = vd.verify_report(f, args.disc, primes)
     print(json.dumps(checks))
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
@@ -189,7 +195,6 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--poly", required=True,
                        help="ascending integer coefficients, a file, or -")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("basis", help="global integral basis")
     common(p)

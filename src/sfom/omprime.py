@@ -15,17 +15,15 @@ import functools
 import random
 
 from .sfom import SFOMRep, _drive
-from .artinalg import AlgebraTower, FactorEvent, PolyA
+from .artinalg import AlgebraTower, PolyA
 from .intarith import IntPoly
 
 
-def om_prime(f: IntPoly, p: int, seed: int = 0) -> SFOMRep:
+def om_prime(f: IntPoly, p: int) -> SFOMRep:
     """Tree for f at the prime p; leaves carry irreducible moduli everywhere."""
-    decompose = functools.partial(ff_factor, rng=random.Random(seed))
-    try:
-        out = _drive(f, p, decompose, prime=p)
-    except FactorEvent as ev:  # pragma: no cover - impossible over a field
-        raise AssertionError(f"field arithmetic raised a factor event: {ev}")
+    # ff_factor sorts its factors, so the splitting stream changes no byte
+    decompose = functools.partial(ff_factor, rng=random.Random(0))
+    out = _drive(f, p, decompose, prime=p)
     if out.rep is None:  # pragma: no cover
         raise AssertionError("prime run reported a factor of a prime")
     return out.rep

@@ -30,19 +30,9 @@ class ReducibleInput(ValueError):
         self.factor = factor
 
 
-class _NFactor(Exception):
-    def __init__(self, factor: int):
-        super().__init__(str(factor))
-        self.factor = factor
-
-
 @dataclass
 class _Item:
-    """A pending level: a type-to-be of order (parent.order + 1 if parent else 0).
-
-    omega None marks a refine stub whose multiplicity must be recomputed from
-    residual_src.
-    """
+    """A pending level: a type-to-be of order (parent.order + 1 if parent else 0)."""
 
     parent: st.SFType | None
     g: IntPoly | None
@@ -50,7 +40,7 @@ class _Item:
     e: int
     t: PolyA
     residual_src: PolyA
-    omega: int | None
+    omega: int
 
 
 @dataclass
@@ -144,14 +134,8 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
     try:
         red = state.tower0.p_from_int_poly(f)
-        try:
-            parts = decompose(state.tower0, red)
-        except FactorEvent as ev:
-            # no moduli exist yet, so the event can only split N itself
-            if ev.level != -1:
-                raise AssertionError("polynomial factor event before any modulus")
-            raise _NFactor(ev.factor)
-        for t0, mult in reversed(parts):
+        # no moduli exist yet, so an event here can only split N itself
+        for t0, mult in reversed(decompose(state.tower0, red)):
             state.worklist.append(_Item(None, None, 0, 1, t0, red, mult))
         steps = 0
         while state.worklist:
@@ -167,8 +151,8 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
                 _process(state, item, f, decompose)
             except FactorEvent as ev:
                 _handle_event(state, ev, item)
-    except _NFactor as s:
-        return SplitOutcome(n_factor=s.factor)
+    except FactorEvent as ev:  # level -1: a factor of N ends the run
+        return SplitOutcome(n_factor=ev.factor)
     rep = SFOMRep(f, N, state.leaves, prime=prime)
     _check_masses(rep)
     return SplitOutcome(rep=rep)
@@ -177,28 +161,22 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
 def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
     """Turn a pending level into a node; its children are committed only once
     every side has been decomposed, so a FactorEvent leaves the state as it was."""
-    base = state.tower0 if item.parent is None else item.parent.tower
-    omega = item.omega
-    if omega is None:
-        # refine stub: recompute its multiplicity (extend certifies the piece)
-        omega = st.ord_in_residual(base, item.residual_src, item.t)
-        if omega < 1:
-            raise RuntimeError("refined modulus does not divide its residual")
     if item.parent is None:
-        node = st.make_root(base, item.t, omega, item.residual_src)
+        node = st.make_root(state.tower0, item.t, item.omega,
+                            item.residual_src)
     else:
         node = st.make_child(item.parent, item.g, item.h, item.e, item.t,
-                             omega, item.residual_src)
-    if omega == 1:
+                             item.omega, item.residual_src)
+    if node.omega == 1:
         state.leaves.append(node)
         return
     g = st.representative(node)
     node.f_exp = st.expand(f, g)
-    polygon = st.newton(node, node.f_exp, omega)
+    polygon = st.newton(node, node.f_exp, node.omega)
     if polygon.points[0][0] > 0:
         # f mod g = 0 over Z, and omega >= 2 gives deg f >= 2 deg g
         raise ReducibleInput(g)
-    if polygon.principal_length != omega:
+    if polygon.principal_length != node.omega:
         raise RuntimeError("principal polygon length disagrees with multiplicity")
     children = []
     for side in polygon.sides:
@@ -210,9 +188,11 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
 
 def _handle_event(state: _State, ev: FactorEvent, ctx: _Item) -> None:
     """Split a modulus: the failed item `ctx` has left the worklist; the split
-    level and everything under it give way to two truncated stubs."""
+    level and everything under it give way to two truncated stubs, each with
+    its multiplicity in the split level's residual.  A factor of N (level -1)
+    is re-raised to end the run."""
     if ev.level == -1:
-        raise _NFactor(ev.factor)
+        raise ev
     order = 0 if ctx.parent is None else ctx.parent.order + 1
     if ev.level > order:
         raise AssertionError("event above the active chain")
@@ -225,8 +205,11 @@ def _handle_event(state: _State, ev: FactorEvent, ctx: _Item) -> None:
                       or it.parent.trunc(ev.level) is not lvl]
     state.leaves = [lf for lf in state.leaves if lf.trunc(ev.level) is not lvl]
     for piece in (ev.factor, psi):
+        omega = st.ord_in_residual(div_tower, lvl.residual_src, piece)
+        if omega < 1:
+            raise RuntimeError("refined modulus does not divide its residual")
         state.worklist.append(_Item(parent, lvl.g, lvl.h, lvl.e, piece,
-                                    lvl.residual_src, None))
+                                    lvl.residual_src, omega))
 
 
 def _check_masses(rep: SFOMRep) -> None:

@@ -336,13 +336,11 @@ def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
     return polygon, v, (s0, u0, s1, u1), R
 
 
-def certify_robust(node: SFType, a: IntPoly) -> None:
-    """Certify a is robust for the type at `node` (FactorEvent on failure).
-
-    At order 0 this checks every nonzero coefficient of a splits off a unit
-    cofactor; above, every expansion coefficient is recursively certified and
-    its residual is coprime to the parent modulus.
-    """
+def _certify(node: SFType, a: IntPoly) -> None:
+    """Certify a is robust for the type at `node` (at order 0 every nonzero
+    coefficient splits off a unit cofactor, above every expansion coefficient
+    is certified at the parent) and its residual is coprime to node.t.
+    FactorEvent on failure; `node._certified` remembers what passed."""
     a = ia.ptrim(a)
     if a in node._certified:
         return
@@ -357,20 +355,11 @@ def certify_robust(node: SFType, a: IntPoly) -> None:
     else:
         for b in analyze(node, a).coeffs:
             if b:
-                _certified(node.parent, b)
-    node._certified.add(a)
-
-
-def _certified(node: SFType, b: IntPoly) -> Analysis:
-    """analyze(node, b) once b is certified robust and its residual coprime
-    to node.t (FactorEvent on failure)."""
-    certify_robust(node, b)
-    sub = analyze(node, b)
-    tower = node.tower
-    d = tower.p_gcd(sub.R, node.t)
+                _certify(node.parent, b)
+    d = tower.p_gcd(analyze(node, a).R, node.t)
     if not tower.p_is_one(d):
         raise tower.factor_event(node.order, d)
-    return sub
+    node._certified.add(a)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +403,7 @@ def newton(node: SFType, exp: Expansion, bound: int) -> NewtonPolygon:
     coeffs = exp.coeffs[:bound + 1]
     for b in coeffs:
         if b:
-            _certified(node, b)
+            _certify(node, b)
     return cloud(node, coeffs, _pending_V(node))
 
 

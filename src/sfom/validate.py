@@ -22,7 +22,7 @@ from .intarith import IntPoly
 # per-prime projection of a composite tree
 
 
-def project_check(rep: SFOMRep, f: IntPoly, p: int, seed: int = 0) -> dict:
+def project_check(rep: SFOMRep, f: IntPoly, p: int) -> dict:
     """Compare a composite tree with the prime tree at p | N.
 
     Checks slope scaling (prime slopes are ord_p(N) times composite slopes),
@@ -34,7 +34,7 @@ def project_check(rep: SFOMRep, f: IntPoly, p: int, seed: int = 0) -> dict:
     if N % p:
         raise ValueError("p does not divide N")
     rho = ia.ord_n(N, p)[0]
-    prep = op.om_prime(f, p, seed)
+    prep = op.om_prime(f, p)
     report = {"p": p, "rho": rho, "ok": True, "details": []}
 
     def profiles(tree, kind):
@@ -417,10 +417,10 @@ def p_maximal(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bool:
 
 
 def verify_report(f: IntPoly, D: int | None = None,
-                  known_primes: list[int] | None = None, seed: int = 0) -> list:
+                  known_primes: list[int] | None = None) -> list:
     """Run the oracle suite on a global-basis computation; list of checks."""
     checks = []
-    result = bs.global_basis(f, D, seed)
+    result = bs.global_basis(f, D)
     lat = result.merged
 
     def add(name, ok, details=""):
@@ -444,6 +444,6 @@ def verify_report(f: IntPoly, D: int | None = None,
                 if N not in reps:
                     reps[N] = run_tree(f, N).rep
                 if reps[N] is not None:
-                    rp = project_check(reps[N], f, p, seed)
+                    rp = project_check(reps[N], f, p)
                     add(f"project-{N}-{p}", rp["ok"], "; ".join(rp["details"]))
     return checks

@@ -185,6 +185,17 @@ def test_polygon_golden(capsys, tmp_path):
     assert code == 0 and svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_polygon_unwritable_svg_exits_2(capsys, tmp_path, where):
+    path = tmp_path / "no" / "x.svg" if where == "missing_dir" else tmp_path
+    code, out, err = run(capsys, ["polygon", "--poly", EX1, "--modulus", "35",
+                                  "--level", "1", "--svg", str(path)])
+    assert code == 2
+    assert out.strip() == "0 2\n4 0\nside 1/2 0 4"
+    assert err.startswith(f"error: --svg: cannot write {str(path)!r}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_poly_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     path = tmp_path / "poly.txt"
     path.write_text("1, 0, 1\n")
@@ -216,6 +227,12 @@ def test_verify_cli_degree_24(capsys):
 
 
 def test_seed_byte_stability(capsys):
-    a = run(capsys, ["basis", "--poly", EX1, "--seed", "7"])[1]
-    b = run(capsys, ["basis", "--poly", EX1, "--seed", "7"])[1]
+    # no seed to fix: the prime engine's splitting stream is fixed
+    a = run(capsys, ["basis", "--poly", EX1])[1]
+    b = run(capsys, ["basis", "--poly", EX1])[1]
     assert a == b
+
+
+def test_seed_is_not_an_option(capsys):
+    code, _, err = run(capsys, ["basis", "--seed", "7", "--poly", EX1])
+    assert code == 2 and "unrecognized arguments: --seed 7" in err

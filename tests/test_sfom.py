@@ -122,7 +122,7 @@ def _manual_state_for_injection():
 
 def test_refine_injected_split_of_level_one():
     # splitting t_1 = (y+1)(y+2)(y+3) off its (y+3) factor yields two stubs
-    # whose processing recomputes multiplicity, then two leaves
+    # with their multiplicities in R_1, then two leaves
     f, state, item, root = _manual_state_for_injection()
     tower = root.tower.extend(item.t)
     phi = root.tower.p_from_int_poly((3, 1), 1)
@@ -130,7 +130,7 @@ def test_refine_injected_split_of_level_one():
     state.worklist.pop()  # the failed item leaves the worklist first
     sfm._handle_event(state, ev, item)
     assert len(state.worklist) == 2
-    assert all(it.omega is None for it in state.worklist)
+    assert [it.omega for it in state.worklist] == [1, 1]
     ts = sorted(poly_ints(it.t) for it in state.worklist)
     assert ts == sorted([[3, 1], [c % 35 for c in ia.pmul((1, 1), (2, 1))]])
     while state.worklist:
@@ -148,14 +148,14 @@ def test_refine_injected_split_cascades_on_nonunit_piece():
     phi = root.tower.p_from_int_poly((1, 1), 1)
     state.worklist.pop()
     sfm._handle_event(state, tower.factor_event(1, phi), item)
-    with pytest.raises(sfm._NFactor) as exc:
+    with pytest.raises(FactorEvent) as exc:
         while state.worklist:
             it = state.worklist.pop()
             try:
                 sfm._process(state, it, f, AlgebraTower.p_sfd)
             except FactorEvent as ev2:
                 sfm._handle_event(state, ev2, it)
-    assert exc.value.factor == 5
+    assert exc.value.level == -1 and exc.value.factor == 5
 
 
 def test_refine_injected_split_of_root():
@@ -171,7 +171,8 @@ def test_refine_injected_split_of_root():
     ev = root2.tower.factor_event(0, tower0.p_from_int_poly((1, 1)))
     sfm._handle_event(state2, ev, item2)
     assert len(state2.worklist) == 2
-    assert all(it.parent is None and it.omega is None for it in state2.worklist)
+    assert all(it.parent is None for it in state2.worklist)
+    assert [it.omega for it in state2.worklist] == [1, 1]
     ts = sorted(poly_ints(it.t) for it in state2.worklist)
     assert ts == [[1, 1], [2, 1]]
 
@@ -191,14 +192,14 @@ def test_refine_cascade_escalates_to_n_factor():
     ev = tower.factor_event(0, phi)
     sfm._handle_event(state, ev, item)
     assert len(state.worklist) == 2
-    with pytest.raises(sfm._NFactor) as exc:
+    with pytest.raises(FactorEvent) as exc:
         while state.worklist:
             it = state.worklist.pop()
             try:
                 sfm._process(state, it, (0, 0, 0, 0, 1), AlgebraTower.p_sfd)
             except FactorEvent as ev2:
                 sfm._handle_event(state, ev2, it)
-    assert exc.value.factor in (5, 7)
+    assert exc.value.level == -1 and exc.value.factor in (5, 7)
 
 
 def test_determinism_and_shuffle_invariance():
