@@ -131,10 +131,10 @@ class AlgebraTower:
             raise ZeroDivisionError("inverting zero")
         L = self.sizes.index(len(a))
         if L == 0:
-            g = math.gcd(a[0], self.N)
-            if g != 1:
-                raise self.factor_event(-1, g)
-            return (pow(a[0], -1, self.N),)
+            try:
+                return (pow(a[0], -1, self.N),)
+            except ValueError:
+                raise self.factor_event(-1, math.gcd(a[0], self.N)) from None
         d, u, _ = self.p_xgcd(self.elem_to_poly(a, L), self.moduli[L - 1])
         if not self.p_is_one(d):
             raise self.factor_event(L - 1, d)
@@ -191,6 +191,38 @@ class AlgebraTower:
             c.pop()
         return PolyA(L, tuple(c))
 
+    # Level 0 runs on plain int lists: unwrap the 1-tuples, compute with
+    # deferred reductions, and wrap back reducing each coefficient once.
+
+    def _ints(self, p: PolyA) -> list:
+        return [c[0] for c in p.coeffs]
+
+    def _reduce0(self, ints) -> list:
+        c = [x % self.N for x in ints]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    def _poly0(self, ints) -> PolyA:
+        return PolyA(0, tuple((x,) for x in self._reduce0(ints)))
+
+    @staticmethod
+    def _pack(ints: list, k: int) -> int:
+        return int.from_bytes(
+            b"".join(x.to_bytes(k, "little") for x in ints), "little")
+
+    def _divmod0(self, s: list, t: list) -> tuple[list, list]:
+        """Division by a monic t (t[-1] is not read); only the current
+        leading coefficient is reduced mod N inside the loop."""
+        dt = len(t) - 1
+        rem = list(s)
+        quo = [0] * max(len(rem) - dt, 0)
+        for i in range(len(rem) - 1 - dt, -1, -1):
+            c = quo[i] = rem[i + dt] % self.N
+            if c:
+                rem[i:i + dt] = [r - c * b for r, b in zip(rem[i:i + dt], t)]
+        return quo, rem[:dt]
+
     def p_is_one(self, p: PolyA) -> bool:
         return len(p.coeffs) == 1 and self.is_one(p.coeffs[0])
 
@@ -223,6 +255,14 @@ class AlgebraTower:
         L = p.level
         if not p.coeffs or not q.coeffs:
             return PolyA(L, ())
+        if L == 0:  # Kronecker substitution: one product of packed ints
+            a, b = self._ints(p), self._ints(q)
+            k = (2 * self.N.bit_length() + min(len(a), len(b)).bit_length()
+                 + 8) // 8  # bytes per slot; no product coefficient overflows
+            prod = (self._pack(a, k) * self._pack(b, k)).to_bytes(
+                k * (len(a) + len(b) - 1), "little")
+            return self._poly0(int.from_bytes(prod[i:i + k], "little")
+                               for i in range(0, len(prod), k))
         out = [self.zero(L)] * (len(p.coeffs) + len(q.coeffs) - 1)
         for i, a in enumerate(p.coeffs):
             if self.is_zero(a):
@@ -251,6 +291,9 @@ class AlgebraTower:
         L = s.level
         if not self.p_is_monic(t):
             raise ValueError("divisor must be monic")
+        if L == 0:
+            quo, rem = self._divmod0(self._ints(s), self._ints(t))
+            return self._poly0(quo), self._poly0(rem)
         dt = t.degree()
         rem = list(s.coeffs)
         quo = [self.zero(L)] * max(len(rem) - dt, 0)
@@ -277,6 +320,14 @@ class AlgebraTower:
             if not s.coeffs:
                 raise ValueError("gcd(0, 0)")
             return self.p_make_monic(s)
+        if s.level == 0:  # the generic loop's inverses, in the same order
+            a, b = self._ints(s), self._ints(t)
+            while b:
+                if b[-1] != 1:
+                    inv = self.e_invert((b[-1],))[0]
+                    b = [x * inv % self.N for x in b]
+                a, b = b, self._reduce0(self._divmod0(a, b)[1])
+            return self._poly0(a)
         while t.coeffs:
             t = self.p_make_monic(t)
             _, r = self.p_divmod_monic(s, t)
@@ -316,7 +367,12 @@ class AlgebraTower:
         return q
 
     def p_assert_strongly_unitary(self, t: PolyA) -> None:
-        """Certify every nonzero coefficient is a unit (FactorEvent hook)."""
+        """Certify every nonzero coefficient is a unit (FactorEvent hook); at
+        level 0 by one gcd of their product with N, looping only to report."""
+        if t.level == 0 and math.gcd(
+                math.prod(c[0] for c in t.coeffs if c[0]) % self.N,
+                self.N) == 1:
+            return
         for c in t.coeffs:
             if not self.is_zero(c):
                 self.e_invert(c)

@@ -469,6 +469,8 @@ def _representative_self_check(node: SFType, g: IntPoly) -> None:
     R = residual_of(node.parent, exp, h, e)
     if R != node.t:
         raise RuntimeError("representative residual check failed")
+    # the one-sided polygon gives v(g) = e * u1 + h * width
+    node._values[ia.ptrim(g)] = _pending_V(node)
 
 
 def construct_with_residue(node: SFType, v: int, alpha: tuple) -> IntPoly:

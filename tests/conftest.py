@@ -4,9 +4,9 @@ The oracles here are deliberately written from scratch (dense lists mod p,
 Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
 over package objects (`p_pow`, `p_quotrem`, `polygon_sum`, `from_elements`,
-`power_basis`, `basis_vectors`) are used by tests only; `hnf_rows_reference`
-and `p_sfd_reference` keep replaced package algorithms for differential
-tests.
+`power_basis`, `basis_vectors`) are used by tests only; `hnf_rows_reference`,
+`p_sfd_reference` and the `*_reference` level-0 loops keep replaced package
+algorithms for differential tests.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 
 from sfom import basis as bs
 from sfom import intarith as ia
+from sfom.artinalg import FactorEvent
 
 # ---------------------------------------------------------------------------
 # example polynomials
@@ -304,6 +305,62 @@ def p_sfd_reference(T, f):
     for s, _ in out:
         T.p_assert_strongly_unitary(s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the level-0 loops that the plain-int kernels replaced (1-tuple elements)
+
+
+def invert_reference(T, a):
+    g = math.gcd(a[0], T.N)
+    if g != 1:
+        raise FactorEvent(-1, g)
+    return (pow(a[0], -1, T.N),)
+
+
+def p_mul_reference(T, p, q):
+    if not p.coeffs or not q.coeffs:
+        return T.p_zero(0)
+    out = [T.zero(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = T.e_add(out[i + j], T.e_mul(a, b))
+    return T.p_trim(0, out)
+
+
+def p_divmod_reference(T, s, t):
+    dt = t.degree()
+    rem = list(s.coeffs)
+    quo = [T.zero(0)] * max(len(rem) - dt, 0)
+    for i in range(len(rem) - 1 - dt, -1, -1):
+        c = rem[i + dt]
+        if T.is_zero(c):
+            continue
+        quo[i] = c
+        for j, b in enumerate(t.coeffs):
+            rem[i + j] = T.e_sub(rem[i + j], T.e_mul(c, b))
+    return T.p_trim(0, quo), T.p_trim(0, rem[:dt])
+
+
+def p_gcd_reference(T, s, t):
+    def make_monic(p):
+        if T.is_one(p.coeffs[-1]):
+            return p
+        inv = invert_reference(T, p.coeffs[-1])
+        return T.p_trim(0, [T.e_mul(inv, c) for c in p.coeffs])
+
+    if not t.coeffs:
+        return make_monic(s)
+    while t.coeffs:
+        t = make_monic(t)
+        s, t = t, p_divmod_reference(T, s, t)[1]
+    return s
+
+
+def strongly_unitary_reference(T, t):
+    for c in t.coeffs:
+        if not T.is_zero(c):
+            invert_reference(T, c)
 
 
 def sylvester_resultant(f, g):

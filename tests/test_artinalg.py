@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from conftest import (fp_gcd, fp_mul, fp_sfd, fp_trim, p_pow, p_quotrem,
-                      p_sfd_reference, poly_ints)
+from conftest import (_next_prime, fp_divmod, fp_gcd, fp_mul, fp_sfd,
+                      fp_trim, p_divmod_reference, p_gcd_reference,
+                      p_mul_reference, p_pow, p_quotrem, p_sfd_reference,
+                      poly_ints, strongly_unitary_reference)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower, FactorEvent, NonExactDivision, PolyA
 
@@ -183,9 +185,9 @@ def test_sfd_crt_oracle_randomized(rng):
             assert got == want, (f, p, got, want)
 
 
-def _sfd_outcome(sfd, f):
+def _outcome(fn, *args):
     try:
-        return sfd(f)
+        return fn(*args)
     except FactorEvent as ev:
         return ("event", ev.level, ev.factor)
 
@@ -222,8 +224,8 @@ def test_p_sfd_matches_the_yun_reference(primes):
                     f = T.p_mul(f, T.p_add(s, r))
             if f.degree() < 1:
                 continue
-            want = _sfd_outcome(lambda g: p_sfd_reference(T, g), f)
-            assert _sfd_outcome(T.p_sfd, f) == want, (N, L, f)
+            want = _outcome(lambda g: p_sfd_reference(T, g), f)
+            assert _outcome(T.p_sfd, f) == want, (N, L, f)
             seen["event" if want[0] == "event" else "parts"] += 1
     assert seen["event"] >= 5 and seen["parts"] >= 5, seen
 
@@ -307,3 +309,100 @@ def test_degree_one_level_is_the_ring_below(T, rng, monkeypatch):
         kinds.add(got[0])
     assert kinds == {"unit", "N", "top"}
     assert not any(t is full.moduli[1] for t in divisors)
+
+
+# ---------------------------------------------------------------------------
+# level-0 kernels on plain ints against the oracles and the replaced loops
+
+
+def _big_primes():
+    # N = p * q has about 700 bits, the size of the random fields' moduli
+    return _next_prime(2 ** 349), _next_prime(3 ** 221)
+
+
+@pytest.mark.parametrize("p", [2, 3, 29, 10007])
+def test_level0_kernels_match_the_fp_oracle(p):
+    rng = random.Random(p)
+    T = AlgebraTower(p)
+
+    def rand(n):
+        return [rng.randrange(p) for _ in range(n)]
+
+    for _ in range(60):
+        c = rand(rng.randrange(0, 4)) + [1]
+        f = fp_mul(rand(rng.randrange(1, 27)), c, p) or [0]
+        g = rand(rng.randrange(0, 12)) + [1]
+        h = fp_mul(rand(rng.randrange(0, 8)) + [rng.randrange(1, p)], c, p)
+        F, G, H = (T.p_from_int_poly(tuple(x)) for x in (f, g, h))
+        assert poly_ints(T.p_mul(F, G)) == fp_mul(f, g, p)
+        q, r = T.p_divmod_monic(F, G)
+        assert (poly_ints(q), poly_ints(r)) == fp_divmod(f, g, p)
+        assert poly_ints(T.p_gcd(F, H)) == fp_gcd(f, h, p)
+
+
+@pytest.mark.parametrize("primes", [(3, 5), (5, 7), (10007, 10009), "big"])
+def test_level0_kernels_match_the_tuple_loops(primes):
+    # a common factor c makes the gcds long; a zero divisor in a leading
+    # coefficient or inside the common factor makes them raise
+    primes = _big_primes() if primes == "big" else primes
+    N = math.prod(primes)
+    rng = random.Random(N % 9973)
+    T = AlgebraTower(N)
+
+    def rand(deg, lc=None):
+        return T.p_from_int_poly(tuple(rng.randrange(N) for _ in range(deg))
+                                 + (rng.randrange(N) if lc is None else lc,))
+
+    seen = {"event": 0, "poly": 0}
+    for _ in range(40):
+        s, t = rand(rng.randrange(0, 30)), rand(rng.randrange(0, 12), 1)
+        assert T.p_mul(s, t) == p_mul_reference(T, s, t)
+        assert T.p_divmod_monic(s, t) == p_divmod_reference(T, s, t)
+        zd = rng.choice(primes) * rng.randrange(1, N) % N
+        c = rand(rng.randrange(0, 4), 1)
+        a = T.p_mul(rand(rng.randrange(0, 8)), c)
+        b = rand(rng.randrange(0, 6), rng.choice([1, zd]))
+        if rng.randrange(2):
+            c = T.p_add(c, T.p_from_int_poly((zd,)))
+        b = T.p_mul(b, c)
+        if not a.coeffs and not b.coeffs:
+            continue
+        want = _outcome(p_gcd_reference, T, a, b)
+        assert _outcome(T.p_gcd, a, b) == want
+        seen["poly" if isinstance(want, PolyA) else "event"] += 1
+    assert seen["event"] >= 5 and seen["poly"] >= 5, seen
+
+
+@pytest.mark.parametrize("N, n", [(15, 31), (29, 31), (2 ** 64 - 1, 257),
+                                  ("big", 31)])
+def test_kronecker_slot_boundary(N, n):
+    # every coefficient N - 1 makes each product coefficient the largest sum
+    # a slot must hold: 257 products of (2^64 - 2)^2 need 137 bits, one more
+    # than a slot without the length term has
+    N = math.prod(_big_primes()) if N == "big" else N
+    T = AlgebraTower(N)
+    p = T.p_from_int_poly((N - 1,) * n)
+    for q in (p, T.p_from_int_poly((N - 1,) * 3)):
+        assert T.p_mul(p, q) == p_mul_reference(T, p, q)
+        assert T.p_mul(q, p) == p_mul_reference(T, p, q)
+
+
+@pytest.mark.parametrize("N, coeffs", [(15, (3, 5, 1)), (35, (2, 5, 3, 1))])
+def test_unit_certificate_falls_back_to_the_loop(N, coeffs):
+    # 3 * 5 = 0 mod 15 and 2 * 5 * 3 shares 5 with 35: the one gcd fails,
+    # and the loop names the same coefficient the per-coefficient check did
+    T = AlgebraTower(N)
+    t = T.p_from_int_poly(coeffs)
+    want = _outcome(strongly_unitary_reference, T, t)
+    assert want == ("event", -1, coeffs[0] if N == 15 else 5)
+    assert _outcome(T.p_assert_strongly_unitary, t) == want
+    assert _outcome(T.extend, t) == want
+
+
+def test_unit_certificate_passes_units_over_a_large_modulus():
+    N = math.prod(_big_primes())
+    T = AlgebraTower(N)
+    rng = random.Random(9)
+    coeffs = tuple(rng.randrange(1, N) for _ in range(30)) + (1,)
+    assert all(math.gcd(c, N) == 1 for c in coeffs)
+    assert T.extend(T.p_from_int_poly(coeffs)).dims == (30,)
