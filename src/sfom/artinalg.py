@@ -135,7 +135,7 @@ class AlgebraTower:
                 return (pow(a[0], -1, self.N),)
             except ValueError:
                 raise self.factor_event(-1, math.gcd(a[0], self.N)) from None
-        d, u, _ = self.p_xgcd(self.elem_to_poly(a, L), self.moduli[L - 1])
+        d, u = self.p_xgcd(self.elem_to_poly(a, L), self.moduli[L - 1])
         if not self.p_is_one(d):
             raise self.factor_event(L - 1, d)
         return self.poly_to_elem(u, L)
@@ -150,18 +150,7 @@ class AlgebraTower:
 
     def zpow(self, L: int, k: int) -> tuple:
         """z_{L-1}^k for any sign of k; t_{L-1}(0) must be a unit for k < 0."""
-        zl = self.z(L)
-        if k >= 0:
-            return self.e_pow(zl, k)
-        t = self.moduli[L - 1]
-        t0 = t.coeffs[0]
-        # z^-1 = -t(0)^-1 * ((t(y) - t(0)) / y) evaluated at z
-        inv0 = self.e_invert(t0)
-        shifted = PolyA(L - 1, t.coeffs[1:])
-        zinv = self.e_mul(
-            self.e_neg(self.lift_elem(inv0, L)), self.p_eval_up(shifted, zl)
-        )
-        return self.e_pow(zinv, -k)
+        return self.e_pow(self.z(L), k)
 
     def elem_to_poly(self, a: tuple, L: int) -> PolyA:
         """Coordinates of a level-L element as a polynomial over level L-1."""
@@ -334,30 +323,27 @@ class AlgebraTower:
             s, t = t, r
         return s
 
-    def p_xgcd(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA, PolyA]:
-        """(d, u, v) with s*u + t*v = d, d as in p_gcd."""
+    def p_xgcd(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
+        """(d, u) with s*u = d mod t, d as in p_gcd."""
         L = s.level
         r0, r1 = s, t
         s0, s1 = self.p_one(L), self.p_zero(L)
-        t0, t1 = self.p_zero(L), self.p_one(L)
         while r1.coeffs:
             lc = r1.coeffs[-1]
             if not self.is_one(lc):
                 inv = self.e_invert(lc)
                 r1 = self.p_scale(r1, inv)
                 s1 = self.p_scale(s1, inv)
-                t1 = self.p_scale(t1, inv)
             q, r2 = self.p_divmod_monic(r0, r1)
             r0, r1 = r1, r2
             s0, s1 = s1, self.p_sub(s0, self.p_mul(q, s1))
-            t0, t1 = t1, self.p_sub(t0, self.p_mul(q, t1))
         if not r0.coeffs:
             raise ValueError("gcd(0, 0)")
         lc = r0.coeffs[-1]
         if not self.is_one(lc):
             inv = self.e_invert(lc)
-            r0, s0, t0 = (self.p_scale(x, inv) for x in (r0, s0, t0))
-        return r0, s0, t0
+            r0, s0 = self.p_scale(r0, inv), self.p_scale(s0, inv)
+        return r0, s0
 
     def p_exact_divide(self, t: PolyA, d: PolyA) -> PolyA:
         """Quotient t/d for monic d; NonExactDivision when remainder is nonzero."""

@@ -9,6 +9,7 @@ the canonical representative used for every comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,7 +91,7 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
         for i in range(j):
             q = out[i][j] // out[j][j]
             if q:
-                out[i] = [x - q * y for x, y in zip(out[i], out[j])]
+                out[i][j:] = [x - q * y for x, y in zip(out[i][j:], out[j][j:])]
     return out
 
 
@@ -112,12 +113,12 @@ class IntegerLattice:
         g = den
         for row in red:
             for x in row:
-                g = ia.math.gcd(g, x)
+                g = math.gcd(g, x)
         return cls(den // g, tuple(tuple(x // g for x in row) for row in red), n)
 
     def index_over_power_basis(self) -> int:
         num = self.den ** self.n
-        d = ia.math.prod(self.rows[i][i] for i in range(self.n))
+        d = math.prod(self.rows[i][i] for i in range(self.n))
         if num % d:
             raise ValueError("lattice does not contain the power basis")
         return num // d
@@ -127,7 +128,7 @@ class IntegerLattice:
         substitution against the HNF rows; None when vec/den is not in the
         lattice."""
         # cancel common factors first: products come with den = self.den^2
-        g = ia.math.gcd(den, self.den)
+        g = math.gcd(den, self.den)
         den //= g
         rest = [x * (self.den // g) for x in vec]
         coords = []
@@ -157,7 +158,7 @@ def _merge_row_groups(groups, include_power_basis: bool, n: int
                       ) -> IntegerLattice:
     den = 1
     for _, d in groups:
-        den = den * d // ia.math.gcd(den, d)
+        den = den * d // math.gcd(den, d)
     rows = []
     for group_rows, d in groups:
         scale = den // d

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -186,7 +187,9 @@ def cmd_verify(args) -> int:
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to `main`."""
     parser = argparse.ArgumentParser(
         prog="sfom",
         description="integral bases of number fields modulo composite integers")
@@ -223,8 +226,12 @@ def main(argv=None) -> int:
                    help="comma-separated primes for maximality checks")
     p.set_defaults(func=cmd_verify)
 
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

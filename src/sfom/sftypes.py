@@ -13,6 +13,7 @@ integer-only (cross products), no rational arithmetic in comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,7 +68,7 @@ class NewtonPolygon:
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if y2 >= y1:
                 break
-            g = ia.math.gcd(y1 - y2, x2 - x1)
+            g = math.gcd(y1 - y2, x2 - x1)
             sides.append(Side((y1 - y2) // g, (x2 - x1) // g, x1, y1, x2, y2))
         return cls(tuple(pts), tuple(hull), tuple(sides))
 
@@ -183,10 +184,10 @@ class SFType:
         return out[::-1]
 
     def e_prod(self) -> int:
-        return ia.math.prod(n.e for n in self.chain())
+        return math.prod(n.e for n in self.chain())
 
     def f_prod(self) -> int:
-        return ia.math.prod(n.fdim for n in self.chain())
+        return math.prod(n.fdim for n in self.chain())
 
 
 def make_root(tower0: AlgebraTower, t0: PolyA, omega: int,
@@ -197,7 +198,7 @@ def make_root(tower0: AlgebraTower, t0: PolyA, omega: int,
 
 def make_child(parent: SFType, g: IntPoly, h: int, e: int, t: PolyA,
                omega: int, residual_src: PolyA) -> SFType:
-    if ia.math.gcd(h, e) != 1 or h < 1 or e < 1:
+    if math.gcd(h, e) != 1 or h < 1 or e < 1:
         raise ValueError("slope must be a positive reduced fraction")
     tower = parent.tower.extend(t)
     m = ia.pdeg(g)
@@ -349,7 +350,7 @@ def _certify(node: SFType, a: IntPoly) -> None:
         for c in a:
             if c:
                 _, b = ia.ord_n(c, tower.N)
-                g = ia.math.gcd(b, tower.N)
+                g = math.gcd(b, tower.N)
                 if g != 1:
                     raise tower.factor_event(-1, g)
     else:
@@ -419,7 +420,7 @@ def residual_of(node: SFType, exp: Expansion, h: int, e: int) -> PolyA:
     Coefficients live in level node.order + 1; robustness of f is assumed to
     have been certified by `newton` for this same expansion.
     """
-    if ia.math.gcd(h, e) != 1:
+    if math.gcd(h, e) != 1:
         raise ValueError("slope must be reduced")
     return _residual(node, exp.coeffs, _pending_V(node), h, e)[-1]
 

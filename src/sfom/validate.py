@@ -8,11 +8,13 @@ primes as inputs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import basis as bs
 from . import intarith as ia
 from . import omprime as op
+from .artinalg import AlgebraTower
 from .sfom import SFOMRep, sfom as run_tree
 from . import sftypes as st
 from .intarith import IntPoly
@@ -22,108 +24,89 @@ from .intarith import IntPoly
 # per-prime projection of a composite tree
 
 
+def normalized_chain(leaf: st.SFType, rho: int = 1) -> tuple:
+    """Slopes rho*h_i/e_i of the levels i >= 1 of a leaf, each level with
+    e_i*f_i = 1 merged into its successor by adding its slope.
+
+    Such a level is not optimal: the next representative has the same
+    degree, so its slope is no Okutsu invariant (Guardia-Montes-Nart,
+    "Okutsu invariants and Newton polygons", Acta Arith. 145, 2010) and two
+    trees of the same prime ideal may differ there.  A last level stays.
+    """
+    out, carry = [], 0
+    for lvl in leaf.chain()[1:]:
+        carry += Fraction(rho * lvl.h, lvl.e)
+        if lvl is leaf or lvl.e * lvl.fdim != 1:
+            out.append(carry)
+            carry = 0
+    return tuple(out)
+
+
 def project_check(rep: SFOMRep, f: IntPoly, p: int) -> dict:
     """Compare a composite tree with the prime tree at p | N.
 
-    Checks slope scaling (prime slopes are ord_p(N) times composite slopes),
-    ramification bookkeeping e_P = e_1...e_r, and that the prime leaves
-    partition into groups of total residue degree f_0...f_r, one group per
-    composite leaf.  Returns a report dict with an "ok" flag.
+    A prime leaf matches the composite leaves with an equal normalized
+    chain, composite slopes scaled by rho = ord_p(N), and a root modulus
+    that divides the composite one mod p; where several match, those whose
+    raw slope chain also equals the prime leaf's are kept if there are any.
+    Composite leaves that share a prime leaf form one pool (most pools hold
+    one leaf).  The prime leaves of a pool must have the pool's total
+    residue degree f_0...f_r and ramification e_1...e_r / gcd(rho,
+    e_1...e_r).  `groups` gives, per composite leaf, the number of prime
+    leaves in its pool.  Returns a report dict with an "ok" flag.
     """
     N = rep.N
     if N % p:
         raise ValueError("p does not divide N")
     rho = ia.ord_n(N, p)[0]
-    prep = op.om_prime(f, p)
     report = {"p": p, "rho": rho, "ok": True, "details": []}
+    tower = AlgebraTower(p)
 
-    def profiles(tree, kind):
+    def fail(detail):
+        report["ok"] = False
+        report["details"].append(detail)
+
+    def profiles(tree, kind, scale):
         out = []
         for leaf in tree.leaves:
             if st.ord_ty(leaf, f) != 1:
-                report["ok"] = False
-                report["details"].append(f"{kind} leaf without multiplicity one")
-            chain = leaf.chain()
-            out.append({
-                "order": leaf.order,
-                "slopes": tuple((lvl.h, lvl.e) for lvl in chain[1:]),
-                "root_lift": st.lift_order_zero(chain[0].t),
-                "e": leaf.e_prod(),
-                "f": leaf.f_prod(),
-            })
+                fail(f"{kind} leaf without multiplicity one")
+            root = st.lift_order_zero(leaf.trunc(0).t)
+            raw = tuple(Fraction(scale * lvl.h, lvl.e)
+                        for lvl in leaf.chain()[1:])
+            out.append((normalized_chain(leaf, scale), raw,
+                        tower.p_from_int_poly(root), leaf.e_prod(),
+                        leaf.f_prod()))
         return out
 
-    comp = profiles(rep, "composite")
-    prime_leaves = profiles(prep, "prime")
-
-    def matches(group_leaf, pleaf) -> bool:
-        if pleaf["order"] != group_leaf["order"]:
-            return False
-        want = tuple(
-            (rho * h // ia.math.gcd(rho * h, e), e // ia.math.gcd(rho * h, e))
-            for h, e in group_leaf["slopes"])
-        if pleaf["slopes"] != want:
-            return False
-        # the prime root modulus must divide the reduction of the composite one
-        lift = group_leaf["root_lift"]
-        tower = op.AlgebraTower(p)
-        red = tower.p_from_int_poly(lift)
-        proot = tower.p_from_int_poly(pleaf["root_lift"])
-        if not red.coeffs:
-            return False
-        _, rem = tower.p_divmod_monic(red, proot)
-        return not rem.coeffs
-
-    assignment: list[list[int]] = [[] for _ in comp]
-    unassigned = []
-    for k, pleaf in enumerate(prime_leaves):
-        cands = [i for i, g in enumerate(comp) if matches(g, pleaf)]
-        if len(cands) == 1:
-            assignment[cands[0]].append(k)
-        else:
-            unassigned.append((k, cands))
-    ok = _complete_assignment(comp, prime_leaves, assignment, unassigned)
-    if not ok:
-        report["ok"] = False
-        report["details"].append("no consistent grouping of prime leaves")
-        return report
-    for i, g in enumerate(comp):
-        got_f = sum(prime_leaves[k]["f"] for k in assignment[i])
-        es = {prime_leaves[k]["e"] for k in assignment[i]}
-        expect_e = g["e"]
-        if rho > 1:
-            expect_e = expect_e // ia.math.gcd(rho, expect_e)
-        if got_f != g["f"] or es != {expect_e}:
-            report["ok"] = False
-            report["details"].append(
-                f"leaf {i}: residue mass {got_f} vs {g['f']}, e {es}")
-    report["groups"] = [len(a) for a in assignment]
+    comp = profiles(rep, "composite", rho)
+    pools = [({i}, []) for i in range(len(comp))]  # leaves, prime (e, f)s
+    for k, (chain, raw, root, e, fdeg) in enumerate(
+            profiles(op.om_prime(f, p), "prime", 1)):
+        cands = {i for i, (c_chain, _, c_root, _, _) in enumerate(comp)
+                 if c_chain == chain
+                 and not tower.p_divmod_monic(c_root, root)[1].coeffs}
+        if len(cands) > 1:
+            cands = {i for i in cands if comp[i][1] == raw} or cands
+        if not cands:
+            fail(f"prime leaf {k}: no candidate composite leaf")
+            continue
+        hit = [q for q in pools if q[0] & cands]
+        pools = [q for q in pools if not q[0] & cands]
+        pools.append((set().union(*(q[0] for q in hit)),
+                      [pf for q in hit for pf in q[1]] + [(e, fdeg)]))
+    report["groups"] = [0] * len(comp)
+    for leaves, primes in pools:
+        got_f = sum(fd for _, fd in primes)
+        want_f = sum(comp[i][4] for i in leaves)
+        es = {pe for pe, _ in primes}
+        want_e = {comp[i][3] // math.gcd(rho, comp[i][3]) for i in leaves}
+        if got_f != want_f or es != want_e:
+            name = "+".join(map(str, sorted(leaves)))
+            fail(f"leaf {name}: residue mass {got_f} vs {want_f}, e {es}")
+        for i in leaves:
+            report["groups"][i] = len(primes)
     return report
-
-
-def _complete_assignment(comp, prime_leaves, assignment, unassigned) -> bool:
-    if not unassigned:
-        return True
-    ks = [k for k, _ in unassigned]
-    cand_sets = [c for _, c in unassigned]
-    # small search: place ambiguous leaves so the residue masses work out
-    def rec(idx, current):
-        if idx == len(ks):
-            for i, g in enumerate(comp):
-                got = sum(prime_leaves[k]["f"] for k in assignment[i])
-                got += sum(prime_leaves[ks[j]]["f"]
-                           for j in range(len(ks)) if current[j] == i)
-                if got != g["f"]:
-                    return False
-            for j, k in enumerate(ks):
-                assignment[current[j]].append(k)
-            return True
-        for c in cand_sets[idx]:
-            if rec(idx + 1, current + [c]):
-                return True
-        return False
-
-    return rec(0, [])
 
 
 # ---------------------------------------------------------------------------

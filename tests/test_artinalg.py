@@ -82,11 +82,16 @@ def test_gcd_examples(T):
     assert T.p_gcd(T.p_zero(0), P(T, -1, 2)) == T.p_make_monic(P(T, -1, 2))
 
 
+def _cofactor_holds(T, s, u, t, d):
+    """s*u = d mod the monic t."""
+    return not T.p_divmod_monic(T.p_sub(T.p_mul(s, u), d), t)[1].coeffs
+
+
 def test_xgcd_examples(T):
-    d, u, v = T.p_xgcd(P(T, 1, 1), P(T, 0, 1))
+    d, u = T.p_xgcd(P(T, 1, 1), P(T, 0, 1))
     assert T.p_is_one(d)
-    assert T.p_add(T.p_mul(P(T, 1, 1), u), T.p_mul(P(T, 0, 1), v)) == d
-    d, u, v = T.p_xgcd(P(T, 0, 0, 1), P(T, 0, 1))
+    assert _cofactor_holds(T, P(T, 1, 1), u, P(T, 0, 1), d)
+    d, u = T.p_xgcd(P(T, 0, 0, 1), P(T, 0, 1))
     assert d == P(T, 0, 1)
     with pytest.raises(FactorEvent) as exc:
         T.p_xgcd(P(T, 0, 1), P(T, 0, 7))
@@ -99,12 +104,12 @@ def test_xgcd_bezout_random(T, rng):
         t = T.p_from_int_poly(
             tuple(rng.randrange(35) for _ in range(3)) + (1,))
         try:
-            d, u, v = T.p_xgcd(s, t)
+            d, u = T.p_xgcd(s, t)
         except FactorEvent as ev:
             if ev.level == -1:
                 assert 1 < ev.factor < 35 and 35 % ev.factor == 0
             continue
-        assert T.p_add(T.p_mul(s, u), T.p_mul(t, v)) == d
+        assert _cofactor_holds(T, s, u, t, d)
 
 
 def test_sfd_examples(T):

@@ -1,9 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
-from conftest import example1, example3
+from conftest import example1, example3, refine_fixture
 from sfom import cli
 from sfom import intarith as ia
 from sfom.basis import global_basis
@@ -86,12 +88,38 @@ def test_reducible_input(capsys):
     (["basis", "--poly", "8,0,9,0,1"], (3,), "reducible"),
     (["verify", "--poly", "1,0,0,0,0,0,1"], (3,), "reducible"),
     (["tree", "--poly", "8,0,9,0,1", "--modulus", "7"], (3,), "reducible"),
+    # the prime trees stop once more than the composite one at 35; every
+    # check passes, the projections included
+    (["verify", "--poly", ",".join(map(str, refine_fixture(35))),
+      "--known-primes", "5,7"], (0,), ""),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)
     assert got in code
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == (got != 0)
     assert message in err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    code, out, _ = run(capsys, ["basis", "--poly", "1,0,1", "--merged-only"])
+    assert code == 0 and set(json.loads(out)) == {"f", "global"}
+    code, out, _ = run(capsys, ["basis", "--poly", "1,0,1"])
+    assert code == 0 and "moduli" in json.loads(out)
+    code, _, err = run(capsys, ["basis"])  # no --poly
+    assert code == 2 and "--poly" in err
+    code, out, _ = run(capsys, ["basis", "--poly", "1,0,1"])
+    assert code == 0 and "moduli" in json.loads(out)
+
+
+def test_parser_is_built_on_first_use():
+    # importing the CLI builds no parser, so its import time does not grow
+    script = "import sfom.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.split() == ["0"]
+    assert cli._parser() is cli._parser()
 
 
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):

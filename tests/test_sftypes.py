@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -220,7 +221,7 @@ def random_type(N, order, rng):
     for _ in range(order):
         g = st.representative(node)
         e = rng.choice([1, 2, 3])
-        h = rng.choice([k for k in range(1, 5) if ia.math.gcd(k, e) == 1])
+        h = rng.choice([k for k in range(1, 5) if math.gcd(k, e) == 1])
         t = random_squarefree_modulus(node.tower, node.order + 1,
                                       rng.randrange(1, 3), rng, True)
         node = st.make_child(node, g, h, e, t, 1, t)

@@ -11,10 +11,10 @@ from sfom.basis import IntegerLattice, global_basis, n_integral_basis
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
 from sfom.validate import (charpoly, charpoly_is_integral, index_disc_identity,
-                           order_discriminant, p_maximal, power_sums,
-                           project_check, pz_enlarge, quotient_value_bound,
-                           resultant_valuation_check, ring_closed,
-                           verify_report)
+                           normalized_chain, order_discriminant, p_maximal,
+                           power_sums, project_check, pz_enlarge,
+                           quotient_value_bound, resultant_valuation_check,
+                           ring_closed, verify_report)
 
 
 def test_power_sums():
@@ -107,6 +107,105 @@ def test_project_check_example3_small():
         assert sum(report["groups"]) == 2  # 2r with r = 1
 
 
+def test_normalized_chains_refine_fixture():
+    # the prime trees stop once more, at a level with e*f = 1 whose
+    # successor has a representative of the same degree; merged into that
+    # successor, the chains agree with the composite ones
+    f = refine_fixture(35)
+    rep = sfom(f, 35).rep
+    assert [leaf.order for leaf in rep.leaves] == [2, 2]
+    assert sorted(normalized_chain(leaf) for leaf in rep.leaves) == [
+        (Fraction(5, 2),), (Fraction(4),)]
+    prime5 = om_prime(f, 5).leaves
+    assert [leaf.order for leaf in prime5] == [3, 3]
+    assert sorted(normalized_chain(leaf) for leaf in prime5) == [
+        (Fraction(5, 2),), (Fraction(4),)]
+    prime7 = om_prime(f, 7).leaves
+    assert sorted(leaf.order for leaf in prime7) == [2, 2, 3]
+    assert sorted(normalized_chain(leaf) for leaf in prime7) == [
+        (Fraction(5, 2),), (Fraction(4),), (Fraction(4),)]
+    for p, groups in ((5, [1, 1]), (7, [1, 2])):
+        report = project_check(rep, f, p)
+        assert report["ok"], report
+        assert sorted(report["groups"]) == groups
+
+
+def _unmatched(report):
+    return not report["ok"] and any(
+        "no candidate composite leaf" in d for d in report["details"])
+
+
+@pytest.mark.parametrize("leaf, level", [(0, 1), (0, 2), (1, 2)])
+def test_project_check_rejects_a_perturbed_slope(leaf, level):
+    f = refine_fixture(35)
+    rep = sfom(f, 35).rep
+    rep.leaves[leaf].chain()[level].h += 2
+    for p in (5, 7):
+        assert _unmatched(project_check(rep, f, p))
+
+
+def test_project_check_rejects_unscaled_slopes():
+    # at N = 5^2 * 7 the prime slopes at 5 are twice the composite ones; a
+    # composite tree that carried the prime slopes must fail there
+    N = 175
+    g = (2, 0, 1)
+    f = ia.padd(ia.padd(ia.pmul(g, g), ia.pscale(g, N)), (3 * N * N,))
+    rep = sfom(f, N).rep
+    report = project_check(rep, f, 5)
+    assert report["ok"] and report["rho"] == 2, report
+    for leaf in rep.leaves:
+        for node in leaf.chain()[1:]:
+            node.h *= report["rho"]
+    assert _unmatched(project_check(rep, f, 5))
+
+
+def _perturbed_product(roots, c):
+    """prod (x - r) + c: a small c keeps the roots' distances at 35."""
+    f = (1,)
+    for r in roots:
+        f = ia.pmul(f, (-r, 1))
+    return ia.padd(f, (c,))
+
+
+# roots -72*35^2 (one level, slope 2) and -1191*35, 69*35 (a level of slope 1
+# with e*f = 1, then slope 1 with f = 2): both leaves normalize to (2,)
+TIED = _perturbed_product((-88200, -41685, 2415), 4 * 35 ** 7)
+# roots -40493, -42803, -45253, -85818, all -33 mod 35: two leaves with the
+# same root, normalized and raw chains, of residue degrees 2 and 1
+POOLED = _perturbed_product((-40493, -85818, -42803, -45253), 2 * 35 ** 7)
+
+
+def _raw_chain(leaf):
+    return [(lvl.h, lvl.e) for lvl in leaf.chain()[1:]]
+
+
+def test_project_check_breaks_ties_by_the_raw_chain():
+    rep = sfom(TIED, 35).rep
+    assert [normalized_chain(leaf) for leaf in rep.leaves] == [(2,), (2,)]
+    assert [_raw_chain(leaf) for leaf in rep.leaves] == [
+        [(1, 1), (1, 1)], [(2, 1)]]
+    for p in (5, 7):
+        report = project_check(rep, TIED, p)
+        assert report["ok"] and report["groups"] == [2, 1], report
+
+
+def test_project_check_pools_leaves_no_chain_tells_apart(monkeypatch):
+    rep = sfom(POOLED, 35).rep
+    a, b, _ = rep.leaves
+    assert a.trunc(0) is b.trunc(0) and _raw_chain(a) == _raw_chain(b)
+    assert (a.f_prod(), b.f_prod()) == (2, 1)
+    for p in (5, 7):
+        report = project_check(rep, POOLED, p)
+        assert report["ok"] and report["groups"] == [3, 3, 1], report
+    # the pool is checked as a whole: one prime leaf less is a failure
+    prime7 = om_prime(POOLED, 7)
+    assert _raw_chain(prime7.leaves[0]) == _raw_chain(a)
+    del prime7.leaves[0]
+    monkeypatch.setattr(validate.op, "om_prime", lambda f, p: prime7)
+    report = project_check(rep, POOLED, 7)
+    assert report["details"] == ["leaf 0+1: residue mass 2 vs 3, e {1}"]
+
+
 def test_resultant_valuation_examples():
     f = example1(35)
     assert resultant_valuation_check(f, (35, 0, 1), 5, [(4, Fraction(7, 4))])
@@ -134,8 +233,10 @@ def test_order_discriminant_and_index():
     assert ia.discriminant(f) == idx * idx * order_discriminant(lat, f)
 
 
-def test_verify_report_end_to_end():
-    f = example1(35)
+@pytest.mark.parametrize(
+    "f", [example1(35), refine_fixture(35), TIED, POOLED],
+    ids=["example1", "refine_fixture", "raw_chain_tie", "pooled_leaves"])
+def test_verify_report_end_to_end(f):
     checks = verify_report(f, known_primes=[5, 7])
     assert checks and all(c["status"] == "pass" for c in checks), checks
     names = {c["check"] for c in checks}
