@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
-from .intarith import IntPoly
+from .intarith import IntPoly, power
 
 
 class FactorEvent(Exception):
@@ -115,15 +115,7 @@ class AlgebraTower:
     def e_pow(self, a: tuple, k: int) -> tuple:
         if k < 0:
             return self.e_pow(self.e_invert(a), -k)
-        out = self.one(self.sizes.index(len(a)))
-        base = a
-        while k:
-            if k & 1:
-                out = self.e_mul(out, base)
-            k >>= 1
-            if k:
-                base = self.e_mul(base, base)
-        return out
+        return power(a, k, self.e_mul, self.one(self.sizes.index(len(a))))
 
     def e_invert(self, a: tuple) -> tuple:
         """Inverse certified by a recursive Bezout chain; FactorEvent on failure."""

@@ -143,19 +143,16 @@ class IntegerLattice:
         return coords
 
 
-def hnf_merge(lattices, include_power_basis: bool, f: IntPoly) -> IntegerLattice:
-    """HNF of the module sum of the given lattices (plus Z[theta] if asked).
-
-    With the power basis included the sum contains den * Z^n, so the
-    reduction can run with entries wrapped modulo den.
-    """
-    n = ia.pdeg(f)
+def hnf_merge(lattices, f: IntPoly) -> IntegerLattice:
+    """HNF of the module sum of the given lattices and Z[theta]."""
     return _merge_row_groups([(lat.rows, lat.den) for lat in lattices],
-                             include_power_basis, n)
+                             ia.pdeg(f))
 
 
-def _merge_row_groups(groups, include_power_basis: bool, n: int
-                      ) -> IntegerLattice:
+def _merge_row_groups(groups, n: int) -> IntegerLattice:
+    """The sum of Z[theta] and the lattices rows/den of `groups`.  It
+    contains den * Z^n over the common denominator den, so the reduction
+    runs with entries wrapped modulo den."""
     den = 1
     for _, d in groups:
         den = den * d // math.gcd(den, d)
@@ -164,8 +161,7 @@ def _merge_row_groups(groups, include_power_basis: bool, n: int
         scale = den // d
         for row in group_rows:
             rows.append([scale * x for x in row])
-    modulus = den if include_power_basis else None
-    return IntegerLattice._reduced(hnf_rows(rows, n, modulus=modulus), den, n)
+    return IntegerLattice._reduced(hnf_rows(rows, n, modulus=den), den, n)
 
 
 def _element_rows(elements, N: int, n: int) -> tuple[list, int]:
@@ -350,5 +346,5 @@ def global_basis(f: IntPoly, D: int | None = None) -> GlobalBasisResult:
         results.append((N, n_integral_basis(rep, f, N, assume_squarefree=True)))
     results.sort(key=lambda t: t[0])
     groups = [_element_rows(basis, N, n) for N, basis in results]
-    merged = _merge_row_groups(groups, True, n)
+    merged = _merge_row_groups(groups, n)
     return GlobalBasisResult(f, D_in, results, merged)

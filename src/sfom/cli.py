@@ -104,19 +104,25 @@ def detect_reducible(f: IntPoly, squarefree: bool) -> bool:
     return False
 
 
-def cmd_basis(args) -> int:
-    f = _read_poly(args.poly)
-    if args.disc is None:
+def _gated_disc(f: IntPoly, disc: int | None) -> int:
+    """The D to work with (--disc, else disc f) once f passes the up-front
+    reducibility flags; exit 3 when one of them fires."""
+    if disc is None:
         D = ia.discriminant(f)
         squarefree = D != 0
     else:
         # the exact disc f is needed only when no prime is conclusive
-        D = args.disc
+        D = disc
         squarefree = _squarefree_mod_primes(f) or ia.discriminant(f) != 0
     if detect_reducible(f, squarefree):
         print("error: polynomial is reducible over Z", file=sys.stderr)
-        return 3
-    result = bs.global_basis(f, D)
+        raise SystemExit(3)
+    return D
+
+
+def cmd_basis(args) -> int:
+    f = _read_poly(args.poly)
+    result = bs.global_basis(f, _gated_disc(f, args.disc))
     with _unlimited_digits():
         obj = result.to_obj()
         if args.merged_only:
@@ -182,7 +188,7 @@ def cmd_verify(args) -> int:
         if not ia.is_probable_prime(p):
             print(f"error: --known-primes: {p} is not prime", file=sys.stderr)
             return 2
-    checks = vd.verify_report(f, args.disc, primes)
+    checks = vd.verify_report(f, _gated_disc(f, args.disc), primes)
     print(json.dumps(checks))
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 

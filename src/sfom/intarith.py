@@ -241,16 +241,21 @@ def pshift(f: IntPoly, k: int) -> IntPoly:
     return (0,) * k + tuple(f)
 
 
-def ppow(f: IntPoly, k: int) -> IntPoly:
-    out: IntPoly = (1,)
-    base = f
+def power(x, k: int, mul, one):
+    """x^k for k >= 0 by square-and-multiply with the product `mul`,
+    starting from `one`."""
+    out = one
     while k:
         if k & 1:
-            out = pmul(out, base)
+            out = mul(out, x)
         k >>= 1
         if k:
-            base = pmul(base, base)
+            x = mul(x, x)
     return out
+
+
+def ppow(f: IntPoly, k: int) -> IntPoly:
+    return power(f, k, pmul, (1,))
 
 
 def pderiv(f: IntPoly) -> IntPoly:

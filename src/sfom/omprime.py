@@ -16,11 +16,13 @@ import random
 
 from .sfom import SFOMRep, _drive
 from .artinalg import AlgebraTower, PolyA
-from .intarith import IntPoly
+from .intarith import IntPoly, is_probable_prime, power
 
 
 def om_prime(f: IntPoly, p: int) -> SFOMRep:
     """Tree for f at the prime p; leaves carry irreducible moduli everywhere."""
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
     # ff_factor sorts its factors, so the splitting stream changes no byte
     decompose = functools.partial(ff_factor, rng=random.Random(0))
     out = _drive(f, p, decompose, prime=p)
@@ -53,15 +55,10 @@ def ff_factor(tower: AlgebraTower, f: PolyA, rng) -> list[tuple[PolyA, int]]:
 
 
 def _poly_powmod(tower: AlgebraTower, base: PolyA, exp: int, mod: PolyA) -> PolyA:
-    out = tower.p_one(base.level)
-    _, base = tower.p_divmod_monic(base, mod)
-    while exp:
-        if exp & 1:
-            _, out = tower.p_divmod_monic(tower.p_mul(out, base), mod)
-        exp >>= 1
-        if exp:
-            _, base = tower.p_divmod_monic(tower.p_mul(base, base), mod)
-    return out
+    def mulmod(a, b):
+        return tower.p_divmod_monic(tower.p_mul(a, b), mod)[1]
+    return power(tower.p_divmod_monic(base, mod)[1], exp, mulmod,
+                 tower.p_one(base.level))
 
 
 def _factor_squarefree(tower: AlgebraTower, f: PolyA, rng) -> list[PolyA]:

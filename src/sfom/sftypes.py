@@ -262,7 +262,8 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
     tower = node.tower
     r = node.order
     if r == 0:
-        v, R = _reduce0(tower, a)
+        v = value(node, a)
+        R = tower.p_trim(0, [tower.embed_int(c // tower.N ** v, 0) for c in a])
         gamma = tower.p_eval_up(R, tower.z(1))
         out = Analysis(v, None, 0, v, 0, v, 0, R, gamma, (a,))
     else:
@@ -276,13 +277,6 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
         out = Analysis(v, polygon, s0, u0, s1, u1, nu, R, gamma, exp.coeffs)
     node._analyses[a] = out
     return out
-
-
-def _reduce0(tower: AlgebraTower, a: IntPoly) -> tuple[int, PolyA]:
-    """(v, R) for a nonzero a: v = ord_N of its content, R = a / N^v mod N."""
-    N = tower.N
-    v = min(ia.ord_n(c, N)[0] for c in a if c)
-    return v, tower.p_trim(0, [tower.embed_int(c // N ** v, 0) for c in a])
 
 
 def value(node: SFType, a: IntPoly) -> int:
@@ -365,17 +359,6 @@ def _certify(node: SFType, a: IntPoly) -> None:
 
 # ---------------------------------------------------------------------------
 # public operators
-
-
-def vr(node: SFType, f: IntPoly) -> int | None:
-    """Scaled pseudo-valuation of order `node.order`; None for f = 0."""
-    if not ia.ptrim(f):
-        return None
-    return value(node, f)
-
-
-def nu(node: SFType, a: IntPoly) -> int:
-    return analyze(node, a).nu
 
 
 def ord_ty(node: SFType, f: IntPoly) -> int:
@@ -514,15 +497,7 @@ def construct_with_residue(node: SFType, v: int, alpha: tuple) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# order-zero residual and polygon dumps
-
-
-def r0(a: IntPoly, N: int) -> tuple[int, PolyA]:
-    """(v, R) with v = ord_N(a) and R the reduction of a / N^v."""
-    a = ia.ptrim(a)
-    if not a:
-        raise ValueError("r0 of zero")
-    return _reduce0(AlgebraTower(N), a)
+# polygon dumps
 
 
 def polygon_dump(polygon: NewtonPolygon) -> str:

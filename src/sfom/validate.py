@@ -268,21 +268,12 @@ def charpoly_is_integral(num: IntPoly, den: int, f: IntPoly) -> bool:
 
 
 def _left_kernel_mod_p(M, p: int) -> list[list[int]]:
-    """Vectors a with sum(a_i * M[i]) = 0 over Z/pZ."""
+    """Basis of the vectors a with sum(a_i * M[i]) = 0 over Z/pZ, by
+    Gauss-Jordan elimination on the transpose of M."""
     if not M:
         return []
-    cols = len(M[0])
-    transposed = [[M[i][j] for i in range(len(M))] for j in range(cols)]
-    return _kernel_mod_p(transposed, p)
-
-
-def _kernel_mod_p(M, p: int) -> list[list[int]]:
-    """Basis of {x : M x = 0} over Z/pZ."""
-    if not M:
-        return []
-    rows = len(M)
-    cols = len(M[0])
-    A = [[x % p for x in row] for row in M]
+    A = [[x % p for x in col] for col in zip(*M)]
+    rows, cols = len(A), len(M)
     pivots = {}
     r = 0
     for c in range(cols):

@@ -84,19 +84,19 @@ def test_hnf_merge_examples():
     f = (1, 0, 1)
     L1 = from_elements(
         [BasisElement((1,), 0), BasisElement((0, 1), 0)], f, 35)
-    assert hnf_merge([L1, L1], False, f) == L1
+    assert hnf_merge([L1, L1], f) == L1
     fe = example1(35)
     rep = sfom(fe, 35).rep
     lat = from_elements(
         n_integral_basis(rep, fe, 35, assume_squarefree=True), fe, 35)
-    assert hnf_merge([lat, power_basis(4)], False, fe) == lat
+    assert hnf_merge([lat, power_basis(4)], fe) == lat
 
 
 def test_hnf_merge_coprime_denominators_bruteforce():
     # lattice sum with coprime denominators matches residue patching
     a = IntegerLattice.from_rows([[3, 1], [0, 3]], 3, 2)    # (1, 1/3), (0, 1)
     b = IntegerLattice.from_rows([[5, 0], [2, 5]], 5, 2)    # (1, 0), (2/5, 1)
-    merged = hnf_merge([a, b], False, (1, 0, 1))
+    merged = hnf_merge([a, b], (1, 0, 1))
     assert merged.den == 15
     # brute force: all sums x + y with small coordinates, check membership
     for ca in product(range(-2, 3), repeat=2):
@@ -114,7 +114,7 @@ def test_solve_exhaustive_mod_denominator():
     # and a member's coordinates rebuild it
     a = IntegerLattice.from_rows([[3, 1], [0, 3]], 3, 2)
     b = IntegerLattice.from_rows([[5, 0], [2, 5]], 5, 2)
-    lat = hnf_merge([a, b], False, (1, 0, 1))
+    lat = hnf_merge([a, b], (1, 0, 1))
     members = 0
     for vec in product(range(15), repeat=2):
         rows = [[15 * x for x in row] for row in lat.rows]
@@ -329,7 +329,7 @@ def test_example3_basis_maximal():
     rep = sfom(f, N).rep
     basis = n_integral_basis(rep, f, N, assume_squarefree=True)
     assert len(basis) == 36
-    merged = hnf_merge([from_elements(basis, f, N)], True, f)
+    merged = hnf_merge([from_elements(basis, f, N)], f)
     for p in (37, 41):
         assert p_maximal(merged, f, p)
 
@@ -345,7 +345,7 @@ def test_unramified_tree_over_nonsquarefree_modulus():
     assert not rep.ramified
     basis = n_integral_basis(rep, f, N)  # gate passes without assuming squarefree
     assert len(basis) == 4
-    merged = hnf_merge([from_elements(basis, f, N)], True, f)
+    merged = hnf_merge([from_elements(basis, f, N)], f)
     for p in (5, 7):
         assert p_maximal(merged, f, p)
     assert project_check(rep, f, 5)["rho"] == 2

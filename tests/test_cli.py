@@ -92,6 +92,8 @@ def test_reducible_input(capsys):
     # check passes, the projections included
     (["verify", "--poly", ",".join(map(str, refine_fixture(35))),
       "--known-primes", "5,7"], (0,), ""),
+    # (x+1)(x+2): verify applies the same up-front flags as basis
+    (["verify", "--poly", "2,3,1"], (3,), "reducible"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import example2, from_elements, p_pow, poly_ints
+from conftest import example1, example2, from_elements, p_pow, poly_ints
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower
 from sfom.basis import hnf_merge, n_integral_basis
@@ -117,6 +117,16 @@ def test_om_prime_wild_prime():
     assert poly_ints(leaf.trunc(0).t) == [1, 1]
 
 
+@pytest.mark.parametrize("f, p", [
+    ((1, 0, 1), 35),  # x^2+1 splits mod 5: one leaf would claim it irreducible
+    (example1(35), 21),
+    (example1(35), 4),
+])
+def test_om_prime_rejects_a_composite_prime(f, p):
+    with pytest.raises(ValueError, match="not prime"):
+        om_prime(f, p)
+
+
 def test_om_prime_example2():
     f = example2(11, 3, 5)
     rep = om_prime(f, 11)
@@ -151,7 +161,7 @@ def test_om_prime_matches_composite_run_at_large_prime(rng):
         lat_c = from_elements(
             n_integral_basis(out.rep, f, p, assume_squarefree=True), f, p)
         # canonical comparison: saturate away from p with the power basis
-        assert hnf_merge([lat_p], True, f) == hnf_merge([lat_c], True, f)
+        assert hnf_merge([lat_p], f) == hnf_merge([lat_c], f)
 
 
 def test_om_prime_deterministic_across_seeds():

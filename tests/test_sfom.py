@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 
 import pytest
 
@@ -202,16 +203,28 @@ def test_refine_cascade_escalates_to_n_factor():
     assert exc.value.level == -1 and exc.value.factor in (5, 7)
 
 
-def test_determinism_and_shuffle_invariance():
+def test_determinism_and_shuffle_invariance(monkeypatch):
+    draws = []
+    randrange = random.Random.randrange
+
+    def counted(self, *args):
+        draws.append(args)
+        return randrange(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counted)
     f = example1(35)
     a = json.dumps(sfom(f, 35).rep.to_obj())
     b = json.dumps(sfom(f, 35).rep.to_obj())
     assert a == b
-    base = sorted(json.dumps(l) for l in sfom(f, 35).rep.to_obj()["leaves"])
-    for seed in (1, 7, 99):
-        shuffled = sorted(json.dumps(l) for l in
-                          sfom(f, 35, shuffle_seed=seed).rep.to_obj()["leaves"])
-        assert shuffled == base
+    # example1's worklist never holds two items; refine_fixture's does
+    for f in (example1(35), refine_fixture(35)):
+        base = sorted(json.dumps(l) for l in sfom(f, 35).rep.to_obj()["leaves"])
+        for seed in (1, 7, 99):
+            draws.clear()
+            shuffled = sorted(json.dumps(l) for l in sfom(
+                f, 35, shuffle_seed=seed).rep.to_obj()["leaves"])
+            assert shuffled == base
+            assert bool(draws) == (f != example1(35))
 
 
 def test_leaf_disjointness_and_mass(rng):

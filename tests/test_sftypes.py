@@ -35,13 +35,14 @@ def chain():
     return build_example1_chain()
 
 
-def test_r0_examples():
-    v, R = st.r0((1225,), 35)
-    assert (v, poly_ints(R)) == (2, [1])
-    v, R = st.r0((0, 0, 70), 35)
-    assert (v, poly_ints(R)) == (1, [0, 0, 2])
-    v, R = st.r0(example1(35), 35)
-    assert (v, poly_ints(R)) == (0, [0, 0, 0, 0, 1])
+def test_r0_examples(chain):
+    f, root, node1, leaf = chain
+    an = st.analyze(root, (1225,))
+    assert (an.v, poly_ints(an.R)) == (2, [1])
+    an = st.analyze(root, (0, 0, 70))
+    assert (an.v, poly_ints(an.R)) == (1, [0, 0, 2])
+    an = st.analyze(root, example1(35))
+    assert (an.v, poly_ints(an.R)) == (0, [0, 0, 0, 0, 1])
 
 
 def test_lift_order_zero():
@@ -87,17 +88,16 @@ def test_newton_and_residual_examples(chain):
 
 def test_vr_examples(chain):
     f, root, node1, leaf = chain
-    assert st.vr(node1, (0, 1)) == 1
-    assert st.vr(node1, (35,)) == 2
-    assert st.vr(leaf, (35, 0, 1)) == 7
-    assert st.vr(leaf, ()) is None
+    assert st.value(node1, (0, 1)) == 1
+    assert st.value(node1, (35,)) == 2
+    assert st.value(leaf, (35, 0, 1)) == 7
 
 
 def test_nu_examples(chain):
     f, root, node1, leaf = chain
-    assert st.nu(node1, (0, 34 * 35 ** 3)) == -3
-    assert st.nu(node1, (1,)) == 0
-    assert st.nu(leaf, (1,)) == 0
+    assert st.analyze(node1, (0, 34 * 35 ** 3)).nu == -3
+    assert st.analyze(node1, (1,)).nu == 0
+    assert st.analyze(leaf, (1,)).nu == 0
 
 
 def test_nu_unramified_is_abscissa():
@@ -281,7 +281,7 @@ def test_equivalence_iff_same_segment_and_residual(rng):
         bump = node.tower.N ** (af.v + 5)
         h = ia.padd(f, (bump, bump * 3))
         ah = st.analyze(node, h)
-        assert st.vr(node, ia.psub(f, h)) > af.v
+        assert st.value(node, ia.psub(f, h)) > af.v
         assert (af.s0, af.u0, af.s1, af.u1) == (ah.s0, ah.u0, ah.s1, ah.u1)
         assert af.R == ah.R
         # and an on-polygon change breaks residual equality
@@ -291,7 +291,7 @@ def test_equivalence_iff_same_segment_and_residual(rng):
         ah2 = st.analyze(node, h2)
         changed = (ah2.R != af.R or (ah2.s0, ah2.u0, ah2.s1, ah2.u1)
                    != (af.s0, af.u0, af.s1, af.u1))
-        assert changed or st.vr(node, ia.psub(h2, f)) > af.v
+        assert changed or st.value(node, ia.psub(h2, f)) > af.v
 
 
 def test_value_is_min_over_expansion(rng):
@@ -308,7 +308,7 @@ def test_value_is_min_over_expansion(rng):
         if not f:
             continue
         exp = st.expand(f, g_next)
-        direct = st.vr(node, f)
+        direct = st.value(node, f)
         via = min(st.analyze(node, b).v + s * V_next
                   for s, b in enumerate(exp.coeffs) if b)
         assert direct == via
@@ -385,8 +385,6 @@ def test_value_matches_analyze():
         values = [st.value(node, a) for node, a in pairs]
         clear_caches()
         assert values == [st.analyze(node, a).v for node, a in pairs]
-        for node in nodes:
-            assert st.vr(node, ()) is None and st.vr(node, (0, 0)) is None
         checked += len(pairs)
     assert checked >= 60
 
