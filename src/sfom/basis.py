@@ -46,12 +46,19 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
     modulus, and the entries right of a pivot are kept in [0, modulus)
     (Cohen, GTM 138, 2.4.2): reducing them adds multiples of modulus * e_k,
     which the untouched pivots of the columns k to the right still span.
+
+    Rows go in by ascending last nonzero column, so a row and every pivot
+    it meets are zero right of that column.  The back-reduction runs from
+    the bottom row up, against rows that are already reduced, which keeps
+    its multipliers and entries small.
     """
     basis: list[list[int] | None] = [None] * n
     work = [list(r) for r in rows if any(r)]
     if modulus is not None:
         basis = [[modulus * (i == j) for i in range(n)] for j in range(n)]
         work = [[x % modulus for x in row] for row in work]
+    work.sort(key=lambda row: max((j for j, x in enumerate(row) if x),
+                                  default=-1))
 
     def wrap(vec):
         return vec if modulus is None else [x % modulus for x in vec]
@@ -87,8 +94,8 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
         if row[j] < 0:
             row = [-x for x in row]
         out.append(row)
-    for j in range(n):
-        for i in range(j):
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
             q = out[i][j] // out[j][j]
             if q:
                 out[i][j:] = [x - q * y for x, y in zip(out[i][j:], out[j][j:])]
@@ -141,12 +148,6 @@ class IntegerLattice:
                 for i in range(j, self.n):
                     rest[i] -= q * den * row[i]
         return coords
-
-
-def hnf_merge(lattices, f: IntPoly) -> IntegerLattice:
-    """HNF of the module sum of the given lattices and Z[theta]."""
-    return _merge_row_groups([(lat.rows, lat.den) for lat in lattices],
-                             ia.pdeg(f))
 
 
 def _merge_row_groups(groups, n: int) -> IntegerLattice:

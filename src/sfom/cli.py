@@ -188,7 +188,9 @@ def cmd_verify(args) -> int:
         if not ia.is_probable_prime(p):
             print(f"error: --known-primes: {p} is not prime", file=sys.stderr)
             return 2
-    checks = vd.verify_report(f, _gated_disc(f, args.disc), primes)
+    D = _gated_disc(f, args.disc)
+    checks = vd.verify_report(f, D, primes,
+                              disc=D if args.disc is None else None)
     print(json.dumps(checks))
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 

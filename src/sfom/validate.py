@@ -127,22 +127,6 @@ def resultant_valuation_check(f: IntPoly, g: IntPoly, p: int,
     return Fraction(ia.ord_n(res, p)[0]) == lhs
 
 
-def quotient_value_bound(f: IntPoly, leaf: st.SFType, p: int, rho: int) -> list:
-    """For every level quotient of a leaf: (H, ord_p(Res(f, q)), n * rho * H).
-
-    The reported resultant valuation is >= n * rho * H exactly when the
-    quotient bound holds; callers assert that.
-    """
-    n = ia.pdeg(f)
-    out = []
-    for i, j, q, H in bs.level_quotients(leaf, leaf.fdim):
-        if H == 0:
-            continue
-        val = ia.ord_n(ia.resultant(f, q), p)[0]
-        out.append((i, j, H, val, Fraction(n * rho) * H))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # ring structure, traces, maximality
 
@@ -226,10 +210,14 @@ def _bareiss_det(M) -> int:
     return sign * M[n - 1][n - 1] if n else 1
 
 
-def index_disc_identity(lat: bs.IntegerLattice, f: IntPoly) -> bool:
-    """disc(f) == [O : Z[theta]]^2 * disc(O), all sides exact."""
+def index_disc_identity(lat: bs.IntegerLattice, f: IntPoly,
+                        disc: int | None = None) -> bool:
+    """disc(f) == [O : Z[theta]]^2 * disc(O), all sides exact; `disc` is
+    disc(f) when the caller already has it."""
+    if disc is None:
+        disc = ia.discriminant(f)
     idx = lat.index_over_power_basis()
-    return ia.discriminant(f) == idx * idx * order_discriminant(lat, f)
+    return disc == idx * idx * order_discriminant(lat, f)
 
 
 def charpoly(num: IntPoly, f: IntPoly) -> list[int]:
@@ -391,11 +379,18 @@ def p_maximal(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bool:
 
 
 def verify_report(f: IntPoly, D: int | None = None,
-                  known_primes: list[int] | None = None) -> list:
-    """Run the oracle suite on a global-basis computation; list of checks."""
+                  known_primes: list[int] | None = None,
+                  disc: int | None = None) -> list:
+    """Run the oracle suite on a global-basis computation; list of checks.
+
+    `disc` is disc(f) when the caller already has it; the index identity
+    always compares against disc(f), never against a D standing in for it.
+    """
     checks = []
     result = bs.global_basis(f, D)
     lat = result.merged
+    if disc is None:
+        disc = result.D if D is None else ia.discriminant(f)
 
     def add(name, ok, details=""):
         checks.append({"check": name, "status": "pass" if ok else "fail",
@@ -404,7 +399,7 @@ def verify_report(f: IntPoly, D: int | None = None,
     add("basis-count", all(len(b) == ia.pdeg(f) for _, b in result.moduli))
     add("ring-closed", ring_closed(lat, f))
     try:
-        add("index-discriminant", index_disc_identity(lat, f))
+        add("index-discriminant", index_disc_identity(lat, f, disc))
     except (ValueError, RuntimeError) as exc:
         add("index-discriminant", False, str(exc))
     add("elements-integral", all(

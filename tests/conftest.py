@@ -4,9 +4,10 @@ The oracles here are deliberately written from scratch (dense lists mod p,
 Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
 over package objects (`p_pow`, `p_quotrem`, `polygon_sum`, `from_elements`,
-`power_basis`, `basis_vectors`) are used by tests only; `hnf_rows_reference`,
-`p_sfd_reference` and the `*_reference` level-0 loops keep replaced package
-algorithms for differential tests.
+`power_basis`, `basis_vectors`, `hnf_merge`, `quotient_value_bound`) are
+used by tests only; `hnf_rows_reference`, `p_sfd_reference` and the
+`*_reference` level-0 loops keep replaced package algorithms for
+differential tests.
 """
 
 from __future__ import annotations
@@ -137,6 +138,28 @@ def power_basis(n):
 def basis_vectors(lat):
     """The basis vectors rows / den of a lattice, as Fractions."""
     return [[Fraction(x, lat.den) for x in row] for row in lat.rows]
+
+
+def hnf_merge(lattices, f):
+    """HNF of the module sum of the given lattices and Z[theta]."""
+    return bs._merge_row_groups([(lat.rows, lat.den) for lat in lattices],
+                                ia.pdeg(f))
+
+
+def quotient_value_bound(f, leaf, p, rho):
+    """For every level quotient of a leaf: (H, ord_p(Res(f, q)), n * rho * H).
+
+    The reported resultant valuation is >= n * rho * H exactly when the
+    quotient bound holds; callers assert that.
+    """
+    n = ia.pdeg(f)
+    out = []
+    for i, j, q, H in bs.level_quotients(leaf, leaf.fdim):
+        if H == 0:
+            continue
+        val = ia.ord_n(ia.resultant(f, q), p)[0]
+        out.append((i, j, H, val, Fraction(n * rho) * H))
+    return out
 
 
 # ---------------------------------------------------------------------------

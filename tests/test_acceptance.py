@@ -14,12 +14,12 @@ from itertools import product
 import pytest
 
 from conftest import (example1, example2, example3, fp_gcd, fp_sfd, fp_trim,
-                      from_elements, is_irreducible_over_z, pollard_factor,
-                      poly_ints, refine_fixture)
+                      from_elements, hnf_merge, is_irreducible_over_z,
+                      pollard_factor, poly_ints, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.artinalg import AlgebraTower, FactorEvent
-from sfom.basis import global_basis, hnf_merge, n_integral_basis
+from sfom.basis import global_basis, n_integral_basis
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
 from sfom.validate import (index_disc_identity, p_maximal, project_check,

@@ -6,12 +6,12 @@ from itertools import product
 import pytest
 
 from conftest import (basis_vectors, example1, example2, example3,
-                      from_elements, hnf_rows_reference, pollard_factor,
-                      power_basis, refine_fixture)
+                      from_elements, hnf_merge, hnf_rows_reference,
+                      pollard_factor, power_basis, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.basis import (BasisElement, IntegerLattice, NeedsSquarefree,
-                        _element_rows, global_basis, hnf_merge, hnf_rows,
+                        _element_rows, global_basis, hnf_rows,
                         n_integral_basis, order_zero_basis, terminal_basis)
 from sfom.sfom import ReducibleInput, sfom
 from sfom.validate import (charpoly_is_integral, index_disc_identity,
@@ -55,15 +55,26 @@ def test_hnf_rows_matches_the_remainder_swap_reference():
 
 
 def test_hnf_rows_matches_the_reference_on_a_merge():
-    # the rows global_basis merges for example3(2, N), over their common den
+    # the rows global_basis merges for example3(r, N), over their common
+    # den, plus one row that vanishes modulo den; any row order gives the
+    # reference's HNF, and the caller's rows stay as they were.  Without
+    # the modulus the entries blow up at r = 3, so only r = 2 runs that way
     N = 10007 * 10009
-    f, _ = example3(2, N)
-    n = ia.pdeg(f)
-    result = global_basis(f, D=N)
-    (rows, den), = [_element_rows(b, M, n) for M, b in result.moduli]
-    for modulus in (den, None):
-        assert (_hnf_outcome(hnf_rows, rows, n, modulus)
-                == _hnf_outcome(hnf_rows_reference, rows, n, modulus))
+    for r in (2, 3):
+        f, _ = example3(r, N)
+        n = ia.pdeg(f)
+        result = global_basis(f, D=N)
+        (rows, den), = [_element_rows(b, M, n) for M, b in result.moduli]
+        rows.append([den * x for x in rows[-1]])
+        rng = random.Random(r)
+        orders = [rows, rows[::-1]] + [rng.sample(rows, len(rows))
+                                       for _ in range(3)]
+        for modulus in (den, None) if r == 2 else (den,):
+            want = _hnf_outcome(hnf_rows_reference, rows, n, modulus)
+            for order in orders:
+                before = [row[:] for row in order]
+                assert hnf_rows(order, n, modulus) == want
+                assert order == before
 
 
 def test_lattice_membership(rng):

@@ -176,6 +176,27 @@ def test_basis_disc_still_rejects_repeated_factors(capsys):
     assert code == 3 and "reducible" in err
 
 
+def test_verify_computes_the_discriminant_once(capsys, monkeypatch):
+    # without --disc the gate's disc f is the one the index identity checks;
+    # with --disc a multiple of disc f, the identity still checks disc f
+    f = example1(35)
+    disc, calls = ia.discriminant(f), []
+
+    def counting_discriminant(g):
+        calls.append(g)
+        return disc
+
+    monkeypatch.setattr(ia, "discriminant", counting_discriminant)
+    for extra in ([], ["--disc", str(11 * disc)]):
+        calls.clear()
+        code, out, err = run(capsys, ["verify", "--poly", EX1,
+                                      "--known-primes", "5,7"] + extra)
+        assert code == 0, err
+        assert calls == [f]
+        assert {"check": "index-discriminant", "status": "pass",
+                "details": ""} in json.loads(out)
+
+
 @pytest.mark.parametrize("primes", ["6", "1", "0", "35", "5,6"])
 def test_verify_rejects_non_prime_known_primes(capsys, primes):
     code, out, err = run(capsys, ["verify", "--poly", EX1,

@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
-from conftest import example1, example2, from_elements, p_pow, poly_ints
+from conftest import (example1, example2, from_elements, hnf_merge, p_pow,
+                      poly_ints)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower
-from sfom.basis import hnf_merge, n_integral_basis
+from sfom.basis import n_integral_basis
 from sfom.omprime import ff_factor, om_prime
 from sfom.sfom import ReducibleInput, _drive, sfom
 

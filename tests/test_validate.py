@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (example1, example2, example3, pollard_factor,
-                      power_basis, refine_fixture, sylvester_resultant)
+                      power_basis, quotient_value_bound, refine_fixture,
+                      sylvester_resultant)
 from sfom import intarith as ia
 from sfom import validate
 from sfom.basis import IntegerLattice, global_basis, n_integral_basis
@@ -13,8 +14,8 @@ from sfom.sfom import sfom
 from sfom.validate import (charpoly, charpoly_is_integral, index_disc_identity,
                            normalized_chain, order_discriminant, p_maximal,
                            power_sums, project_check, pz_enlarge,
-                           quotient_value_bound, resultant_valuation_check,
-                           ring_closed, verify_report)
+                           resultant_valuation_check, ring_closed,
+                           verify_report)
 
 
 def test_power_sums():
@@ -259,6 +260,20 @@ def test_verify_report_builds_each_composite_tree_once(monkeypatch):
         ("index-discriminant", "pass"), ("elements-integral", "pass"),
         ("p-maximal-5", "pass"), ("project-35-5", "pass"),
         ("p-maximal-7", "pass"), ("project-35-7", "pass")]
+
+
+def test_verify_report_computes_the_discriminant_once(monkeypatch):
+    # global_basis computes disc f for D; the index identity reuses it
+    calls, discriminant = [], ia.discriminant
+
+    def counting_discriminant(f):
+        calls.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(ia, "discriminant", counting_discriminant)
+    checks = verify_report(example1(35))
+    assert calls == [example1(35)]
+    assert all(c["status"] == "pass" for c in checks), checks
 
 
 @pytest.mark.parametrize("p", [0, 1, 6])
