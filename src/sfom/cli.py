@@ -183,11 +183,22 @@ def cmd_polygon(args) -> int:
 
 def cmd_verify(args) -> int:
     f = _read_poly(args.poly)
-    primes = [int(p) for p in args.known_primes.split(",") if p]
-    for p in primes:
+    primes = []  # first occurrences, in order
+    for entry in filter(None, args.known_primes.split(",")):
+        try:
+            p = int(entry)
+        except ValueError:
+            why = ("is over the digit limit"
+                   if re.fullmatch(r"\s*[+-]?\d+\s*", entry)
+                   else "is not an integer")
+            print(f"error: --known-primes: {entry[:40]!r} {why}",
+                  file=sys.stderr)
+            return 2
         if not ia.is_probable_prime(p):
             print(f"error: --known-primes: {p} is not prime", file=sys.stderr)
             return 2
+        if p not in primes:
+            primes.append(p)
     D = _gated_disc(f, args.disc)
     checks = vd.verify_report(f, D, primes,
                               disc=D if args.disc is None else None)

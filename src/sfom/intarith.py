@@ -285,18 +285,33 @@ def pdivmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     return ptrim(quo), ptrim(rem[:dg])
 
 
-def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f modulo g."""
-    df, dg = pdeg(f), pdeg(g)
-    lc_g = g[-1]
-    r, dr = f, df
-    n = df - dg + 1
-    while dr >= dg and r:
-        j = dr - dg
+def _prem(f: IntPoly, g: IntPoly) -> list[int]:
+    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f modulo g, computed in
+    place on one list."""
+    dg, lc_g = pdeg(g), g[-1]
+    r = list(f)
+    n = len(r) - dg  # deg f - deg g + 1
+    while len(r) > dg:
+        j, lead = len(r) - 1 - dg, r.pop()
         n -= 1
-        r = psub(pscale(r, lc_g), pshift(pscale(g, r[-1]), j))
-        dr = pdeg(r)
-    return pscale(r, lc_g ** n)
+        r[:j] = [c * lc_g for c in r[:j]]
+        r[j:] = [a * lc_g - lead * c for a, c in zip(r[j:], g)]
+        while r and not r[-1]:
+            r.pop()
+    scale = lc_g ** n
+    return [c * scale for c in r]
+
+
+def _exact_div(R, den: int) -> tuple:
+    """R / den coefficientwise, in one pass that stops at the first
+    nonzero remainder."""
+    out = []
+    for c in R:
+        q, rem = divmod(c, den)
+        if rem:
+            raise RuntimeError("subresultant divisions not exact")
+        out.append(q)
+    return tuple(out)
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -321,22 +336,14 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         A = B
         if not R:
             return 0
-        den = gg * h ** delta
-        if any(c % den for c in R):
-            raise RuntimeError("subresultant divisions not exact")
-        B = tuple(c // den for c in R)
+        B = _exact_div(R, gg * h ** delta)
         gg = A[-1]
         if delta > 0:
-            num = gg ** delta
-            if num % h ** (delta - 1):
-                raise RuntimeError("subresultant divisions not exact")
-            h = num // h ** (delta - 1)
+            (h,) = _exact_div((gg ** delta,), h ** (delta - 1))
         if pdeg(B) == 0:
             dA = pdeg(A)
-            num = B[0] ** dA
-            if num % h ** (dA - 1):
-                raise RuntimeError("subresultant divisions not exact")
-            return s * (num // h ** (dA - 1))
+            (res,) = _exact_div((B[0] ** dA,), h ** (dA - 1))
+            return s * res
 
 
 def discriminant(f: IntPoly) -> int:

@@ -129,6 +129,9 @@ def resultant_valuation_check(f: IntPoly, g: IntPoly, p: int,
 
 # ---------------------------------------------------------------------------
 # ring structure, traces, maximality
+#
+# Shared work passes as keyword-only arguments, computed when absent:
+# `sums` = power_sums(f) and `products` = product_table(lat, f).
 
 
 def power_sums(f: IntPoly) -> list[int]:
@@ -155,37 +158,45 @@ def mul_mod(a: IntPoly, b: IntPoly, f: IntPoly) -> IntPoly:
     return r
 
 
-def _product_coords(lat: bs.IntegerLattice, f: IntPoly):
-    """coords(i, j): integer coordinates of w_i * w_j over the lattice basis
-    w, or None when the product leaves the lattice."""
+def product_table(lat: bs.IntegerLattice, f: IntPoly, *,
+                  sums: list[int] | None = None) -> tuple[list, list]:
+    """(coords, traces) of the products w_i * w_j of the basis w, each
+    computed once for i <= j and shared with (j, i).
+
+    coords[i][j] are the integer coordinates of w_i * w_j over w, or None
+    when the product leaves the lattice; traces[i][j] is den^2 times
+    tr(w_i * w_j), an entry of the integer Gram matrix of the numerators.
+    """
+    n = lat.n
+    sums = sums or power_sums(f)
     rows = [ia.ptrim(row) for row in lat.rows]
+    coords = [[None] * n for _ in range(n)]
+    traces = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            prod = mul_mod(rows[i], rows[j], f)
+            vec = list(prod) + [0] * (n - len(prod))
+            coords[i][j] = coords[j][i] = lat.solve(vec, lat.den * lat.den)
+            traces[i][j] = traces[j][i] = trace_of(prod, f, sums)
+    return coords, traces
 
-    def coords(i, j):
-        prod = mul_mod(rows[i], rows[j], f)
-        vec = [prod[k] if k < len(prod) else 0 for k in range(lat.n)]
-        return lat.solve(vec, lat.den * lat.den)
-    return coords
 
-
-def ring_closed(lat: bs.IntegerLattice, f: IntPoly) -> bool:
+def ring_closed(lat: bs.IntegerLattice, f: IntPoly, *,
+                products: tuple | None = None) -> bool:
     """Every product of two basis vectors stays inside the lattice."""
-    coords = _product_coords(lat, f)
-    return all(coords(i, j) is not None
-               for i in range(lat.n) for j in range(i, lat.n))
+    coords, _ = products or product_table(lat, f)
+    return all(c is not None for row in coords for c in row)
 
 
-def order_discriminant(lat: bs.IntegerLattice, f: IntPoly) -> int:
+def order_discriminant(lat: bs.IntegerLattice, f: IntPoly, *,
+                       products: tuple | None = None) -> int:
     """disc of the order spanned by the lattice, via the exact trace form.
 
     The integer Gram matrix of the numerators is den^2 times the trace form,
     so its determinant is divided exactly by den^(2n).
     """
-    n = lat.n
-    sums = power_sums(f)
-    rows = [ia.ptrim(row) for row in lat.rows]
-    gram = [[trace_of(mul_mod(rows[i], rows[j], f), f, sums)
-             for j in range(n)] for i in range(n)]
-    det, rem = divmod(_bareiss_det(gram), lat.den ** (2 * n))
+    _, gram = products or product_table(lat, f)
+    det, rem = divmod(_bareiss_det(gram), lat.den ** (2 * lat.n))
     if rem:
         raise RuntimeError("trace form of an order must have integer determinant")
     return det
@@ -211,23 +222,25 @@ def _bareiss_det(M) -> int:
 
 
 def index_disc_identity(lat: bs.IntegerLattice, f: IntPoly,
-                        disc: int | None = None) -> bool:
+                        disc: int | None = None, *,
+                        products: tuple | None = None) -> bool:
     """disc(f) == [O : Z[theta]]^2 * disc(O), all sides exact; `disc` is
     disc(f) when the caller already has it."""
     if disc is None:
         disc = ia.discriminant(f)
     idx = lat.index_over_power_basis()
-    return disc == idx * idx * order_discriminant(lat, f)
+    return disc == idx * idx * order_discriminant(lat, f, products=products)
 
 
-def charpoly(num: IntPoly, f: IntPoly) -> list[int]:
+def charpoly(num: IntPoly, f: IntPoly, *,
+             sums: list[int] | None = None) -> list[int]:
     """Characteristic polynomial of num(theta), monic first: c_0 = 1, ..., c_n.
 
     The traces p_k = tr(num(theta)^k) give the coefficients by Newton's
     identities k * c_k = -sum_{i<k} c_i * p_{k-i}, all in integers.
     """
     n = ia.pdeg(f)
-    sums = power_sums(f)
+    sums = sums or power_sums(f)
     a = ia.pdivmod_monic(num, f)[1]
     traces = [n]
     power = (1,)
@@ -243,12 +256,17 @@ def charpoly(num: IntPoly, f: IntPoly) -> list[int]:
     return coeffs
 
 
-def charpoly_is_integral(num: IntPoly, den: int, f: IntPoly) -> bool:
+def charpoly_is_integral(num: IntPoly, den: int, f: IntPoly, *,
+                         sums: list[int] | None = None) -> bool:
     """Whether num(theta)/den is an algebraic integer (exact char poly test).
 
-    The char poly of num(theta)/den has coefficients c_k / den^k.
+    Z[theta] is integral, so num(theta)/den is integral iff r(theta)/den is,
+    with r = num reduced coefficientwise modulo den; r = 0 is integral.  The
+    char poly of r(theta)/den has coefficients c_k / den^k.
     """
-    return all(c % den ** k == 0 for k, c in enumerate(charpoly(num, f)))
+    red = ia.ptrim(c % den for c in num)
+    return not red or all(c % den ** k == 0 for k, c in
+                          enumerate(charpoly(red, f, sums=sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,33 +307,28 @@ def _left_kernel_mod_p(M, p: int) -> list[list[int]]:
     return kernel
 
 
-def _mult_table(lat: bs.IntegerLattice, f: IntPoly) -> list:
-    """table[i][j] = integer coordinates of w_i * w_j in the lattice basis."""
-    coords = _product_coords(lat, f)
-    table = [[coords(i, j) for j in range(lat.n)] for i in range(lat.n)]
-    if any(c is None for row in table for c in row):
-        raise ValueError("vector outside the lattice")
-    return table
-
-
-def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bs.IntegerLattice:
+def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
+               products: tuple | None = None) -> bs.IntegerLattice:
     """One radical/multiplier-ring enlargement step of the order at p."""
     if not ia.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     n = lat.n
-    table = _mult_table(lat, f)
+    table, _ = products or product_table(lat, f)
+    if any(c is None for row in table for c in row):
+        raise ValueError("vector outside the lattice")
+    table_p = [[[x % p for x in c] for c in row] for row in table]
 
     def mul_coords(a, b):
+        """Product in O/pO of coordinate vectors reduced mod p."""
         out = [0] * n
         for i, ai in enumerate(a):
-            if ai % p == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj % p == 0:
-                    continue
-                for k in range(n):
-                    out[k] = (out[k] + ai * bj * table[i][j][k]) % p
-        return out
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        c = ai * bj
+                        for k, t in enumerate(table_p[i][j]):
+                            out[k] += c * t
+        return [x % p for x in out]
 
     # radical of pO: kernel of x -> x^(p^m) on O/pO, p^m >= n
     m = 1
@@ -369,9 +382,10 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bs.IntegerLattice:
     return bs.IntegerLattice.from_rows(rows, lat.den * p, n)
 
 
-def p_maximal(lat: bs.IntegerLattice, f: IntPoly, p: int) -> bool:
+def p_maximal(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
+              products: tuple | None = None) -> bool:
     """True when the multiplier ring of the p-radical adds nothing."""
-    return pz_enlarge(lat, f, p) == lat
+    return pz_enlarge(lat, f, p, products=products) == lat
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +399,8 @@ def verify_report(f: IntPoly, D: int | None = None,
 
     `disc` is disc(f) when the caller already has it; the index identity
     always compares against disc(f), never against a D standing in for it.
+    The power sums of f and the product table of the merged lattice are
+    computed once and shared by every check.
     """
     checks = []
     result = bs.global_basis(f, D)
@@ -396,18 +412,21 @@ def verify_report(f: IntPoly, D: int | None = None,
         checks.append({"check": name, "status": "pass" if ok else "fail",
                        "details": details})
 
+    sums = power_sums(f)
+    products = product_table(lat, f, sums=sums)
     add("basis-count", all(len(b) == ia.pdeg(f) for _, b in result.moduli))
-    add("ring-closed", ring_closed(lat, f))
+    add("ring-closed", ring_closed(lat, f, products=products))
     try:
-        add("index-discriminant", index_disc_identity(lat, f, disc))
+        add("index-discriminant",
+            index_disc_identity(lat, f, disc, products=products))
     except (ValueError, RuntimeError) as exc:
         add("index-discriminant", False, str(exc))
     add("elements-integral", all(
-        charpoly_is_integral(el.num, N ** el.den_exp, f)
+        charpoly_is_integral(el.num, N ** el.den_exp, f, sums=sums)
         for N, b in result.moduli for el in b))
     reps = {}  # composite modulus -> its tree, built once
     for p in known_primes or []:
-        add(f"p-maximal-{p}", p_maximal(lat, f, p))
+        add(f"p-maximal-{p}", p_maximal(lat, f, p, products=products))
         for N, _ in result.moduli:
             if N % p == 0 and N != p:
                 if N not in reps:

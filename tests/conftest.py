@@ -5,13 +5,14 @@ Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
 over package objects (`p_pow`, `p_quotrem`, `polygon_sum`, `from_elements`,
 `power_basis`, `basis_vectors`, `hnf_merge`, `quotient_value_bound`) are
-used by tests only; `hnf_rows_reference`, `p_sfd_reference` and the
-`*_reference` level-0 loops keep replaced package algorithms for
-differential tests.
+used by tests only; `hnf_rows_reference`, `p_sfd_reference`,
+`charpoly_is_integral_reference` and the `*_reference` level-0 loops keep
+replaced package algorithms for differential tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ import pytest
 from sfom import basis as bs
 from sfom import intarith as ia
 from sfom.artinalg import FactorEvent
+from sfom.validate import charpoly
 
 # ---------------------------------------------------------------------------
 # example polynomials
@@ -160,6 +162,20 @@ def quotient_value_bound(f, leaf, p, rho):
         val = ia.ord_n(ia.resultant(f, q), p)[0]
         out.append((i, j, H, val, Fraction(n * rho) * H))
     return out
+
+
+def charpoly_is_integral_reference(num, den, f):
+    """Integrality of num(theta)/den from the char poly of the unreduced
+    numerator: its coefficients c_k must be divisible by den^k."""
+    return all(c % den ** k == 0 for k, c in
+               enumerate(_unreduced_charpoly(tuple(num), tuple(f))))
+
+
+@functools.cache
+def _unreduced_charpoly(num, f):
+    """charpoly(num, f), kept per numerator: a test asks for it at several
+    denominators."""
+    return charpoly(num, f)
 
 
 # ---------------------------------------------------------------------------

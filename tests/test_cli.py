@@ -94,6 +94,10 @@ def test_reducible_input(capsys):
       "--known-primes", "5,7"], (0,), ""),
     # (x+1)(x+2): verify applies the same up-front flags as basis
     (["verify", "--poly", "2,3,1"], (3,), "reducible"),
+    # a repeated known prime is checked once
+    (["verify", "--poly", EX1, "--known-primes", "5,5"], (0,), ""),
+    (["verify", "--poly", EX1, "--known-primes", "x"], (2,),
+     "error: --known-primes: 'x' is not an integer"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)
@@ -204,6 +208,32 @@ def test_verify_rejects_non_prime_known_primes(capsys, primes):
     bad = [p for p in primes.split(",") if p not in ("5", "7")][0]
     assert code == 2 and out == ""
     assert err.strip() == f"error: --known-primes: {bad} is not prime"
+
+
+def test_verify_drops_repeated_known_primes(capsys):
+    code, once, _ = run(capsys, ["verify", "--poly", EX1,
+                                 "--known-primes", "5,7"])
+    assert code == 0
+    code, out, _ = run(capsys, ["verify", "--poly", EX1,
+                                "--known-primes", "5,7,5,,7"])
+    assert code == 0 and out == once
+    names = [c["check"] for c in json.loads(out)]
+    assert len(names) == len(set(names))
+    assert names[-4:] == ["p-maximal-5", "project-35-5",
+                          "p-maximal-7", "project-35-7"]
+
+
+def test_verify_rejects_non_integer_known_primes(capsys):
+    for entry, why in [("x", "is not an integer"),
+                       ("5.0", "is not an integer"),
+                       ("7" * 5000, "is over the digit limit")]:
+        if why.endswith("limit") and not hasattr(sys,
+                                                 "get_int_max_str_digits"):
+            continue
+        code, out, err = run(capsys, ["verify", "--poly", EX1,
+                                      "--known-primes", "5," + entry])
+        assert code == 2 and out == ""
+        assert err == f"error: --known-primes: {entry[:40]!r} {why}\n"
 
 
 def test_tree_golden(capsys):

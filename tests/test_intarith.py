@@ -142,6 +142,26 @@ def test_resultant_against_sylvester(rng):
         assert ia.resultant(f, g) == sylvester_resultant(list(f), list(g))
 
 
+def test_resultant_on_defective_common_factor_and_constant_pairs(rng):
+    def poly(d):
+        lead = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+        return tuple(rng.randrange(-9, 10) for _ in range(d)) + (lead,)
+
+    for _ in range(40):
+        # A = Q*B + C with deg C <= deg B - 2: the second step has delta > 1
+        B = poly(rng.randrange(3, 7))
+        C = poly(rng.randrange(0, ia.pdeg(B) - 1))
+        A = ia.padd(ia.pmul(poly(rng.randrange(1, 4)), B), C)
+        assert ia.pdeg(A) > ia.pdeg(B) > ia.pdeg(C) + 1
+        H = poly(rng.randrange(1, 3))
+        F, G = ia.pmul(H, poly(rng.randrange(0, 4))), ia.pmul(H, poly(2))
+        assert ia.resultant(F, G) == 0 == sylvester_resultant(list(F), list(G))
+        pairs = [(A, B), (B, A), (A, C), (poly(0), poly(rng.randrange(0, 5))),
+                 (poly(rng.randrange(1, 5)), poly(0))]
+        for f, g in pairs:
+            assert ia.resultant(f, g) == sylvester_resultant(list(f), list(g))
+
+
 def test_poly_division_roundtrip(rng):
     for _ in range(100):
         g = ia.ptrim([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 5))]

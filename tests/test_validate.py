@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (example1, example2, example3, pollard_factor,
-                      power_basis, quotient_value_bound, refine_fixture,
+from conftest import (charpoly_is_integral_reference, example1, example2,
+                      example3, pollard_factor, power_basis,
+                      quotient_value_bound, refine_fixture,
                       sylvester_resultant)
 from sfom import intarith as ia
 from sfom import validate
@@ -47,6 +48,29 @@ def test_charpoly_matches_resultant(f, rng):
             value = sum(c * y ** (n - k) for k, c in enumerate(coeffs))
             g = ia.psub((y,), num)
             assert value == sylvester_resultant(f, g), (f, num, y)
+
+
+@pytest.mark.parametrize("f", [
+    example1(35), example2(11, 3, 5), example3(1, 35)[0], refine_fixture(35),
+    example3(2, 35)[0]], ids=["example1", "example2", "example3_r1",
+                              "refine_fixture", "example3_r2"])
+def test_charpoly_is_integral_matches_the_unreduced_reference(f):
+    """Every basis element num/den is integral and num/(den*N) is not, by
+    the reduced-numerator test and by the char poly of num itself."""
+    sums = power_sums(f)
+    elements = [(N, el) for N, b in global_basis(f).moduli for el in b]
+    assert any(el.den_exp == 0 for _, el in elements)
+    for N, el in elements:
+        den = N ** el.den_exp
+        for d, want in ((den, True), (den * N, False)):
+            assert charpoly_is_integral_reference(el.num, d, f) is want
+            assert charpoly_is_integral(el.num, d, f, sums=sums) is want
+    # a nonzero numerator that vanishes modulo den
+    N, el = max(elements, key=lambda item: item[1].den_exp)
+    den = N ** el.den_exp
+    num = tuple(den * c for c in ia.padd(el.num, (1, -1)))
+    assert charpoly_is_integral_reference(num, den, f)
+    assert charpoly_is_integral(num, den, f)
 
 
 def test_p_maximal_examples():
@@ -274,6 +298,79 @@ def test_verify_report_computes_the_discriminant_once(monkeypatch):
     checks = verify_report(example1(35))
     assert calls == [example1(35)]
     assert all(c["status"] == "pass" for c in checks), checks
+
+
+@pytest.mark.parametrize("primes", [[], [5], [7, 5], [5, 7]])
+def test_verify_report_builds_one_product_table(monkeypatch, primes):
+    tables, sums = [], []
+    product_table, power_sums_ = validate.product_table, validate.power_sums
+
+    def counting_table(lat, f, **kwargs):
+        tables.append(lat)
+        return product_table(lat, f, **kwargs)
+
+    def counting_sums(f):
+        sums.append(f)
+        return power_sums_(f)
+
+    monkeypatch.setattr(validate, "product_table", counting_table)
+    monkeypatch.setattr(validate, "power_sums", counting_sums)
+    checks = verify_report(example1(35), known_primes=primes)
+    assert len(tables) == 1 and len(sums) == 1
+    assert len(checks) == 4 + 2 * len(primes)
+    assert all(c["status"] == "pass" for c in checks), checks
+
+
+def _checks_one_by_one(f, D, primes):
+    """The report of `verify_report`, built from the public oracles."""
+    def check(name, ok, details=""):
+        return {"check": name, "status": "pass" if ok else "fail",
+                "details": details}
+
+    result = global_basis(f, D)
+    lat = result.merged
+    out = [check("basis-count", all(len(b) == ia.pdeg(f)
+                                    for _, b in result.moduli)),
+           check("ring-closed", ring_closed(lat, f)),
+           check("index-discriminant", index_disc_identity(lat, f)),
+           check("elements-integral", all(
+               charpoly_is_integral(el.num, N ** el.den_exp, f)
+               for N, b in result.moduli for el in b))]
+    for p in primes:
+        out.append(check(f"p-maximal-{p}", p_maximal(lat, f, p)))
+        for N, _ in result.moduli:
+            if N % p == 0 and N != p:
+                rp = project_check(sfom(f, N).rep, f, p)
+                out.append(check(f"project-{N}-{p}", rp["ok"],
+                                 "; ".join(rp["details"])))
+    return out
+
+
+@pytest.mark.parametrize("f, D, primes", [
+    (example1(35), None, [5, 7]),
+    (example2(11, 3, 5), None, [11, 3]),
+    (example3(1, 35)[0], None, [7, 5]),
+    (refine_fixture(35), None, [5, 7]),
+    (example1(35), 7, [5, 7]),  # not maximal at 5
+    (example3(1, 35)[0], 5, [5, 7]),  # not maximal at 7
+], ids=["example1", "example2", "example3_r1", "refine_fixture",
+        "example1_D7", "example3_r1_D5"])
+def test_verify_report_matches_the_oracles_one_by_one(f, D, primes):
+    checks = verify_report(f, D, primes)
+    assert checks == _checks_one_by_one(f, D, primes)
+    assert (D is None) == all(c["status"] == "pass" for c in checks)
+
+
+def test_ring_closed_rejects_a_lattice_that_is_no_ring():
+    # Z + Z*theta/2 for theta^2 = -1: (theta/2)^2 = -1/4 leaves the lattice
+    f = (1, 0, 1)
+    lat = IntegerLattice.from_rows([[2, 0], [0, 1]], 2, 2)
+    coords, _ = validate.product_table(lat, f)
+    assert coords[0][0] is not None and coords[1][1] is None
+    assert not ring_closed(lat, f)
+    assert not ring_closed(lat, f, products=(coords, None))
+    with pytest.raises(ValueError, match="outside the lattice"):
+        p_maximal(lat, f, 2)
 
 
 @pytest.mark.parametrize("p", [0, 1, 6])
