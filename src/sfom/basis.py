@@ -181,7 +181,7 @@ def _element_rows(elements, N: int, n: int) -> tuple[list, int]:
 # bases attached to leaves
 
 
-def order_zero_basis(t: PolyA, f: IntPoly, N: int) -> list[BasisElement]:
+def order_zero_basis(t: PolyA, f: IntPoly) -> list[BasisElement]:
     """Elements theta^j * q(theta) for the multiplicity-one part t of f mod N,
     where f = q * lift(t) + remainder."""
     g = st.lift_order_zero(t)
@@ -232,20 +232,23 @@ def level_quotients(leaf: st.SFType, fdim_top: int):
     q is the quotient ending j steps left of the right endpoint of the
     lambda-component of f, for 0 <= j < e_i * f_i, where f_i is `fdim_top` at
     the top level; H = v_i(q) / (e_1...e_i) is its accumulated value.
+    With w_t = e * u_t + h * t on the cloud of f and s_right the last t where
+    w_t is least, q_s (expanded by g as coeffs[s:]) has the value
+    min(w_t for t >= s) - s * (e * V + h) = w_{s_right} - s * (e * V + h).
     """
     eprod = 1
     for i in range(1, leaf.order + 1):
         node = leaf.trunc(i)
         eprod *= node.e
         exp = node.parent.f_exp
-        s_right = st.cloud(node.parent, exp.coeffs,
-                           node.V).component(node.h, node.e)[2]
+        w = {t: node.e * u + node.h * t
+             for t, u in st.cloud(node.parent, exp.coeffs, node.V)}
+        least = min(w.values())
+        s_right = max(t for t, wt in w.items() if wt == least)
         width = node.e * (fdim_top if i == leaf.order else node.fdim)
         for j in range(width):
-            # q_s = a_s + a_{s+1} g + ... is expanded by g as coeffs[s:]
             s = s_right - j
-            v = st.cloud(node.parent, exp.coeffs[s:],
-                         node.V).min_value(node.h, node.e)
+            v = least - s * (node.e * node.V + node.h)
             yield i, j, exp.quotients[s - 1], Fraction(v, eprod)
 
 
@@ -261,7 +264,7 @@ def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
     out = []
     t0 = rep.order_zero_t()
     if t0 is not None:
-        out.extend(order_zero_basis(t0, f, N))
+        out.extend(order_zero_basis(t0, f))
     sides: dict = {}  # (parent node, slope) -> the leaves on that side
     for leaf in rep.leaves:
         if leaf.order >= 1:
@@ -318,6 +321,8 @@ def global_basis(f: IntPoly, D: int | None = None) -> GlobalBasisResult:
     n = ia.pdeg(f)
     if n < 2 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree > 1")
+    if D == 0:
+        raise ValueError("D must be nonzero")
     D_in = ia.discriminant(f) if D is None else D
     if D_in == 0:
         raise ValueError("discriminant is zero: polynomial is not squarefree")

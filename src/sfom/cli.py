@@ -168,7 +168,8 @@ def cmd_polygon(args) -> int:
         print("error: no such level", file=sys.stderr)
         return 2
     node = leaf.trunc(args.level)
-    polygon = st.analyze(node, f).polygon
+    polygon = st.NewtonPolygon.from_cloud(
+        st.cloud(node.parent, st.analyze(node, f).coeffs, node.V))
     print(st.polygon_dump(polygon))
     if args.svg:
         try:

@@ -157,9 +157,9 @@ def _small_primes(bound: int) -> list[int]:
 def int_sfd(N: int) -> list[tuple[int, int]]:
     """Squarefree decomposition N = prod d_i^l_i with l_1 < l_2 < ...
 
-    Runs trial division by the primes below 1000, perfect-power extraction
-    and gcd-free refinement only; it never attempts to factor a hard
-    composite.  A square factor whose primes are not exposed by a gcd stays
+    Trial division by the primes below 1000 and a perfect-power root of the
+    rest give pairwise coprime pieces; d_l is the product of those with
+    exponent l.  A square factor of the rest that is no perfect power stays
     undetected, so a hard squarefree-looking N comes back as [(N, 1)].
     """
     if N <= 1:
@@ -176,7 +176,7 @@ def int_sfd(N: int) -> list[tuple[int, int]]:
         b, k = perfect_power(rest)
         pieces.append((b, k))
     by_exp: dict[int, int] = {}
-    for b, e in factor_refinement([b for b, e in pieces for _ in range(e)]):
+    for b, e in pieces:
         by_exp[e] = by_exp.get(e, 1) * b
     result = [(d, e) for e, d in sorted(by_exp.items())]
     if math.prod(d ** e for d, e in result) != N:
@@ -243,11 +243,11 @@ def pshift(f: IntPoly, k: int) -> IntPoly:
 
 def power(x, k: int, mul, one):
     """x^k for k >= 0 by square-and-multiply with the product `mul`,
-    starting from `one`."""
-    out = one
+    starting from the first factor; `one` is returned for k = 0 only."""
+    out = one if k == 0 else None
     while k:
         if k & 1:
-            out = mul(out, x)
+            out = x if out is None else mul(out, x)
         k >>= 1
         if k:
             x = mul(x, x)

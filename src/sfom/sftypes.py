@@ -84,15 +84,6 @@ class NewtonPolygon:
         verts += [(s.s1, s.u1) for s in self.sides]
         return tuple(verts)
 
-    def min_value(self, h: int, e: int) -> int:
-        return min(e * u + h * s for s, u in self.vertices)
-
-    def component(self, h: int, e: int) -> tuple[int, int, int, int]:
-        """Endpoints (s0, u0, s1, u1) of the segment where e*u + h*s is minimal."""
-        m = self.min_value(h, e)
-        on = [(s, u) for s, u in self.vertices if e * u + h * s == m]
-        return on[0][0], on[0][1], on[-1][0], on[-1][1]
-
 
 # ---------------------------------------------------------------------------
 # g-adic expansions
@@ -236,11 +227,11 @@ class Analysis:
 
     v is the scaled valuation, (s0, u0)-(s1, u1) the lambda-component of the
     principal polygon, nu the twist exponent, R the residual polynomial over
-    level `order`, gamma = z^nu * R(z) in level order+1.
+    level `order`, gamma = z^nu * R(z) in level order+1; coeffs is the
+    expansion by the node's representative, (a,) at order 0.
     """
 
     v: int
-    polygon: NewtonPolygon | None
     s0: int
     u0: int
     s1: int
@@ -265,16 +256,16 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
         v = value(node, a)
         R = tower.p_trim(0, [tower.embed_int(c // tower.N ** v, 0) for c in a])
         gamma = tower.p_eval_up(R, tower.z(1))
-        out = Analysis(v, None, 0, v, 0, v, 0, R, gamma, (a,))
+        out = Analysis(v, 0, v, 0, v, 0, R, gamma, (a,))
     else:
         exp = expand(a, node.g)
-        polygon, v, (s0, u0, s1, u1), R = _residual(
+        v, (s0, u0, s1, u1), R = _residual(
             node.parent, exp.coeffs, node.V, node.h, node.e)
         nu = node.ellp * s0 - node.ell * u0
         gamma = tower.e_mul(
             tower.zpow(r + 1, nu), tower.p_eval_up(R, tower.z(r + 1))
         )
-        out = Analysis(v, polygon, s0, u0, s1, u1, nu, R, gamma, exp.coeffs)
+        out = Analysis(v, s0, u0, s1, u1, nu, R, gamma, exp.coeffs)
     node._analyses[a] = out
     return out
 
@@ -295,40 +286,40 @@ def value(node: SFType, a: IntPoly) -> int:
         if node.order == 0:
             v = min(ia.ord_n(c, node.tower.N)[0] for c in a if c)
         else:
-            v = cloud(node.parent, expand(a, node.g).coeffs,
-                      node.V).min_value(node.h, node.e)
+            v = min(node.e * u + node.h * s for s, u in
+                    cloud(node.parent, expand(a, node.g).coeffs, node.V))
         node._values[a] = v
     return v
 
 
-def cloud(node: SFType, coeffs, V: int) -> NewtonPolygon:
-    """Polygon of the points (s, v(a_s) + s * V) over `node`, for the nonzero
-    coefficients a_s of an expansion in powers of some g with
+def cloud(node: SFType, coeffs, V: int) -> list[tuple[int, int]]:
+    """The points (s, v(a_s) + s * V) over `node`, in ascending s, for the
+    nonzero coefficients a_s of an expansion in powers of some g with
     v_{node.order}(g) = V."""
-    return NewtonPolygon.from_cloud(
-        [(s, value(node, b) + s * V) for s, b in enumerate(coeffs) if b])
+    return [(s, value(node, b) + s * V) for s, b in enumerate(coeffs) if b]
 
 
 def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
     """Residual polynomial operator for slope -h/e on an expansion over `node`.
 
-    Returns (polygon, v, (s0, u0, s1, u1), R): v is the minimum of
-    e * u + h * s over the cloud, (s0, u0)-(s1, u1) the component where it is
-    attained, and R the polynomial over level node.order + 1 whose j-th
-    coefficient is the residue of a_{s0 + j e} if that point lies on the
-    component, else zero.  Only the points on the component are analyzed.
+    Returns (v, (s0, u0, s1, u1), R): v is the minimum of e * u + h * s over
+    the cloud, (s0, u0) and (s1, u1) the first and last points attaining it,
+    and R the polynomial over level node.order + 1 whose j-th coefficient is
+    the residue of a_{s0 + j e} if that point attains it, else zero.  Only
+    the points attaining the minimum (the component) are analyzed.
     """
-    polygon = cloud(node, coeffs, V)
-    v = polygon.min_value(h, e)
-    s0, u0, s1, u1 = polygon.component(h, e)
-    on = {s for s, u in polygon.points if e * u + h * s == v}
+    points = cloud(node, coeffs, V)
+    v = min(e * u + h * s for s, u in points)
+    on = {s: u for s, u in points if e * u + h * s == v}
+    s0, s1 = min(on), max(on)
+    u0, u1 = on[s0], on[s1]
     tower = node.tower
     L = node.order + 1
     R = tower.p_trim(L, [analyze(node, coeffs[s]).gamma if s in on
                          else tower.zero(L) for s in range(s0, s1 + 1, e)])
     if R.degree() != (s1 - s0) // e:
         raise RuntimeError("residual lost its leading coefficient")
-    return polygon, v, (s0, u0, s1, u1), R
+    return v, (s0, u0, s1, u1), R
 
 
 def _certify(node: SFType, a: IntPoly) -> None:
@@ -388,7 +379,7 @@ def newton(node: SFType, exp: Expansion, bound: int) -> NewtonPolygon:
     for b in coeffs:
         if b:
             _certify(node, b)
-    return cloud(node, coeffs, _pending_V(node))
+    return NewtonPolygon.from_cloud(cloud(node, coeffs, _pending_V(node)))
 
 
 def _pending_V(node: SFType) -> int:

@@ -149,7 +149,7 @@ def power_sums(f: IntPoly) -> list[int]:
     return s
 
 
-def trace_of(num: IntPoly, f: IntPoly, sums: list[int]) -> int:
+def trace_of(num: IntPoly, sums: list[int]) -> int:
     return sum(c * sums[k] for k, c in enumerate(num))
 
 
@@ -177,7 +177,7 @@ def product_table(lat: bs.IntegerLattice, f: IntPoly, *,
             prod = mul_mod(rows[i], rows[j], f)
             vec = list(prod) + [0] * (n - len(prod))
             coords[i][j] = coords[j][i] = lat.solve(vec, lat.den * lat.den)
-            traces[i][j] = traces[j][i] = trace_of(prod, f, sums)
+            traces[i][j] = traces[j][i] = trace_of(prod, sums)
     return coords, traces
 
 
@@ -246,7 +246,7 @@ def charpoly(num: IntPoly, f: IntPoly, *,
     power = (1,)
     for _ in range(n):
         power = mul_mod(power, a, f)
-        traces.append(trace_of(power, f, sums))
+        traces.append(trace_of(power, sums))
     coeffs = [1]
     for k in range(1, n + 1):
         c, rem = divmod(-sum(coeffs[i] * traces[k - i] for i in range(k)), k)
@@ -274,37 +274,41 @@ def charpoly_is_integral(num: IntPoly, den: int, f: IntPoly, *,
 
 
 def _left_kernel_mod_p(M, p: int) -> list[list[int]]:
-    """Basis of the vectors a with sum(a_i * M[i]) = 0 over Z/pZ, by
-    Gauss-Jordan elimination on the transpose of M."""
-    if not M:
-        return []
-    A = [[x % p for x in col] for col in zip(*M)]
-    rows, cols = len(A), len(M)
-    pivots = {}
+    """Basis of the vectors a with sum(a_i * M[i]) = 0 over Z/pZ.
+
+    One forward elimination on the rows [M_i | e_i] mod p: the rows whose
+    M part vanishes at the end carry the kernel in their e part.
+    """
+    width = len(M[0]) if M else 0
+    rows = [[x % p for x in row] + [int(i == j) for j in range(len(M))]
+            for i, row in enumerate(M)]
     r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c] % p), None)
+    for c in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots[c] = r
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                k = rows[i][c] * inv
+                rows[i] = [(x - k * y) % p for x, y in zip(rows[i], rows[r])]
         r += 1
-    kernel = []
-    for c in range(cols):
-        if c in pivots:
-            continue
-        vec = [0] * cols
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-A[pr][c]) % p
-        kernel.append(vec)
-    return kernel
+    return [row[width:] for row in rows[r:]]
+
+
+def _coord_mul(a, b, table) -> list[int]:
+    """Coordinates of the product of two coordinate vectors a, b, where
+    table[i][j] holds the coordinates of w_i * w_j."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    c = ai * bj
+                    for k, t in enumerate(table[i][j]):
+                        out[k] += c * t
+    return out
 
 
 def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
@@ -318,67 +322,29 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
         raise ValueError("vector outside the lattice")
     table_p = [[[x % p for x in c] for c in row] for row in table]
 
-    def mul_coords(a, b):
-        """Product in O/pO of coordinate vectors reduced mod p."""
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        c = ai * bj
-                        for k, t in enumerate(table_p[i][j]):
-                            out[k] += c * t
-        return [x % p for x in out]
+    def mul_p(a, b):
+        return [x % p for x in _coord_mul(a, b, table_p)]
 
-    # radical of pO: kernel of x -> x^(p^m) on O/pO, p^m >= n
-    m = 1
-    while p ** m < n:
-        m += 1
-    frob_rows = []
-    for i in range(n):
-        acc = [int(i == j) for j in range(n)]
-        for _ in range(m):
-            # acc^p by repeated squaring on the exponent p
-            base = acc
-            out = None
-            e = p
-            while e:
-                if e & 1:
-                    out = base if out is None else mul_coords(out, base)
-                e >>= 1
-                if e:
-                    base = mul_coords(base, base)
-            acc = out
-        frob_rows.append(acc)
-    rad = _left_kernel_mod_p(frob_rows, p)
+    # radical of pO: kernel of x -> x^q on O/pO, q = p^m >= n
+    q = p
+    while q < n:
+        q *= p
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    rad = _left_kernel_mod_p([ia.power(e, q, mul_p, None) for e in unit], p)
     # ideal I = <radical lifts> + pO, as lattice coordinates over lat
-    ideal_rows = [list(v) for v in rad]
-    ideal_rows += [[p * (i == j) for j in range(n)] for i in range(n)]
-    ideal = bs.IntegerLattice.from_rows(ideal_rows, 1, n)
+    ideal = bs.IntegerLattice.from_rows(
+        rad + [[p * x for x in e] for e in unit], 1, n)
     # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
     big = []
-    for i in range(n):
-        vimg = []
-        for j in range(n):
-            prod = [0] * n
-            for k, c in enumerate(ideal.rows[j]):
-                if c:
-                    for l in range(n):
-                        prod[l] += c * table[i][k][l]
-            coords = ideal.solve(prod)
-            if coords is None:
-                raise ValueError("vector outside the ideal lattice")
-            vimg.extend(c % p for c in coords)
-        big.append(vimg)
-    kern = _left_kernel_mod_p(big, p)
+    for e in unit:
+        images = [ideal.solve(_coord_mul(e, row, table)) for row in ideal.rows]
+        if None in images:
+            raise ValueError("vector outside the ideal lattice")
+        big.append([c % p for coords in images for c in coords])
     rows = [[p * x for x in row] for row in lat.rows]
-    for v in kern:
-        vec = [0] * n
-        for i, c in enumerate(v):
-            if c:
-                for k in range(n):
-                    vec[k] += c * lat.rows[i][k]
-        rows.append(vec)
+    for v in _left_kernel_mod_p(big, p):
+        rows.append([sum(c * row[k] for c, row in zip(v, lat.rows))
+                     for k in range(n)])
     return bs.IntegerLattice.from_rows(rows, lat.den * p, n)
 
 

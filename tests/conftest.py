@@ -3,11 +3,12 @@
 The oracles here are deliberately written from scratch (dense lists mod p,
 Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
-over package objects (`p_pow`, `p_quotrem`, `polygon_sum`, `from_elements`,
-`power_basis`, `basis_vectors`, `hnf_merge`, `quotient_value_bound`) are
-used by tests only; `hnf_rows_reference`, `p_sfd_reference`,
-`charpoly_is_integral_reference` and the `*_reference` level-0 loops keep
-replaced package algorithms for differential tests.
+over package objects (`p_pow`, `p_quotrem`, `polygon_of`, `polygon_sum`,
+`from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`,
+`quotient_value_bound`) are used by tests only; `hnf_rows_reference`,
+`p_sfd_reference`, `charpoly_is_integral_reference`,
+`pz_enlarge_reference` and the `*_reference` level-0 loops keep replaced
+package algorithms for differential tests.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import pytest
 
 from sfom import basis as bs
 from sfom import intarith as ia
+from sfom import sftypes as st
 from sfom.artinalg import FactorEvent
-from sfom.validate import charpoly
+from sfom.validate import charpoly, product_table
 
 # ---------------------------------------------------------------------------
 # example polynomials
@@ -102,6 +104,13 @@ def p_quotrem(T, s, t):
     return T.p_scale(q, inv), r
 
 
+def polygon_of(node, a):
+    """Newton polygon of a for the type `node` of order >= 1: the hull of
+    the cloud of its expansion by node.g over node.parent."""
+    return st.NewtonPolygon.from_cloud(
+        st.cloud(node.parent, st.analyze(node, a).coeffs, node.V))
+
+
 def polygon_sum(a, b):
     """Principal vertices of the Minkowski sum of two principal polygons."""
     start = (a.principal_vertices[0][0] + b.principal_vertices[0][0],
@@ -176,6 +185,119 @@ def _unreduced_charpoly(num, f):
     """charpoly(num, f), kept per numerator: a test asks for it at several
     denominators."""
     return charpoly(num, f)
+
+
+# ---------------------------------------------------------------------------
+# reference maximality step (transpose Gauss-Jordan kernel, own power loop)
+
+
+def left_kernel_mod_p_reference(M, p):
+    """Basis of the vectors a with sum(a_i * M[i]) = 0 over Z/pZ, by
+    Gauss-Jordan elimination on the transpose of M."""
+    if not M:
+        return []
+    A = [[x % p for x in col] for col in zip(*M)]
+    rows, cols = len(A), len(M)
+    pivots = {}
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][c] % p), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots[c] = r
+        r += 1
+    kernel = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        vec = [0] * cols
+        vec[c] = 1
+        for pc, pr in pivots.items():
+            vec[pc] = (-A[pr][c]) % p
+        kernel.append(vec)
+    return kernel
+
+
+def pz_enlarge_reference(lat, f, p, *, products=None):
+    """One radical/multiplier-ring enlargement step of the order at p, with
+    its own power loop, product loops and kernel."""
+    if not ia.is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    n = lat.n
+    table, _ = products or product_table(lat, f)
+    if any(c is None for row in table for c in row):
+        raise ValueError("vector outside the lattice")
+    table_p = [[[x % p for x in c] for c in row] for row in table]
+
+    def mul_coords(a, b):
+        """Product in O/pO of coordinate vectors reduced mod p."""
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        c = ai * bj
+                        for k, t in enumerate(table_p[i][j]):
+                            out[k] += c * t
+        return [x % p for x in out]
+
+    # radical of pO: kernel of x -> x^(p^m) on O/pO, p^m >= n
+    m = 1
+    while p ** m < n:
+        m += 1
+    frob_rows = []
+    for i in range(n):
+        acc = [int(i == j) for j in range(n)]
+        for _ in range(m):
+            # acc^p by repeated squaring on the exponent p
+            base = acc
+            out = None
+            e = p
+            while e:
+                if e & 1:
+                    out = base if out is None else mul_coords(out, base)
+                e >>= 1
+                if e:
+                    base = mul_coords(base, base)
+            acc = out
+        frob_rows.append(acc)
+    rad = left_kernel_mod_p_reference(frob_rows, p)
+    # ideal I = <radical lifts> + pO, as lattice coordinates over lat
+    ideal_rows = [list(v) for v in rad]
+    ideal_rows += [[p * (i == j) for j in range(n)] for i in range(n)]
+    ideal = bs.IntegerLattice.from_rows(ideal_rows, 1, n)
+    # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
+    big = []
+    for i in range(n):
+        vimg = []
+        for j in range(n):
+            prod = [0] * n
+            for k, c in enumerate(ideal.rows[j]):
+                if c:
+                    for l in range(n):
+                        prod[l] += c * table[i][k][l]
+            coords = ideal.solve(prod)
+            if coords is None:
+                raise ValueError("vector outside the ideal lattice")
+            vimg.extend(c % p for c in coords)
+        big.append(vimg)
+    kern = left_kernel_mod_p_reference(big, p)
+    rows = [[p * x for x in row] for row in lat.rows]
+    for v in kern:
+        vec = [0] * n
+        for i, c in enumerate(v):
+            if c:
+                for k in range(n):
+                    vec[k] += c * lat.rows[i][k]
+        rows.append(vec)
+    return bs.IntegerLattice.from_rows(rows, lat.den * p, n)
 
 
 # ---------------------------------------------------------------------------

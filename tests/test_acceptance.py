@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (example1, example2, example3, fp_gcd, fp_sfd, fp_trim,
                       from_elements, hnf_merge, is_irreducible_over_z,
-                      pollard_factor, poly_ints, refine_fixture)
+                      pollard_factor, poly_ints, polygon_of, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.artinalg import AlgebraTower, FactorEvent
@@ -46,8 +46,8 @@ def test_criterion_1_example1_tree():
     ok &= (ch[1].h, ch[1].e) == (1, 2) and poly_ints(ch[1].t) == [1, 1]
     ok &= (ch[2].h, ch[2].e) == (3, 2) and poly_ints(ch[2].t) == [1, 1]
     ok &= ch[2].g == (35, 0, 1)
-    p1 = st.analyze(ch[1], f).polygon.principal_vertices
-    p2 = st.analyze(ch[2], f).polygon.principal_vertices
+    p1 = polygon_of(ch[1], f).principal_vertices
+    p2 = polygon_of(ch[2], f).principal_vertices
     ok &= p1 == ((0, 2), (4, 0)) and p2 == ((0, 7), (2, 4))
     elapsed = time.monotonic() - t0
     ok &= elapsed < 1.0

@@ -184,7 +184,7 @@ def test_order_zero_basis_examples():
     rep2 = sfom(f2, 35).rep
     t0 = rep2.order_zero_t()
     assert t0 is not None and t0.degree() == 1
-    block = order_zero_basis(t0, f2, 35)
+    block = order_zero_basis(t0, f2)
     q, _ = ia.pdivmod_monic(f2, (0, 1))
     assert [el.num for el in block] == [q]
 
@@ -301,6 +301,14 @@ def test_user_supplied_partial_discriminant():
     lat = result.merged
     for p in (5, 7):
         assert p_maximal(lat, f, p)
+
+
+def test_global_basis_rejects_a_zero_D():
+    # a given D of 0 is the caller's mistake, not a fault of the squarefree f
+    with pytest.raises(ValueError, match="D must be nonzero"):
+        global_basis(example1(35), D=0)
+    with pytest.raises(ValueError, match="not squarefree"):
+        global_basis(ia.pmul((1, 0, 1), (1, 0, 1)))
 
 
 def test_global_basis_expands_f_once_per_representative(monkeypatch):

@@ -98,6 +98,9 @@ def test_reducible_input(capsys):
     (["verify", "--poly", EX1, "--known-primes", "5,5"], (0,), ""),
     (["verify", "--poly", EX1, "--known-primes", "x"], (2,),
      "error: --known-primes: 'x' is not an integer"),
+    # a zero --disc is rejected as such; f itself is squarefree
+    (["basis", "--poly", EX1, "--disc", "0"], (2,), "nonzero"),
+    (["verify", "--poly", EX1, "--disc", "0"], (2,), "nonzero"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)

@@ -63,6 +63,17 @@ def test_int_sfd_examples():
     assert ia.int_sfd(49) == [(7, 2)]
 
 
+def test_int_sfd_groups_coprime_pieces_by_exponent():
+    # repeated small prime powers times the square of a hard semiprime, and
+    # of a prime above the trial-division bound
+    M = 10007 * 10009
+    assert ia.int_sfd(2 ** 3 * 3 ** 2 * 5 ** 3 * M ** 2) == [(3 * M, 2),
+                                                             (10, 3)]
+    assert ia.int_sfd(7 ** 4 * 11 * 1009 ** 2) == [(11, 1), (1009, 2),
+                                                   (7, 4)]
+    assert ia.int_sfd(2 ** 5 * 3 ** 5 * M ** 5) == [(6 * M, 5)]
+
+
 def test_int_sfd_hard_semiprime_passthrough():
     # no gcd ever exposes the factors, so the input comes back unsplit
     assert ia.int_sfd(10007 * 10009) == [(10007 * 10009, 1)]
@@ -80,6 +91,24 @@ def test_int_sfd_recombines(rng):
             for d2, _ in out[i + 1:]:
                 assert math.gcd(d, d2) == 1
         assert prod == N
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 13, 64, 255, 1000, 4097])
+def test_power_makes_the_fewest_products(k):
+    # square-and-multiply from the first factor: bit_length(k) - 1 squarings
+    # and popcount(k) - 1 further products, and `one` only comes back for 0
+    one = object()
+    calls = []
+
+    def add(a, b):
+        assert a is not one and b is not one
+        calls.append((a, b))
+        return a + b
+
+    got = ia.power(3, k, add, one)
+    assert got is one if k == 0 else got == 3 * k
+    want = 0 if k == 0 else k.bit_length() - 1 + bin(k).count("1") - 1
+    assert len(calls) == want
 
 
 def test_perfect_power_and_iroot():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (example1, example3, poly_ints, polygon_sum,
+from conftest import (example1, example3, poly_ints, polygon_of, polygon_sum,
                       refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
@@ -323,9 +323,9 @@ def test_principal_polygon_minkowski_sum(rng):
                           for _ in range(rng.randrange(2, 2 * node.m + 2))])
             if not h:
                 continue
-            pf = st.analyze(node, f).polygon
-            ph = st.analyze(node, h).polygon
-            pfh = st.analyze(node, ia.pmul(f, h)).polygon
+            pf = polygon_of(node, f)
+            ph = polygon_of(node, h)
+            pfh = polygon_of(node, ia.pmul(f, h))
         except FactorEvent:
             continue
         assert pfh.principal_vertices == polygon_sum(pf, ph)
@@ -333,8 +333,8 @@ def test_principal_polygon_minkowski_sum(rng):
 
 def test_principal_length_is_multiplicity(chain):
     f, root, node1, leaf = chain
-    assert st.analyze(node1, f).polygon.principal_length == st.ord_ty(root, f)
-    assert st.analyze(leaf, f).polygon.principal_length == st.ord_ty(node1, f)
+    assert polygon_of(node1, f).principal_length == st.ord_ty(root, f)
+    assert polygon_of(leaf, f).principal_length == st.ord_ty(node1, f)
 
 
 def test_residual_suffix_of_quotients(chain):
@@ -438,7 +438,7 @@ def test_construct_with_residue_random_postconditions(rng):
 
 def test_polygon_dump_format(chain):
     f, root, node1, leaf = chain
-    poly1 = st.analyze(node1, f).polygon
+    poly1 = polygon_of(node1, f)
     assert st.polygon_dump(poly1) == "0 2\n4 0\nside 1/2 0 4"
     svg = st.polygon_svg(poly1)
     assert svg.startswith("<svg") and "polyline" in svg

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (charpoly_is_integral_reference, example1, example2,
                       example3, pollard_factor, power_basis,
-                      quotient_value_bound, refine_fixture,
-                      sylvester_resultant)
+                      pz_enlarge_reference, quotient_value_bound,
+                      refine_fixture, sylvester_resultant)
 from sfom import intarith as ia
 from sfom import validate
 from sfom.basis import IntegerLattice, global_basis, n_integral_basis
@@ -81,6 +81,64 @@ def test_p_maximal_examples():
     enl = pz_enlarge(Z2, f, 5)
     assert p_maximal(enl, f, 5)
     assert enl.den == 5
+
+
+@pytest.mark.parametrize("f, primes", [
+    (example1(35), (5, 7)),
+    (example2(11, 3, 5), (2, 3, 11)),
+    (example3(1, 35)[0], (5, 7)),
+    (refine_fixture(35), (5, 7)),
+], ids=["example1", "example2", "example3", "refine"])
+def test_pz_enlarge_matches_the_reference(f, primes):
+    # the merged lattice is maximal, Z[theta] is not: both steps must agree
+    # with the step that keeps its own power loop and transpose kernel
+    merged = global_basis(f).merged
+    for p in primes:
+        for lat in (merged, power_basis(ia.pdeg(f))):
+            assert pz_enlarge(lat, f, p) == pz_enlarge_reference(lat, f, p)
+    assert any(pz_enlarge(power_basis(ia.pdeg(f)), f, p)
+               != power_basis(ia.pdeg(f)) for p in primes)
+
+
+def _rank_mod_p(M, p):
+    """Rank over Z/pZ by elimination on a copy, column by column."""
+    M = [[x % p for x in row] for row in M]
+    rank = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((r for r in range(rank, len(M)) if M[r][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for r in range(len(M)):
+            if r != rank and M[r][c]:
+                k = M[r][c] * pow(M[rank][c], -1, p)
+                M[r] = [(x - k * y) % p for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_left_kernel_mod_p(p):
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        M = [[rng.randrange(-3 * p, 3 * p) for _ in range(cols)]
+             for _ in range(rows)]
+        for i in range(rows):
+            pick = rng.random()
+            if pick < 0.2:  # a zero row
+                M[i] = [0] * cols
+            elif pick < 0.4 and i:  # rank deficient: a combination of rows
+                a, b = rng.randrange(i), rng.randrange(i)
+                k = rng.randrange(1, p)
+                M[i] = [x + k * y for x, y in zip(M[a], M[b])]
+        kernel = validate._left_kernel_mod_p(M, p)
+        for vec in kernel:
+            assert len(vec) == rows
+            assert all(sum(a * row[c] for a, row in zip(vec, M)) % p == 0
+                       for c in range(cols))
+        assert len(kernel) == rows - _rank_mod_p(M, p)
+        assert _rank_mod_p(kernel, p) == len(kernel)
 
 
 def _brute_maximal(lat, f, p):
