@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, chain
 
 from .intarith import IntPoly, power
@@ -37,12 +36,51 @@ class NonExactDivision(Exception):
     """A division expected to be exact left a remainder (internal bug)."""
 
 
-@dataclass(frozen=True)
-class PolyA:
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value record: the fields are the `__slots__` of the subclass,
+    set once by `__init__`; equality and hashing go by the tuple of fields,
+    and only between records of the same class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._astuple = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)}"
+                            f" fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == self._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._astuple(self)!r}"
+
+
+class PolyA(Record):
     """Dense polynomial over a tower level, trailing zeros trimmed."""
 
-    level: int
-    coeffs: tuple
+    __slots__ = ("level", "coeffs")
+
+    def __init__(self, level: int, coeffs: tuple):
+        _set(self, "level", level)
+        _set(self, "coeffs", coeffs)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1

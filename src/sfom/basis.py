@@ -10,14 +10,12 @@ the canonical representative used for every comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import intarith as ia
 from . import omprime as op
 from .sfom import SFOMRep, sfom as run_tree
 from . import sftypes as st
-from .artinalg import PolyA
+from .artinalg import PolyA, Record
 from .intarith import IntPoly
 
 
@@ -25,12 +23,10 @@ class NeedsSquarefree(Exception):
     """The tree is ramified and N is not known squarefree; split N first."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Record):
     """num(theta) / N^den_exp with deg num < n."""
 
-    num: IntPoly
-    den_exp: int
+    __slots__ = ("num", "den_exp")
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +98,10 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(Record):
     """Full-rank lattice in Q^n: rows/den are the basis vectors; rows in HNF."""
 
-    den: int
-    rows: tuple
-    n: int
+    __slots__ = ("den", "rows", "n")
 
     @classmethod
     def from_rows(cls, rows, den: int, n: int) -> "IntegerLattice":
@@ -209,19 +202,20 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
     levels = [[] for _ in range(leaf.order)]
     for i, _, q, H in level_quotients(leaf, sum(l.fdim for l in leaves)):
         levels[i - 1].append((q, H))
+    E = leaf.e_prod()
     f0 = leaf.trunc(0).fdim
     out = []
 
     def rec(i, num, H):
         if i == len(levels):
             _, red = ia.pdivmod_monic(num, f)
-            out.append(BasisElement(red, H.numerator // H.denominator))
+            out.append(BasisElement(red, H // E))
             return
         for q, Hq in levels[i]:
             rec(i + 1, ia.pmul(num, q), H + Hq)
 
     for j0 in range(f0):
-        rec(0, ia.pshift((1,), j0), Fraction(0))
+        rec(0, ia.pshift((1,), j0), 0)
     return out
 
 
@@ -231,15 +225,16 @@ def level_quotients(leaf: st.SFType, fdim_top: int):
 
     q is the quotient ending j steps left of the right endpoint of the
     lambda-component of f, for 0 <= j < e_i * f_i, where f_i is `fdim_top` at
-    the top level; H = v_i(q) / (e_1...e_i) is its accumulated value.
+    the top level; H / E = v_i(q) / (e_1...e_i) is its accumulated value,
+    over the leaf's e-product E = e_1...e_r, so H = v_i(q) * (e_{i+1}...e_r).
     With w_t = e * u_t + h * t on the cloud of f and s_right the last t where
     w_t is least, q_s (expanded by g as coeffs[s:]) has the value
     min(w_t for t >= s) - s * (e * V + h) = w_{s_right} - s * (e * V + h).
     """
-    eprod = 1
-    for i in range(1, leaf.order + 1):
-        node = leaf.trunc(i)
-        eprod *= node.e
+    nodes = [leaf.trunc(i) for i in range(1, leaf.order + 1)]
+    scale = math.prod(node.e for node in nodes)
+    for i, node in enumerate(nodes, 1):
+        scale //= node.e
         exp = node.parent.f_exp
         w = {t: node.e * u + node.h * t
              for t, u in st.cloud(node.parent, exp.coeffs, node.V)}
@@ -249,7 +244,7 @@ def level_quotients(leaf: st.SFType, fdim_top: int):
         for j in range(width):
             s = s_right - j
             v = least - s * (node.e * node.V + node.h)
-            yield i, j, exp.quotients[s - 1], Fraction(v, eprod)
+            yield i, j, exp.quotients[s - 1], v * scale
 
 
 def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
@@ -280,12 +275,13 @@ def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
 # global driver
 
 
-@dataclass
 class GlobalBasisResult:
-    f: IntPoly
-    D: int
-    moduli: list  # (N, list[BasisElement])
-    merged: IntegerLattice
+    """f, D, the local bases `moduli` as (N, list[BasisElement]) pairs, and
+    their merged lattice."""
+
+    def __init__(self, f: IntPoly, D: int, moduli: list,
+                 merged: IntegerLattice):
+        self.f, self.D, self.moduli, self.merged = f, D, moduli, merged
 
     def to_obj(self) -> dict:
         return {

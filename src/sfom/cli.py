@@ -22,7 +22,6 @@ from . import intarith as ia
 from .artinalg import AlgebraTower, NonExactDivision
 from .sfom import ReducibleInput, sfom as run_tree
 from . import sftypes as st
-from . import validate as vd
 from .intarith import IntPoly
 
 
@@ -183,6 +182,8 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import validate as vd  # the oracles load only for this command
+
     f = _read_poly(args.poly)
     primes = []  # first occurrences, in order
     for entry in filter(None, args.known_primes.split(",")):

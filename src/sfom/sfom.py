@@ -14,7 +14,6 @@ fire and every modulus is irreducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import intarith as ia
 from . import sftypes as st
@@ -30,27 +29,21 @@ class ReducibleInput(ValueError):
         self.factor = factor
 
 
-@dataclass
 class _Item:
     """A pending level: a type-to-be of order (parent.order + 1 if parent else 0)."""
 
-    parent: st.SFType | None
-    g: IntPoly | None
-    h: int
-    e: int
-    t: PolyA
-    residual_src: PolyA
-    omega: int
+    def __init__(self, parent: st.SFType | None, g: IntPoly | None, h: int,
+                 e: int, t: PolyA, residual_src: PolyA, omega: int):
+        self.parent, self.g, self.h, self.e = parent, g, h, e
+        self.t, self.residual_src, self.omega = t, residual_src, omega
 
 
-@dataclass
 class SFOMRep:
     """Tree output: multiplicity-one leaves covering the reduction of f."""
 
-    f: IntPoly
-    N: int
-    leaves: list
-    prime: int | None = None
+    def __init__(self, f: IntPoly, N: int, leaves: list,
+                 prime: int | None = None):
+        self.f, self.N, self.leaves, self.prime = f, N, leaves, prime
 
     @property
     def roots(self) -> list:
@@ -94,19 +87,19 @@ class SFOMRep:
         }
 
 
-@dataclass
 class SplitOutcome:
     """Either a tree for (f, N) or a proper factor of N found on the way."""
 
-    rep: SFOMRep | None = None
-    n_factor: int | None = None
+    def __init__(self, rep: SFOMRep | None = None, n_factor: int | None = None):
+        self.rep, self.n_factor = rep, n_factor
 
 
-@dataclass
 class _State:
-    tower0: AlgebraTower
-    worklist: list = field(default_factory=list)
-    leaves: list = field(default_factory=list)
+    def __init__(self, tower0: AlgebraTower, worklist: list | None = None,
+                 leaves: list | None = None):
+        self.tower0 = tower0
+        self.worklist = [] if worklist is None else worklist
+        self.leaves = [] if leaves is None else leaves
 
 
 def sfom(f: IntPoly, N: int, shuffle_seed: int | None = None) -> SplitOutcome:

@@ -14,44 +14,33 @@ integer-only (cross products), no rational arithmetic in comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import intarith as ia
-from .artinalg import AlgebraTower, PolyA
+from .artinalg import AlgebraTower, PolyA, Record
 from .intarith import IntPoly
 
 # ---------------------------------------------------------------------------
 # Newton polygons
 
 
-@dataclass(frozen=True)
-class Side:
-    """A negative-slope side; geometric slope is -h/e with gcd(h, e) = 1."""
+class Side(Record):
+    """A negative-slope side from (s0, u0) to (s1, u1); geometric slope is
+    -h/e with gcd(h, e) = 1."""
 
-    h: int
-    e: int
-    s0: int
-    u0: int
-    s1: int
-    u1: int
-
-    @property
-    def width(self) -> int:
-        return self.s1 - self.s0
+    __slots__ = ("h", "e", "s0", "u0", "s1", "u1")
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull of a cloud of integer points (s, u)."""
+class NewtonPolygon(Record):
+    """Lower convex hull of a cloud of integer points (s, u): the cloud
+    `points` in ascending s, the hull corner points `vertices` and the
+    negative-slope `sides`, left to right."""
 
-    points: tuple  # cloud, sorted by abscissa
-    vertices: tuple  # hull corner points
-    sides: tuple  # negative-slope sides, left to right
+    __slots__ = ("points", "vertices", "sides")
 
     @classmethod
     def from_cloud(cls, points) -> "NewtonPolygon":
-        pts = sorted(points)
+        """The polygon of a cloud given in ascending s, as `cloud` returns it."""
+        pts = tuple(points)
         if not pts:
             raise ValueError("empty cloud")
         hull = []
@@ -70,7 +59,7 @@ class NewtonPolygon:
                 break
             g = math.gcd(y1 - y2, x2 - x1)
             sides.append(Side((y1 - y2) // g, (x2 - x1) // g, x1, y1, x2, y2))
-        return cls(tuple(pts), tuple(hull), tuple(sides))
+        return cls(pts, tuple(hull), tuple(sides))
 
     @property
     def principal_length(self) -> int:
@@ -89,15 +78,13 @@ class NewtonPolygon:
 # g-adic expansions
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """Canonical g-expansion f = sum a_s g^s plus the division-chain quotients.
 
     quotients[s-1] is the s-th quotient q_s, so that q_s = a_s + a_{s+1} g + ...
     """
 
-    coeffs: tuple
-    quotients: tuple
+    __slots__ = ("coeffs", "quotients")
 
 
 def expand(f: IntPoly, g: IntPoly) -> Expansion:
@@ -122,7 +109,6 @@ def expand(f: IntPoly, g: IntPoly) -> Expansion:
 # type nodes
 
 
-@dataclass(eq=False)
 class SFType:
     """A type of order `order`; nodes form a tree through `parent` links.
 
@@ -135,22 +121,15 @@ class SFType:
     by the tree driver for the basis stage once it has processed the node.
     """
 
-    parent: SFType | None
-    order: int
-    tower: AlgebraTower
-    g: IntPoly | None
-    h: int
-    e: int
-    V: int
-    m: int
-    ell: int
-    ellp: int
-    omega: int
-    residual_src: PolyA
-    _analyses: dict = field(default_factory=dict, repr=False)
-    _values: dict = field(default_factory=dict, repr=False)
-    _certified: set = field(default_factory=set, repr=False)
-    f_exp: Expansion | None = field(default=None, repr=False)
+    def __init__(self, parent: SFType | None, order: int, tower: AlgebraTower,
+                 g: IntPoly | None, h: int, e: int, V: int, m: int, ell: int,
+                 ellp: int, omega: int, residual_src: PolyA):
+        self.parent, self.order, self.tower, self.g = parent, order, tower, g
+        self.h, self.e, self.V, self.m = h, e, V, m
+        self.ell, self.ellp, self.omega = ell, ellp, omega
+        self.residual_src = residual_src
+        self._analyses, self._values, self._certified = {}, {}, set()
+        self.f_exp = None
 
     @property
     def t(self) -> PolyA:
@@ -207,22 +186,23 @@ def make_child(parent: SFType, g: IntPoly, h: int, e: int, t: PolyA,
 
 
 def _assert_value_recurrence(node: SFType) -> None:
-    # V_r / (e_1...e_{r-1}) == sum_{1<=j<r} (m_r/m_j) h_j / (e_1...e_j)
-    chain = node.chain()
-    total = Fraction(0)
+    # V_r / (e_1...e_{r-1}) == sum_{1<=j<r} (m_r/m_j) h_j / (e_1...e_j),
+    # times E = e_1...e_{r-1}; m_j divides m_r
+    levels = node.chain()[1:-1]
+    E = math.prod(lvl.e for lvl in levels)
+    total = 0
     eprod = 1
-    for lvl in chain[1:-1]:
+    for lvl in levels:
         eprod *= lvl.e
-        total += Fraction(node.m, lvl.m) * Fraction(lvl.h, eprod)
-    assert Fraction(node.V, eprod) == total
+        total += node.m // lvl.m * lvl.h * (E // eprod)
+    assert node.V == total
 
 
 # ---------------------------------------------------------------------------
 # analysis: valuation, component, residual, evaluated residual
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record):
     """Level data of a nonzero integer polynomial with respect to a type node.
 
     v is the scaled valuation, (s0, u0)-(s1, u1) the lambda-component of the
@@ -231,15 +211,7 @@ class Analysis:
     expansion by the node's representative, (a,) at order 0.
     """
 
-    v: int
-    s0: int
-    u0: int
-    s1: int
-    u1: int
-    nu: int
-    R: PolyA
-    gamma: tuple
-    coeffs: tuple
+    __slots__ = ("v", "s0", "u0", "s1", "u1", "nu", "R", "gamma", "coeffs")
 
 
 def analyze(node: SFType, a: IntPoly) -> Analysis:

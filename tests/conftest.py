@@ -120,7 +120,8 @@ def polygon_sum(a, b):
     verts = [start]
     for s in sides:
         x, y = verts[-1]
-        verts.append((x + s.width, y - s.width * s.h // s.e))
+        width = s.s1 - s.s0
+        verts.append((x + width, y - width * s.h // s.e))
     # merge consecutive sides of equal slope into single vertices
     out = [verts[0]]
     for i in range(1, len(verts)):
@@ -164,10 +165,12 @@ def quotient_value_bound(f, leaf, p, rho):
     quotient bound holds; callers assert that.
     """
     n = ia.pdeg(f)
+    E = leaf.e_prod()  # level_quotients gives each value times E
     out = []
-    for i, j, q, H in bs.level_quotients(leaf, leaf.fdim):
-        if H == 0:
+    for i, j, q, HE in bs.level_quotients(leaf, leaf.fdim):
+        if HE == 0:
             continue
+        H = Fraction(HE, E)
         val = ia.ord_n(ia.resultant(f, q), p)[0]
         out.append((i, j, H, val, Fraction(n * rho) * H))
     return out

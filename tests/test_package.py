@@ -1,0 +1,89 @@
+"""Package-level contracts: what importing sfom loads, the value records,
+and the checks every library entry point makes on its input."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from conftest import example1
+from sfom import global_basis, om_prime, sfom
+from sfom.artinalg import PolyA
+from sfom.basis import BasisElement, IntegerLattice
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# modules only `verify` and `p_maximal` need; a plain import must not load them
+LAZY = ("dataclasses", "fractions", "decimal", "sfom.validate")
+
+PROBE = f"""
+import json, sys
+sys.path.insert(0, {str(SRC)!r})
+before = set(sys.modules)
+import sfom
+after_root = set(sys.modules)
+import sfom.cli
+after_cli = set(sys.modules)
+from sfom import p_maximal
+try:
+    sfom.no_such_name
+    missing = "no error"
+except AttributeError:
+    missing = "AttributeError"
+print(json.dumps({{
+    "root": sorted(after_root - before), "cli": sorted(after_cli - before),
+    "lazy": p_maximal is sfom.p_maximal and "p_maximal" not in vars(sfom),
+    "validate_loaded": "sfom.validate" in sys.modules, "missing": missing}}))
+"""
+
+
+def test_import_graph_leaves_the_oracles_out():
+    done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
+                          text=True, timeout=60, check=True)
+    seen = json.loads(done.stdout)
+    assert "sfom.cli" in seen["cli"]
+    for step in ("root", "cli"):
+        assert not set(LAZY) & set(seen[step]), step
+    # p_maximal still resolves, from the package and by `from sfom import`,
+    # without being cached in the package namespace
+    assert seen["lazy"] and seen["validate_loaded"]
+    assert seen["missing"] == "AttributeError"
+
+
+def test_records_are_immutable_values():
+    a, b = PolyA(0, ((1,), (2,))), PolyA(0, ((1,), (2,)))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != PolyA(1, ((1,), (2,)))
+    assert a != (0, ((1,), (2,)))
+    lat = [IntegerLattice(2, ((1, 0), (0, 1)), 2) for _ in range(2)]
+    assert lat[0] == lat[1] and hash(lat[0]) == hash(lat[1])
+    el = [BasisElement((1, 2), 3) for _ in range(2)]
+    assert el[0] == el[1] and hash(el[0]) == hash(el[1])
+    assert len({a, b, *lat, *el}) == 3
+    for record, field in ((a, "coeffs"), (lat[0], "den"), (el[0], "den_exp")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(TypeError):
+        BasisElement((1,))
+
+
+# not monic, degree 1, constant
+INVALID = {"nonmonic": (2, 0, 3), "degree1": (5, 1), "constant": (7,)}
+CASES = {
+    **{f"global_basis-{k}": (global_basis, f) for k, f in INVALID.items()},
+    **{f"sfom-{k}": (sfom, f, 35) for k, f in INVALID.items()},
+    **{f"om_prime-{k}": (om_prime, f, 5) for k, f in INVALID.items()},
+    **{f"sfom-N={N}": (sfom, example1(35), N) for N in (1, 0, -35)},
+    "om_prime-p=1": (om_prime, example1(35), 1),
+}
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_entry_points_reject_invalid_input(case):
+    entry, *args = case
+    with pytest.raises(ValueError):
+        entry(*args)

@@ -1,11 +1,10 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from conftest import (example1, example3, poly_ints, polygon_of, polygon_sum,
-                      refine_fixture)
+from conftest import (example1, example2, example3, poly_ints, polygon_of,
+                      polygon_sum, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.basis import level_quotients
@@ -337,6 +336,31 @@ def test_principal_length_is_multiplicity(chain):
     assert polygon_of(leaf, f).principal_length == st.ord_ty(node1, f)
 
 
+def test_cloud_is_strictly_ascending_in_s():
+    # NewtonPolygon.from_cloud keeps the order it is given: the clouds the
+    # tree and the CLI pass it must come sorted, one point per abscissa
+    f1, f2 = example1(35), example2()
+    f3, _ = example3(2, 35)
+    fr = refine_fixture(35)
+    trees = [(f1, sfom(f1, 35).rep), (f2, om_prime(f2, 11)),
+             (f3, om_prime(f3, 5)), (fr, sfom(fr, 35).rep)]
+    checked = 0
+    for f, rep in trees:
+        for leaf in rep.leaves:
+            for node in leaf.chain():
+                clouds = []
+                if node.order >= 1:  # the CLI polygon command's cloud
+                    clouds.append(st.cloud(
+                        node.parent, st.analyze(node, f).coeffs, node.V))
+                if node.f_exp is not None:  # the cloud `newton` hulls
+                    clouds.append(st.cloud(node, node.f_exp.coeffs,
+                                           st._pending_V(node)))
+                for pts in clouds:
+                    assert all(a < b for (a, _), (b, _) in zip(pts, pts[1:]))
+                    checked += 1
+    assert checked >= 15
+
+
 def test_residual_suffix_of_quotients(chain):
     # the residual of the s-th quotient is the suffix of the residual of f
     f, root, node1, leaf = chain
@@ -368,12 +392,14 @@ def test_value_matches_analyze():
                       for n in leaf.chain()}.values())
         pairs = [(node, f) for node in nodes]
         for leaf in rep.leaves:
+            # H = v_i(q) * E / (e_1...e_i) over the leaf's e-product E
+            E = leaf.e_prod()
             eprod = 1
             for i, j, q, H in level_quotients(leaf, leaf.fdim):
                 if j == 0:
                     eprod *= leaf.trunc(i).e
                 pairs.append((leaf.trunc(i), q))
-                assert H * eprod == st.value(leaf.trunc(i), q)
+                assert H * eprod == st.value(leaf.trunc(i), q) * E
 
         def clear_caches():
             for node in nodes:
