@@ -339,13 +339,38 @@ class AlgebraTower:
             if not s.coeffs:
                 raise ValueError("gcd(0, 0)")
             return self.p_make_monic(s)
-        if s.level == 0:  # the generic loop's inverses, in the same order
-            a, b = self._ints(s), self._ints(t)
-            while b:
-                if b[-1] != 1:
-                    inv = self.e_invert((b[-1],))[0]
-                    b = [x * inv % self.N for x in b]
+        if s.level == 0:
+            # A gap-1 step takes the pseudo-remainder lc^2 * a mod b and
+            # defers lc = lc(b).  While the deferred lcs are units, every
+            # remainder is a unit multiple of the generic loop's, so their
+            # unit certificate before the next inverse (and at the end,
+            # lc = 0) raises the generic loop's first event, if any.
+            N, a, b = self.N, self._ints(s), self._ints(t)
+            lcs = []  # deferred leading coefficients, as elements
+            while True:
+                lc = b[-1] if b else 0
+                if lc > 1 and len(a) == len(b) + 1:
+                    lcs.append((lc,))
+                    q1, lc2 = lc * a[-1] % N, lc * lc % N
+                    q0 = (lc * a[-2] - a[-1] * b[-2]) % N if len(b) > 1 else 0
+                    a, b = b, self._reduce0(
+                        [lc2 * x - q0 * y - q1 * z for x, y, z
+                         in zip(a, b[:-1], chain((0,), b))])
+                    continue
+                if lc != 1 and lcs:
+                    self.p_assert_strongly_unitary(PolyA(0, tuple(lcs)))
+                    lcs = []
+                if not b:
+                    break
+                if lc != 1:
+                    inv = self.e_invert((lc,))[0]
+                    b = [x * inv % N for x in b]
                 a, b = b, self._reduce0(self._divmod0(a, b)[1])
+            if len(a) == 1:  # a unit: its lc was certified
+                return PolyA(0, ((1,),))
+            if a[-1] != 1:
+                inv = self.e_invert((a[-1],))[0]
+                a = [x * inv for x in a]
             return self._poly0(a)
         while t.coeffs:
             t = self.p_make_monic(t)
@@ -383,14 +408,17 @@ class AlgebraTower:
         return q
 
     def p_assert_strongly_unitary(self, t: PolyA) -> None:
-        """Certify every nonzero coefficient is a unit (FactorEvent hook); at
-        level 0 by one gcd of their product with N, looping only to report."""
-        if t.level == 0 and math.gcd(
+        """Certify every nonzero coefficient is a unit (FactorEvent hook).
+        Coefficients in Z/N (every level below has degree 1) take one gcd of
+        their product with N; the loop then only reports the first of them
+        that shares a factor with N."""
+        if self.sizes[t.level] == 1 and math.gcd(
                 math.prod(c[0] for c in t.coeffs if c[0]) % self.N,
                 self.N) == 1:
             return
         for c in t.coeffs:
-            if not self.is_zero(c):
+            if not self.is_zero(c) and (
+                    len(c) > 1 or math.gcd(c[0], self.N) != 1):
                 self.e_invert(c)
 
     def p_sfd(self, f: PolyA) -> list[tuple[PolyA, int]]:

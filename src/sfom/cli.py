@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import re
 import sys
 
@@ -84,22 +85,20 @@ def _squarefree_mod_primes(f: IntPoly) -> bool:
 
 def detect_reducible(f: IntPoly, squarefree: bool) -> bool:
     """Best-effort reducibility flags: repeated factors (f not squarefree)
-    and rational roots."""
+    and rational roots among the integers in [-50, 50] and, when
+    |f(0)| <= 10^6, the divisors of f(0).  As f(k) = f(0) (mod k), only the
+    candidates k that divide f(0) can be roots, so only those are tried."""
     if not squarefree:
         return True
     c0 = abs(f[0])
-    candidates = set(range(-50, 51))
-    if 0 < c0 <= 10 ** 6:
-        d = 1
-        while d * d <= c0:
-            if c0 % d == 0:
-                candidates.update((d, -d, c0 // d, -(c0 // d)))
-            d += 1
     if c0 == 0:
         return True
-    for k in candidates:
-        if k and ia.peval(f, k) == 0:
-            return True
+    small = c0 <= 10 ** 6
+    for d in range(1, (math.isqrt(c0) if small else 50) + 1):
+        if c0 % d == 0:
+            for k in (d, c0 // d) if small else (d,):
+                if ia.peval(f, k) == 0 or ia.peval(f, -k) == 0:
+                    return True
     return False
 
 

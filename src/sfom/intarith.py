@@ -8,6 +8,8 @@ anywhere in this package.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 IntPoly = tuple
@@ -60,7 +62,9 @@ def perfect_power(n: int) -> tuple[int, int]:
     """Return (b, k) with n = b^k and k maximal (k = 1 when n is no power).
 
     Tries prime exponents in ascending order and takes each root it finds:
-    the primes p with n = b^p are exactly those dividing the maximal k.
+    the primes p with n = b^p are exactly those dividing the maximal k.  The
+    root is skipped when n mod q is no p-th power residue for one of the
+    sieve primes q = 1 (mod p) (Bernstein, Math. Comp. 67, 1998).
     """
     if n < 2:
         raise ValueError("perfect_power needs n >= 2")
@@ -68,12 +72,22 @@ def perfect_power(n: int) -> tuple[int, int]:
     primes = _small_primes(n.bit_length())
     i = 0
     while i < len(primes) and primes[i] < n.bit_length():
-        b = iroot(n, primes[i])
-        if b ** primes[i] == n:
-            n, k = b, k * primes[i]
-        else:
-            i += 1
+        p = primes[i]
+        if all(pow(n, e, q) < 2 for q, e in _sieve(p)):
+            b = iroot(n, p)
+            if b ** p == n:
+                n, k = b, k * p
+                continue
+        i += 1
     return n, k
+
+
+@functools.cache
+def _sieve(p: int) -> tuple:
+    """(q, (q - 1) / p) for the first four primes q = 1 (mod p): n is no
+    p-th power when n^((q - 1) / p) mod q is neither 0 nor 1."""
+    qs = (q for q in itertools.count(p + 1, p) if is_probable_prime(q))
+    return tuple((q, (q - 1) // p) for _, q in zip(range(4), qs))
 
 
 def factor_refinement(nums: list[int]) -> list[tuple[int, int]]:
@@ -209,14 +223,6 @@ def padd(f: IntPoly, g: IntPoly) -> IntPoly:
     return ptrim(out)
 
 
-def pneg(f: IntPoly) -> IntPoly:
-    return tuple(-c for c in f)
-
-
-def psub(f: IntPoly, g: IntPoly) -> IntPoly:
-    return padd(f, pneg(g))
-
-
 def pmul(f: IntPoly, g: IntPoly) -> IntPoly:
     if not f or not g:
         return ()
@@ -274,6 +280,12 @@ def pdivmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     if not g or g[-1] != 1:
         raise ValueError("divisor must be monic")
     dg = pdeg(g)
+    if dg == 1 and len(f) > 1:  # synthetic division by x + g[0]
+        c, g0, quo = 0, g[0], []
+        for a in f[:0:-1]:
+            c = a - g0 * c
+            quo.append(c)
+        return ptrim(quo[::-1]), ptrim((f[0] - g0 * c,))
     rem = list(f)
     quo = [0] * max(len(f) - dg, 0)
     for i in range(len(rem) - 1 - dg, -1, -1):

@@ -1,4 +1,4 @@
-"""Independent oracles: per-prime projection, valuation identities, maximality.
+"""Independent oracles: projection, integrality, index identity, maximality.
 
 These routines are the artifact's ground truth at test scale.  They are
 library code (not test-only) so the command line can expose a `verify`
@@ -107,24 +107,6 @@ def project_check(rep: SFOMRep, f: IntPoly, p: int) -> dict:
         for i in leaves:
             report["groups"][i] = len(primes)
     return report
-
-
-# ---------------------------------------------------------------------------
-# valuation identities through resultants
-
-
-def resultant_valuation_check(f: IntPoly, g: IntPoly, p: int,
-                              contributions) -> bool:
-    """Exact identity sum(e_P f_P * w_P(g(theta))) = ord_p(Res(f, g)).
-
-    `contributions` is a list of (e_P * f_P, w_P) pairs with w_P a Fraction;
-    the per-prime values come from prime-tree data.
-    """
-    res = ia.resultant(f, g)
-    if res == 0:
-        raise ValueError("resultant vanishes: g shares a factor with f")
-    lhs = sum(Fraction(m) * w for m, w in contributions)
-    return Fraction(ia.ord_n(res, p)[0]) == lhs
 
 
 # ---------------------------------------------------------------------------

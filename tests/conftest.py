@@ -4,9 +4,9 @@ The oracles here are deliberately written from scratch (dense lists mod p,
 Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
 over package objects (`p_pow`, `p_quotrem`, `polygon_of`, `polygon_sum`,
-`from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`,
-`quotient_value_bound`) are used by tests only; `hnf_rows_reference`,
-`p_sfd_reference`, `charpoly_is_integral_reference`,
+`from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`, `psub`,
+`resultant_valuation_check`, `quotient_value_bound`) are used by tests only;
+`hnf_rows_reference`, `p_sfd_reference`, `charpoly_is_integral_reference`,
 `pz_enlarge_reference` and the `*_reference` level-0 loops keep replaced
 package algorithms for differential tests.
 """
@@ -156,6 +156,24 @@ def hnf_merge(lattices, f):
     """HNF of the module sum of the given lattices and Z[theta]."""
     return bs._merge_row_groups([(lat.rows, lat.den) for lat in lattices],
                                 ia.pdeg(f))
+
+
+def psub(f, g):
+    """f - g for integer polynomials."""
+    return ia.padd(f, tuple(-c for c in g))
+
+
+def resultant_valuation_check(f, g, p, contributions):
+    """Exact identity sum(e_P f_P * w_P(g(theta))) = ord_p(Res(f, g)).
+
+    `contributions` is a list of (e_P * f_P, w_P) pairs with w_P a Fraction;
+    the per-prime values come from prime-tree data.
+    """
+    res = ia.resultant(f, g)
+    if res == 0:
+        raise ValueError("resultant vanishes: g shares a factor with f")
+    lhs = sum(Fraction(m) * w for m, w in contributions)
+    return Fraction(ia.ord_n(res, p)[0]) == lhs
 
 
 def quotient_value_bound(f, leaf, p, rho):

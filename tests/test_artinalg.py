@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -376,6 +377,105 @@ def test_level0_kernels_match_the_tuple_loops(primes):
         assert _outcome(T.p_gcd, a, b) == want
         seen["poly" if isinstance(want, PolyA) else "event"] += 1
     assert seen["event"] >= 5 and seen["poly"] >= 5, seen
+
+
+def _raising_gap(T, a, b):
+    """deg a - deg b at the step where the reference loop meets a leading
+    coefficient that is no unit, or None when it meets none."""
+    N = T.N
+    while b.coeffs:
+        lc = b.coeffs[-1][0]
+        if math.gcd(lc, N) != 1:
+            return a.degree() - b.degree()
+        inv = pow(lc, -1, N)
+        b = T.p_from_int_poly(tuple(c[0] * inv for c in b.coeffs))
+        a, b = b, p_divmod_reference(T, a, b)[1]
+    return None
+
+
+def _crt_poly(parts, primes):
+    """The coefficients over Z/N whose images mod the primes are `parts`."""
+    N = math.prod(primes)
+    out = [0] * max(map(len, parts))
+    for part, p in zip(parts, primes):
+        unit = N // p * pow(N // p, -1, p)  # 1 mod p, 0 mod the others
+        for i, c in enumerate(part):
+            out[i] += c * unit
+    return tuple(x % N for x in out)
+
+
+def _zero_divisor_then_long_gap(rng, primes):
+    """(a, b, sharp) with deg a = deg b + 1 and lc(b) = 0 mod one prime p_j.
+
+    b mod p_j also loses its next coefficient, so the pseudo-remainder of a
+    by b vanishes mod p_j; mod every other prime, a mod b has a degree of its
+    own, at most deg b - 2.  The step after the zero divisor then has gap
+    >= 2, and when those degrees differ (`sharp`), its leading coefficient
+    shares more than p_j with N."""
+    m, j = rng.randrange(3, 8), rng.randrange(len(primes))
+    A, B, degrees = [], [], set()
+    for i, p in enumerate(primes):
+        def rand(k):
+            return [rng.randrange(p) for _ in range(k)]
+        if i == j:
+            A.append(rand(m + 1) + [rng.randrange(1, p)])
+            B.append(rand(m - 1) + [0, 0])
+            continue
+        b = rand(m) + [rng.randrange(1, p)]
+        r = rand(rng.randrange(0, m - 1)) + [rng.randrange(1, p)]
+        a = fp_mul([rng.randrange(p), rng.randrange(1, p)], b, p)
+        A.append([(x + (r[k] if k < len(r) else 0)) % p
+                  for k, x in enumerate(a)])
+        B.append(b)
+        degrees.add(len(r))
+    return _crt_poly(A, primes), _crt_poly(B, primes), len(degrees) > 1
+
+
+@pytest.mark.parametrize("primes", [(3, 5), (5, 7), (10007, 10009), "big"])
+def test_level0_gcd_with_deferred_leading_coefficients(primes):
+    # Gap-1 steps defer their leading coefficients.  Every outcome (the
+    # monic gcd, or the event's level and factor) must be the monic loop's,
+    # also when a deferred zero divisor is followed by a gap >= 2 step.  The
+    # big N has about 700 bits and three primes, so that the first non-unit
+    # and a later one can share different factors with N.
+    if primes == "big":
+        primes = (_next_prime(2 ** 233), _next_prime(3 ** 147),
+                  _next_prime(5 ** 100))
+    N = math.prod(primes)
+    rng = random.Random(N % 10007)
+    T = AlgebraTower(N)
+
+    def unit():
+        while math.gcd(x := rng.randrange(1, N), N) != 1:
+            pass
+        return x
+
+    def rand(deg, lc=None):
+        return T.p_from_int_poly(tuple(rng.randrange(N) for _ in range(deg))
+                                 + (unit() if lc is None else lc,))
+
+    seen = collections.Counter()
+    for k in range(60):
+        if k % 2:  # a chain of gap-1 steps, some with a zero divisor
+            zd = rng.choice(primes) * rng.randrange(1, N) % N
+            c = rand(rng.randrange(0, 4), rng.choice([1, 1, zd]))
+            m = rng.choice([0, 1, 2, rng.randrange(3, 12)])
+            a = T.p_mul(rand(m + 1), c)
+            b = T.p_mul(rand(m, rng.choice([None, None, zd])), c)
+        else:
+            a, b, sharp = _zero_divisor_then_long_gap(rng, primes)
+            a, b = T.p_from_int_poly(a), T.p_from_int_poly(b)
+            seen["sharp"] += sharp
+            if rng.randrange(2):  # a deferred unit before the zero divisor
+                a, b = T.p_add(T.p_mul(rand(1, 1), a), b), a
+        want = _outcome(p_gcd_reference, T, a, b)
+        assert _outcome(T.p_gcd, a, b) == want, (a, b)
+        if isinstance(want, PolyA):
+            seen["poly"] += 1
+        else:
+            seen["deferred event"] += _raising_gap(T, a, b) == 1
+    assert seen["poly"] >= 5 and seen["deferred event"] >= 5, seen
+    assert len(primes) < 3 or seen["sharp"] >= 5, seen
 
 
 @pytest.mark.parametrize("N, n", [(15, 31), (29, 31), (2 ** 64 - 1, 257),

@@ -138,6 +138,50 @@ def test_perfect_power_matches_the_descending_search():
         assert _perfect_power_descending(b ** k) == (b, k)
 
 
+_PRIMES_BELOW_100 = [k for k in range(2, 100) if is_probable_prime(k)]
+
+
+@pytest.mark.parametrize("b", [2, 3, 1009, 2 ** 61 - 1])
+def test_sieved_perfect_power_on_prime_powers_and_neighbours(b):
+    # b^k is (b, k); by Mihailescu's theorem b^k +- 1 is no power but for
+    # 3^2 - 1 = 2^3 and 2^3 + 1 = 3^2.  The descending search agrees below
+    # 2^1024 (it tries every exponent up to the bit length: ~30 s for all)
+    for k in _PRIMES_BELOW_100:
+        for n, want in [(b ** k, (b, k)), (b ** k + 1, (b ** k + 1, 1)),
+                        (b ** k - 1, (b ** k - 1, 1))]:
+            want = {8: (2, 3), 9: (3, 2)}.get(n, want)
+            if n < 2:
+                continue
+            assert ia.perfect_power(n) == want, (b, k, n)
+            if n.bit_length() <= 1024:
+                assert _perfect_power_descending(n) == want, (b, k, n)
+
+
+def test_sieved_perfect_power_when_a_sieve_prime_divides_n():
+    # n mod q = 0 is a k-th power residue: the root must still be tried
+    for k in _PRIMES_BELOW_100[:8]:
+        for q, _ in ia._sieve(k):
+            for n in [(q * 5) ** k, q ** k, q * 7 ** k, (q * 2) ** (2 * k)]:
+                assert ia.perfect_power(n) == _perfect_power_descending(n), n
+
+
+def _divmod_monic_reference(f, g):
+    rem, quo, dg = list(f), [0] * max(len(f) - len(g) + 1, 0), len(g) - 1
+    for i in reversed(range(len(quo))):
+        quo[i] = rem[i + dg]
+        for j, c in enumerate(g):
+            rem[i + j] -= quo[i] * c
+    return ia.ptrim(quo), ia.ptrim(rem[:dg])
+
+
+def test_synthetic_division_by_a_linear_base(rng):
+    for _ in range(300):
+        f = ia.ptrim([rng.choice([0, 0, rng.randint(-10 ** 30, 10 ** 30)])
+                      for _ in range(rng.randrange(0, 12))])
+        g = (rng.choice([0, 1, -1, rng.randint(-10 ** 6, 10 ** 6)]), 1)
+        assert ia.pdivmod_monic(f, g) == _divmod_monic_reference(f, g), (f, g)
+
+
 def test_xgcd_bezout(rng):
     for _ in range(500):
         a, b = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)

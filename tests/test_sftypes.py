@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import (example1, example2, example3, poly_ints, polygon_of,
-                      polygon_sum, refine_fixture)
+                      polygon_sum, psub, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.basis import level_quotients
@@ -280,7 +280,7 @@ def test_equivalence_iff_same_segment_and_residual(rng):
         bump = node.tower.N ** (af.v + 5)
         h = ia.padd(f, (bump, bump * 3))
         ah = st.analyze(node, h)
-        assert st.value(node, ia.psub(f, h)) > af.v
+        assert st.value(node, psub(f, h)) > af.v
         assert (af.s0, af.u0, af.s1, af.u1) == (ah.s0, ah.u0, ah.s1, ah.u1)
         assert af.R == ah.R
         # and an on-polygon change breaks residual equality
@@ -290,7 +290,7 @@ def test_equivalence_iff_same_segment_and_residual(rng):
         ah2 = st.analyze(node, h2)
         changed = (ah2.R != af.R or (ah2.s0, ah2.u0, ah2.s1, ah2.u1)
                    != (af.s0, af.u0, af.s1, af.u1))
-        assert changed or st.value(node, ia.psub(h2, f)) > af.v
+        assert changed or st.value(node, psub(h2, f)) > af.v
 
 
 def test_value_is_min_over_expansion(rng):

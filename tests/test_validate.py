@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (charpoly_is_integral_reference, example1, example2,
-                      example3, pollard_factor, power_basis,
+                      example3, pollard_factor, power_basis, psub,
                       pz_enlarge_reference, quotient_value_bound,
-                      refine_fixture, sylvester_resultant)
+                      refine_fixture, resultant_valuation_check,
+                      sylvester_resultant)
 from sfom import intarith as ia
 from sfom import validate
 from sfom.basis import IntegerLattice, global_basis, n_integral_basis
@@ -15,8 +16,7 @@ from sfom.sfom import sfom
 from sfom.validate import (charpoly, charpoly_is_integral, index_disc_identity,
                            normalized_chain, order_discriminant, p_maximal,
                            power_sums, project_check, pz_enlarge,
-                           resultant_valuation_check, ring_closed,
-                           verify_report)
+                           ring_closed, verify_report)
 
 
 def test_power_sums():
@@ -46,7 +46,7 @@ def test_charpoly_matches_resultant(f, rng):
         assert coeffs[0] == 1 and len(coeffs) == n + 1
         for y in range(n + 1):
             value = sum(c * y ** (n - k) for k, c in enumerate(coeffs))
-            g = ia.psub((y,), num)
+            g = psub((y,), num)
             assert value == sylvester_resultant(f, g), (f, num, y)
 
 
