@@ -297,14 +297,6 @@ class AlgebraTower:
         ][1:]
         return self.p_trim(L, out)
 
-    def p_eval_up(self, p: PolyA, x: tuple) -> tuple:
-        """Evaluate a level-L polynomial at a level-(L+1) point."""
-        L1 = p.level + 1
-        out = self.zero(L1)
-        for c in reversed(p.coeffs):
-            out = self.e_add(self.e_mul(out, x), self.lift_elem(c, L1))
-        return out
-
     def p_divmod_monic(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
         """Division with remainder by a monic t; never raises FactorEvent."""
         L = s.level

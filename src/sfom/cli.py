@@ -5,7 +5,8 @@ order (constant first), as a file containing the same, or as `-` for stdin.
 All JSON output serializes big integers as decimal strings.  Exit codes:
 0 success, 2 malformed input or an unwritable --svg path, 3 input reducible
 over Z (flagged up front or certified by a factor the tree finds), 4 internal
-invariant failure.
+invariant failure.  Every exit-2 error is a ValueError that `main` prints as
+one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -42,13 +43,11 @@ def _read_poly(source: str) -> IntPoly:
         except ValueError:
             why = ("over the digit limit" if re.fullmatch(r"[+-]?\d+", part)
                    else "not an integer")
-            print(f"error: --poly: {why}: {part[:40]!r}", file=sys.stderr)
-            raise SystemExit(2) from None
+            raise ValueError(f"--poly: {why}: {part[:40]!r}") from None
     f = ia.ptrim(coeffs)
     if ia.pdeg(f) < 2 or f[-1] != 1:
-        print("error: need a monic polynomial of degree > 1 "
-              "(ascending coefficients)", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("need a monic polynomial of degree > 1 "
+                         "(ascending coefficients)")
     return f
 
 
@@ -134,9 +133,7 @@ def _tree_or_factor(args):
     a detected factor of the modulus has been printed."""
     f = _read_poly(args.poly)
     if any(args.modulus % p == 0 for p in range(2, ia.pdeg(f) + 1)):
-        print("error: --modulus must have no prime factor <= deg f",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("--modulus must have no prime factor <= deg f")
     out = run_tree(f, args.modulus)
     if out.n_factor is not None:
         with _unlimited_digits():
@@ -159,12 +156,10 @@ def cmd_polygon(args) -> int:
         return 0
     leaves = out.rep.leaves
     if not (0 <= args.leaf < len(leaves)):
-        print("error: no such leaf", file=sys.stderr)
-        return 2
+        raise ValueError("no such leaf")
     leaf = leaves[args.leaf]
     if not (1 <= args.level <= leaf.order):
-        print("error: no such level", file=sys.stderr)
-        return 2
+        raise ValueError("no such level")
     node = leaf.trunc(args.level)
     polygon = st.NewtonPolygon.from_cloud(
         st.cloud(node.parent, st.analyze(node, f).coeffs, node.V))
@@ -174,9 +169,8 @@ def cmd_polygon(args) -> int:
             with open(args.svg, "w") as handle:
                 handle.write(st.polygon_svg(polygon))
         except OSError as exc:
-            print(f"error: --svg: cannot write {args.svg!r}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--svg: cannot write {args.svg!r}: "
+                             f"{exc.strerror}") from None
     return 0
 
 
@@ -192,12 +186,9 @@ def cmd_verify(args) -> int:
             why = ("is over the digit limit"
                    if re.fullmatch(r"\s*[+-]?\d+\s*", entry)
                    else "is not an integer")
-            print(f"error: --known-primes: {entry[:40]!r} {why}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--known-primes: {entry[:40]!r} {why}") from None
         if not ia.is_probable_prime(p):
-            print(f"error: --known-primes: {p} is not prime", file=sys.stderr)
-            return 2
+            raise ValueError(f"--known-primes: {p} is not prime")
         if p not in primes:
             primes.append(p)
     D = _gated_disc(f, args.disc)

@@ -90,31 +90,24 @@ def _sieve(p: int) -> tuple:
     return tuple((q, (q - 1) // p) for _, q in zip(range(4), qs))
 
 
-def factor_refinement(nums: list[int]) -> list[tuple[int, int]]:
-    """Gcd-free basis: pairwise coprime bases with prod b^e = prod(nums).
-
-    Only gcd splitting is performed; no factoring is attempted.
-    """
-    stack = [(n, 1) for n in nums if n > 1]
-    basis: list[tuple[int, int]] = []
+def coprime_base(nums: list[int]) -> set[int]:
+    """Pairwise coprime integers > 1 of which every entry of nums is a
+    product of powers, by gcd splitting alone (no factoring)."""
+    stack = [n for n in nums if n > 1]
+    base: list[int] = []
     while stack:
-        n, e = stack.pop()
+        n = stack.pop()
         if n == 1:
             continue
-        for i, (b, be) in enumerate(basis):
+        for i, b in enumerate(base):
             g = math.gcd(n, b)
-            if g == 1:
-                continue
-            # split both entries along g and retry the pieces
-            basis.pop(i)
-            stack.extend([(g, e + be), (n // g, e), (b // g, be)])
-            break
+            if g != 1:  # split both along g and retry the pieces
+                base.pop(i)
+                stack += (g, n // g, b // g)
+                break
         else:
-            basis.append((n, e))
-    merged: dict[int, int] = {}
-    for b, e in basis:
-        merged[b] = merged.get(b, 0) + e
-    return sorted(merged.items())
+            base.append(n)
+    return set(base)
 
 
 def coprime_splitting(d: int, N: int) -> list[int]:
@@ -125,7 +118,7 @@ def coprime_splitting(d: int, N: int) -> list[int]:
     """
     if not (1 < d < N) or N % d != 0:
         raise ValueError("need a proper divisor 1 < d < N")
-    return sorted({perfect_power(b)[0] for b, _ in factor_refinement([d, N])})
+    return sorted({perfect_power(b)[0] for b in coprime_base([d, N])})
 
 
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

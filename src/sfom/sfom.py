@@ -121,8 +121,6 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
     n = ia.pdeg(f)
     if n < 2 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree > 1")
-    if N <= 1:
-        raise ValueError("need N > 1")
     state = _State(AlgebraTower(N))
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
     try:

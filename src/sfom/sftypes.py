@@ -207,8 +207,9 @@ class Analysis(Record):
 
     v is the scaled valuation, (s0, u0)-(s1, u1) the lambda-component of the
     principal polygon, nu the twist exponent, R the residual polynomial over
-    level `order`, gamma = z^nu * R(z) in level order+1; coeffs is the
-    expansion by the node's representative, (a,) at order 0.
+    level `order`, gamma = z^nu * R(z) in level order+1, where R(z) is the
+    element R mod t; coeffs is the expansion by the node's representative,
+    (a,) at order 0.
     """
 
     __slots__ = ("v", "s0", "u0", "s1", "u1", "nu", "R", "gamma", "coeffs")
@@ -227,16 +228,15 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
     if r == 0:
         v = value(node, a)
         R = tower.p_trim(0, [tower.embed_int(c // tower.N ** v, 0) for c in a])
-        gamma = tower.p_eval_up(R, tower.z(1))
+        gamma = tower.poly_to_elem(tower.p_divmod_monic(R, node.t)[1], 1)
         out = Analysis(v, 0, v, 0, v, 0, R, gamma, (a,))
     else:
         exp = expand(a, node.g)
         v, (s0, u0, s1, u1), R = _residual(
             node.parent, exp.coeffs, node.V, node.h, node.e)
         nu = node.ellp * s0 - node.ell * u0
-        gamma = tower.e_mul(
-            tower.zpow(r + 1, nu), tower.p_eval_up(R, tower.z(r + 1))
-        )
+        gamma = tower.e_mul(tower.zpow(r + 1, nu), tower.poly_to_elem(
+            tower.p_divmod_monic(R, node.t)[1], r + 1))
         out = Analysis(v, s0, u0, s1, u1, nu, R, gamma, exp.coeffs)
     node._analyses[a] = out
     return out

@@ -7,8 +7,8 @@ over package objects (`p_pow`, `p_quotrem`, `polygon_of`, `polygon_sum`,
 `from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`, `psub`,
 `resultant_valuation_check`, `quotient_value_bound`) are used by tests only;
 `hnf_rows_reference`, `p_sfd_reference`, `charpoly_is_integral_reference`,
-`pz_enlarge_reference` and the `*_reference` level-0 loops keep replaced
-package algorithms for differential tests.
+`pz_enlarge_reference`, `eval_up_reference` and the `*_reference` level-0
+loops keep replaced package algorithms for differential tests.
 """
 
 from __future__ import annotations
@@ -102,6 +102,16 @@ def p_quotrem(T, s, t):
     inv = T.e_invert(t.coeffs[-1])
     q, r = T.p_divmod_monic(s, T.p_scale(t, inv))
     return T.p_scale(q, inv), r
+
+
+def eval_up_reference(T, p, x):
+    """p(x) for a level-L polynomial p at a level-(L+1) point x, by Horner in
+    A_{L+1} (the package takes p mod t instead)."""
+    L1 = p.level + 1
+    out = T.zero(L1)
+    for c in reversed(p.coeffs):
+        out = T.e_add(T.e_mul(out, x), T.lift_elem(c, L1))
+    return out
 
 
 def polygon_of(node, a):

@@ -101,6 +101,16 @@ def test_reducible_input(capsys):
     # a zero --disc is rejected as such; f itself is squarefree
     (["basis", "--poly", EX1, "--disc", "0"], (2,), "nonzero"),
     (["verify", "--poly", EX1, "--disc", "0"], (2,), "nonzero"),
+    # the tree of EX1 at 35 has one leaf, of order 2
+    (["polygon", "--poly", EX1, "--modulus", "35", "--level", "1",
+      "--leaf", "9"], (2,), "error: no such leaf"),
+    (["polygon", "--poly", EX1, "--modulus", "35", "--level", "0"], (2,),
+     "error: no such level"),
+    (["polygon", "--poly", EX1, "--modulus", "35", "--level", "3"], (2,),
+     "error: no such level"),
+    (["basis", "--poly", "2,0,2"], (2,), "error: need a monic polynomial of "
+     "degree > 1 (ascending coefficients)"),
+    (["tree", "--poly", EX1, "--modulus", "1"], (2,), "error: need N > 1"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)

@@ -57,6 +57,53 @@ def test_coprime_splitting_properties(rng):
             assert sum(1 for a in out if a % p == 0) == 1
 
 
+def _factor_refinement_reference(nums):
+    """Gcd-free basis with exponents, prod b^e = prod(nums): the loop of
+    `coprime_base` with each piece's exponent carried along."""
+    stack = [(n, 1) for n in nums if n > 1]
+    basis = []
+    while stack:
+        n, e = stack.pop()
+        if n == 1:
+            continue
+        for i, (b, be) in enumerate(basis):
+            g = math.gcd(n, b)
+            if g == 1:
+                continue
+            basis.pop(i)
+            stack.extend([(g, e + be), (n // g, e), (b // g, be)])
+            break
+        else:
+            basis.append((n, e))
+    merged = {}
+    for b, e in basis:
+        merged[b] = merged.get(b, 0) + e
+    return sorted(merged.items())
+
+
+def test_coprime_splitting_matches_factor_refinement(rng):
+    pool = [2, 3, 5, 7, 11, 13, 10007]
+    cases = mersenne = 0
+    for trial in range(2700):
+        # one case in three also draws the Mersenne prime 2^61 - 1
+        primes = pool + [2 ** 61 - 1] if trial % 3 == 0 else pool
+        exps = {p: rng.randint(1, 4)
+                for p in rng.sample(primes, rng.randint(1, 4))}
+        N = math.prod(p ** e for p, e in exps.items())
+        d = math.prod(p ** rng.randint(0, e) for p, e in exps.items())
+        if not 1 < d < N:
+            continue
+        reference = _factor_refinement_reference([d, N])
+        base = {b for b, _ in reference}
+        assert math.prod(b ** e for b, e in reference) == d * N
+        assert ia.coprime_base([d, N]) == base, (d, N)
+        assert ia.coprime_splitting(d, N) == sorted(
+            {ia.perfect_power(b)[0] for b in base}), (d, N)
+        cases += 1
+        mersenne += N % (2 ** 61 - 1) == 0
+    assert cases >= 2000 and mersenne >= 150
+
+
 def test_int_sfd_examples():
     assert ia.int_sfd(360) == [(5, 1), (3, 2), (2, 3)]
     assert ia.int_sfd(35) == [(35, 1)]

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from conftest import (example1, example2, example3, poly_ints, polygon_of,
-                      polygon_sum, psub, refine_fixture)
+from conftest import (eval_up_reference, example1, example2, example3,
+                      poly_ints, polygon_of, polygon_sum, psub, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
-from sfom.basis import level_quotients
+from sfom.basis import level_quotients, n_integral_basis
 from sfom.artinalg import AlgebraTower, FactorEvent
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
@@ -430,6 +430,48 @@ def test_residual_of_matches_analyze_of_the_child():
             assert R == st.analyze(child, f).R
             checked += 1
     assert checked >= 10
+
+
+def test_gamma_is_z_power_times_residual_evaluated_at_z(monkeypatch):
+    # gamma = z^nu * (R mod t) equals z^nu * R(z) by Horner, for f at every
+    # node and for every polynomial the trees and their bases analyze
+    seen = []
+    analyze = st.analyze
+
+    def recording(node, a):
+        seen.append((node, tuple(a)))
+        return analyze(node, a)
+
+    monkeypatch.setattr(st, "analyze", recording)
+    for primes in ((5, 7), (10007, 10009)):
+        N = math.prod(primes)
+        for f in (example1(N), example3(1, N)[0], example3(2, N)[0],
+                  refine_fixture(N)):
+            if min(primes) > ia.pdeg(f):
+                out = sfom(f, N)
+                assert out.n_factor is None
+                trees = [(out.rep, N)]
+            else:  # primes <= deg f go to the prime engine
+                trees = [(om_prime(f, p), p) for p in primes]
+            for rep, M in trees:
+                n_integral_basis(rep, f, M, assume_squarefree=True)
+                for leaf in rep.leaves:
+                    for node in leaf.chain():
+                        st.analyze(node, f)
+    monkeypatch.undo()
+    pairs = {(id(node), a): (node, a) for node, a in seen}.values()
+    reduced = linear = twisted = 0
+    for node, a in pairs:
+        an = st.analyze(node, a)
+        T, r = node.tower, node.order
+        want = T.e_mul(T.zpow(r + 1, an.nu),
+                       eval_up_reference(T, an.R, T.z(r + 1)))
+        assert an.gamma == want
+        reduced += an.R.degree() >= node.t.degree()
+        linear += node.t.degree() == 1
+        twisted += an.nu < 0
+    # R mod t is not R itself, t is linear (z is -t(0)), and z^nu inverts
+    assert min(reduced, linear, twisted) >= 10
 
 
 def test_representative_self_check_random(rng):
