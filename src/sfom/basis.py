@@ -39,28 +39,41 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
 
     `modulus` may be given when the lattice is known to contain modulus * Z^n.
     Its rows modulus * e_j then seed the pivots, every pivot divides the
-    modulus, and the entries right of a pivot are kept in [0, modulus)
-    (Cohen, GTM 138, 2.4.2): reducing them adds multiples of modulus * e_k,
-    which the untouched pivots of the columns k to the right still span.
+    modulus, and the other entries are kept in [0, modulus) (Cohen, GTM 138,
+    2.4.2): reducing them adds multiples of modulus * e_k, which the
+    untouched pivots of the columns k to the right still span.
 
-    Rows go in by ascending last nonzero column, so a row and every pivot
-    it meets are zero right of that column.  The back-reduction runs from
-    the bottom row up, against rows that are already reduced, which keeps
-    its multipliers and entries small.
+    Rows go in by ascending last nonzero column, so a row and every pivot it
+    meets are zero right of that column, where each step stops.  First each
+    row is size-reduced, right to left, against the lower pivots (for each
+    column, the first row that ends there with a positive entry), and then
+    modulo the modulus again.  The nearly triangular rows of the OM bases
+    keep few nonzero entries that way, and steps skip the columns where the
+    pivot is 0.  The back-reduction runs from the bottom row up, against
+    rows that are already reduced.
     """
-    basis: list[list[int] | None] = [None] * n
-    work = [list(r) for r in rows if any(r)]
-    if modulus is not None:
-        basis = [[modulus * (i == j) for i in range(n)] for j in range(n)]
-        work = [[x % modulus for x in row] for row in work]
-    work.sort(key=lambda row: max((j for j, x in enumerate(row) if x),
-                                  default=-1))
 
     def wrap(vec):
         return vec if modulus is None else [x % modulus for x in vec]
 
-    for row in work:
-        for j in range(n):
+    basis = ([None] * n if modulus is None else
+             [[modulus * (i == j) for i in range(n)] for j in range(n)])
+    work = sorted(((max(j for j, x in enumerate(row) if x), row)
+                   for row in (wrap(list(r)) for r in rows) if any(row)),
+                  key=lambda t: t[0])
+    lower: list[list[int] | None] = [None] * n
+    for last, row in work:
+        for j in range(last - 1, -1, -1):
+            p = lower[j]
+            if p is not None and (q := row[j] // p[j]):
+                row[:j + 1] = [x - q * y if y else x
+                               for x, y in zip(row[:j + 1], p)]
+        if lower[last] is None and row[last] > 0:
+            lower[last] = row
+    for _, row in work:
+        row[:] = wrap(row)
+    for last, row in work:
+        for j in range(last + 1):
             b = row[j]
             if b == 0:
                 continue
@@ -68,33 +81,28 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
             if piv is None:
                 basis[j] = row
                 break
-            # one extended-gcd step on the columns >= j
+            # one extended-gcd step on the columns j to last
             a = piv[j]
+            xs, ys = row[j:last + 1], piv[j:last + 1]
             if b % a == 0:
                 q = b // a
-                row = [0] * (j + 1) + wrap(
-                    [x - q * y for x, y in zip(row[j + 1:], piv[j + 1:])])
+                row[j:last + 1] = wrap([x - q * y if y else x
+                                        for x, y in zip(xs, ys)])
                 continue
             d, u, v = ia.xgcd(a, b)
             a, b = a // d, b // d
-            basis[j] = [0] * j + [d] + wrap(
-                [u * y + v * x for x, y in zip(row[j + 1:], piv[j + 1:])])
-            row = [0] * (j + 1) + wrap(
-                [a * x - b * y for x, y in zip(row[j + 1:], piv[j + 1:])])
+            piv[j:last + 1] = wrap([u * y + v * x for x, y in zip(xs, ys)])
+            row[j:last + 1] = wrap([a * x - b * y for x, y in zip(xs, ys)])
         # a fully reduced row is dropped
-    out = []
-    for j in range(n):
-        if basis[j] is None:
-            raise ValueError("lattice does not have full rank")
-        row = basis[j]
-        if row[j] < 0:
-            row = [-x for x in row]
-        out.append(row)
+    if None in basis:
+        raise ValueError("lattice does not have full rank")
+    out = [row if row[j] > 0 else [-x for x in row]
+           for j, row in enumerate(basis)]
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
-            q = out[i][j] // out[j][j]
-            if q:
-                out[i][j:] = [x - q * y for x, y in zip(out[i][j:], out[j][j:])]
+            if q := out[i][j] // out[j][j]:
+                out[i][j:] = [x - q * y if y else x
+                              for x, y in zip(out[i][j:], out[j][j:])]
     return out
 
 
@@ -112,8 +120,9 @@ class IntegerLattice(Record):
         """Lattice of HNF rows `red` over `den`, with common factors cancelled."""
         g = den
         for row in red:
-            for x in row:
-                g = math.gcd(g, x)
+            g = math.gcd(g, *row)
+            if g == 1:
+                return cls(den, tuple(map(tuple, red)), n)
         return cls(den // g, tuple(tuple(x // g for x in row) for row in red), n)
 
     def index_over_power_basis(self) -> int:
@@ -145,8 +154,9 @@ class IntegerLattice(Record):
 
 def _merge_row_groups(groups, n: int) -> IntegerLattice:
     """The sum of Z[theta] and the lattices rows/den of `groups`.  It
-    contains den * Z^n over the common denominator den, so the reduction
-    runs with entries wrapped modulo den."""
+    contains den * Z^n over the common denominator den, so each group's rows
+    go in reduced modulo their own d (its integral rows vanish), and the
+    reduction runs with entries wrapped modulo den."""
     den = 1
     for _, d in groups:
         den = den * d // math.gcd(den, d)
@@ -154,7 +164,7 @@ def _merge_row_groups(groups, n: int) -> IntegerLattice:
     for group_rows, d in groups:
         scale = den // d
         for row in group_rows:
-            rows.append([scale * x for x in row])
+            rows.append([scale * (x % d) for x in row])
     return IntegerLattice._reduced(hnf_rows(rows, n, modulus=den), den, n)
 
 

@@ -2,8 +2,8 @@
 
 Integers are plain Python ints (arbitrary precision).  Integer polynomials
 are dense tuples of ints in ascending degree order with trailing zeros
-trimmed; the zero polynomial is the empty tuple.  No floating point is used
-anywhere in this package.
+trimmed; the zero polynomial is the empty tuple.  Floating point appears
+only in the first estimate of `iroot`, which its integer steps correct.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ def ord_n(a: int, N: int) -> tuple[int, int]:
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, by integer Newton iteration."""
+    """Floor of the k-th root of n >= 0, by Newton from just above it."""
     if n < 0 or k < 1:
         raise ValueError("iroot needs n >= 0, k >= 1")
     if n < 2 or k == 1:
         return n
-    x = 1 << (-(-n.bit_length() // k))  # upper estimate: 2^ceil(bits/k)
+    s = max(0, n.bit_length() // k - 50)  # root bits below a float estimate
+    x = (int(math.exp(math.log(n >> k * s) / k) * (1 + 2 ** -30)) + 1) << s
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -68,9 +69,8 @@ def perfect_power(n: int) -> tuple[int, int]:
     """
     if n < 2:
         raise ValueError("perfect_power needs n >= 2")
-    k = 1
+    k, i = 1, 0
     primes = _small_primes(n.bit_length())
-    i = 0
     while i < len(primes) and primes[i] < n.bit_length():
         p = primes[i]
         if all(pow(n, e, q) < 2 for q, e in _sieve(p)):

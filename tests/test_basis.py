@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 from itertools import product
@@ -11,8 +12,9 @@ from conftest import (basis_vectors, example1, example2, example3,
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.basis import (BasisElement, IntegerLattice, NeedsSquarefree,
-                        _element_rows, global_basis, hnf_rows,
-                        n_integral_basis, order_zero_basis, terminal_basis)
+                        _element_rows, _merge_row_groups, global_basis,
+                        hnf_rows, n_integral_basis, order_zero_basis,
+                        terminal_basis)
 from sfom.sfom import ReducibleInput, sfom
 from sfom.validate import (charpoly_is_integral, index_disc_identity,
                            mul_mod, p_maximal, ring_closed)
@@ -75,6 +77,39 @@ def test_hnf_rows_matches_the_reference_on_a_merge():
                 before = [row[:] for row in order]
                 assert hnf_rows(order, n, modulus) == want
                 assert order == before
+    # the size-reduction pass keeps the entries small without a modulus too
+    for r in (3, 4):
+        f, _ = example3(r, N)
+        n = ia.pdeg(f)
+        (rows, den), = [_element_rows(b, M, n)
+                        for M, b in global_basis(f, D=N).moduli]
+        assert hnf_rows(rows, n) == hnf_rows(rows, n, den)
+    # merges shaped like random_fields: several groups over coprime
+    # denominators, so every last column repeats, and integral rows whose
+    # entries are multiples of their group's denominator
+    rng = random.Random(3)
+    fields = 0
+    while fields < 3:
+        n = rng.randint(8, 12)
+        f = tuple(rng.randint(-100, 100) for _ in range(n)) + (1,)
+        try:
+            result = global_basis(f)
+        except (ValueError, ReducibleInput):
+            continue
+        groups = [_element_rows(b, M, n) for M, b in result.moduli]
+        if len(groups) < 2 or result.merged.den == 1:
+            continue
+        fields += 1
+        den = math.lcm(*(d for _, d in groups))
+        rows = [[den // d * x for x in row] for g, d in groups for row in g]
+        assert any(el.den_exp == 0 for _, b in result.moduli for el in b)
+        want = hnf_rows_reference(rows, n, den)
+        for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
+            before = [row[:] for row in order]
+            assert hnf_rows(order, n, den) == want
+            assert order == before
+        assert _merge_row_groups(groups, n) == \
+            IntegerLattice._reduced(want, den, n)
 
 
 def test_lattice_membership(rng):

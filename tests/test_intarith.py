@@ -166,6 +166,35 @@ def test_perfect_power_and_iroot():
     assert ia.iroot(3 ** 30 - 1, 30) == 2
 
 
+def _iroot_from_a_power_of_two(n, k):
+    # the Newton loop iroot used before its float start: from 2^ceil(bits/k)
+    if n < 2 or k == 1:
+        return n
+    x = 1 << (-(-n.bit_length() // k))
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def test_iroot_matches_newton_from_a_power_of_two():
+    # random n up to 10^4 bits and k up to 200, with the perfect powers
+    # b^k and b^k +- 1 on both sides of every root
+    rng = random.Random(18)
+    for _ in range(300):
+        k = rng.choice([2, 3, rng.randint(2, 30), rng.randint(2, 200)])
+        n = rng.getrandbits(rng.randint(1, 10 ** 4))
+        b = _iroot_from_a_power_of_two(n, k)
+        for m in (n, b ** k - 1, b ** k, b ** k + 1, (b + 1) ** k - 1,
+                  (b + 1) ** k):
+            if m >= 0:
+                assert ia.iroot(m, k) == _iroot_from_a_power_of_two(m, k)
+    for k in (1, 2, 3, 64, 199, 200):
+        for m in range(70):
+            assert ia.iroot(m, k) == _iroot_from_a_power_of_two(m, k)
+
+
 def _perfect_power_descending(n):
     # every exponent from the bit length down; the first hit is maximal
     for k in range(n.bit_length(), 1, -1):
@@ -192,7 +221,7 @@ _PRIMES_BELOW_100 = [k for k in range(2, 100) if is_probable_prime(k)]
 def test_sieved_perfect_power_on_prime_powers_and_neighbours(b):
     # b^k is (b, k); by Mihailescu's theorem b^k +- 1 is no power but for
     # 3^2 - 1 = 2^3 and 2^3 + 1 = 3^2.  The descending search agrees below
-    # 2^1024 (it tries every exponent up to the bit length: ~30 s for all)
+    # 2^1024 (it tries every exponent up to the bit length: ~3 s for all)
     for k in _PRIMES_BELOW_100:
         for n, want in [(b ** k, (b, k)), (b ** k + 1, (b ** k + 1, 1)),
                         (b ** k - 1, (b ** k - 1, 1))]:
