@@ -371,7 +371,8 @@ class AlgebraTower:
         return s
 
     def p_xgcd(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
-        """(d, u) with s*u = d mod t, d as in p_gcd."""
+        """(d, u) with s*u = d mod t, d as in p_gcd.  t != 0; d is monic,
+        the last divisor of the Euclidean loop made monic."""
         L = s.level
         r0, r1 = s, t
         s0, s1 = self.p_one(L), self.p_zero(L)
@@ -384,12 +385,6 @@ class AlgebraTower:
             q, r2 = self.p_divmod_monic(r0, r1)
             r0, r1 = r1, r2
             s0, s1 = s1, self.p_sub(s0, self.p_mul(q, s1))
-        if not r0.coeffs:
-            raise ValueError("gcd(0, 0)")
-        lc = r0.coeffs[-1]
-        if not self.is_one(lc):
-            inv = self.e_invert(lc)
-            r0, s0 = self.p_scale(r0, inv), self.p_scale(s0, inv)
         return r0, s0
 
     def p_exact_divide(self, t: PolyA, d: PolyA) -> PolyA:

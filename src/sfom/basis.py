@@ -157,9 +157,7 @@ def _merge_row_groups(groups, n: int) -> IntegerLattice:
     contains den * Z^n over the common denominator den, so each group's rows
     go in reduced modulo their own d (its integral rows vanish), and the
     reduction runs with entries wrapped modulo den."""
-    den = 1
-    for _, d in groups:
-        den = den * d // math.gcd(den, d)
+    den = math.lcm(*(d for _, d in groups))
     rows = []
     for group_rows, d in groups:
         scale = den // d
@@ -186,14 +184,10 @@ def _element_rows(elements, N: int, n: int) -> tuple[list, int]:
 
 def order_zero_basis(t: PolyA, f: IntPoly) -> list[BasisElement]:
     """Elements theta^j * q(theta) for the multiplicity-one part t of f mod N,
-    where f = q * lift(t) + remainder."""
-    g = st.lift_order_zero(t)
-    q, _ = ia.pdivmod_monic(f, g)
-    out = []
-    for j in range(t.degree()):
-        _, num = ia.pdivmod_monic(ia.pshift(q, j), f)
-        out.append(BasisElement(num, 0))
-    return out
+    where f = q * lift(t) + remainder.  As deg q = n - deg t and j < deg t,
+    each numerator x^j * q already has degree below n."""
+    q, _ = ia.pdivmod_monic(f, st.lift_order_zero(t))
+    return [BasisElement(ia.pshift(q, j), 0) for j in range(t.degree())]
 
 
 def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:

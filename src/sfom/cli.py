@@ -82,13 +82,11 @@ def _squarefree_mod_primes(f: IntPoly) -> bool:
     return False
 
 
-def detect_reducible(f: IntPoly, squarefree: bool) -> bool:
-    """Best-effort reducibility flags: repeated factors (f not squarefree)
-    and rational roots among the integers in [-50, 50] and, when
-    |f(0)| <= 10^6, the divisors of f(0).  As f(k) = f(0) (mod k), only the
-    candidates k that divide f(0) can be roots, so only those are tried."""
-    if not squarefree:
-        return True
+def detect_reducible(f: IntPoly) -> bool:
+    """Best-effort rational-root flag: the roots among the integers in
+    [-50, 50] and, when |f(0)| <= 10^6, the divisors of f(0).  As
+    f(k) = f(0) (mod k), only the candidates k that divide f(0) can be
+    roots, so only those are tried."""
     c0 = abs(f[0])
     if c0 == 0:
         return True
@@ -111,7 +109,7 @@ def _gated_disc(f: IntPoly, disc: int | None) -> int:
         # the exact disc f is needed only when no prime is conclusive
         D = disc
         squarefree = _squarefree_mod_primes(f) or ia.discriminant(f) != 0
-    if detect_reducible(f, squarefree):
+    if not squarefree or detect_reducible(f):
         print("error: polynomial is reducible over Z", file=sys.stderr)
         raise SystemExit(3)
     return D

@@ -171,20 +171,17 @@ def int_sfd(N: int) -> list[tuple[int, int]]:
     """
     if N <= 1:
         raise ValueError("need N > 1")
-    pieces: list[tuple[int, int]] = []
+    by_exp: dict[int, int] = {}
     rest = N
     for p in _small_primes(1000):
         if p * p > rest:
             break
         if rest % p == 0:
             k, rest = ord_n(rest, p)
-            pieces.append((p, k))
+            by_exp[k] = by_exp.get(k, 1) * p
     if rest > 1:
         b, k = perfect_power(rest)
-        pieces.append((b, k))
-    by_exp: dict[int, int] = {}
-    for b, e in pieces:
-        by_exp[e] = by_exp.get(e, 1) * b
+        by_exp[k] = by_exp.get(k, 1) * b
     result = [(d, e) for e, d in sorted(by_exp.items())]
     if math.prod(d ** e for d, e in result) != N:
         raise RuntimeError("squarefree decomposition failed to recombine")

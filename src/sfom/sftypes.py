@@ -33,7 +33,8 @@ class Side(Record):
 class NewtonPolygon(Record):
     """Lower convex hull of a cloud of integer points (s, u): the cloud
     `points` in ascending s, the hull corner points `vertices` and the
-    negative-slope `sides`, left to right."""
+    negative-slope `sides`, left to right.  Side i joins vertex i to vertex
+    i + 1, so the principal part is the first len(sides) + 1 vertices."""
 
     __slots__ = ("points", "vertices", "sides")
 
@@ -63,15 +64,11 @@ class NewtonPolygon(Record):
 
     @property
     def principal_length(self) -> int:
-        return self.sides[-1].s1 if self.sides else self.vertices[0][0]
+        return self.vertices[len(self.sides)][0]
 
     @property
     def principal_vertices(self) -> tuple:
-        if not self.sides:
-            return (self.vertices[0],)
-        verts = [(self.sides[0].s0, self.sides[0].u0)]
-        verts += [(s.s1, s.u1) for s in self.sides]
-        return tuple(verts)
+        return self.vertices[:len(self.sides) + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +85,8 @@ class Expansion(Record):
 
 
 def expand(f: IntPoly, g: IntPoly) -> Expansion:
-    """Expand f in powers of the monic g; coefficients have degree < deg g."""
+    """Expand the nonzero f in powers of the monic g; coefficients have
+    degree < deg g."""
     if ia.pdeg(g) < 1:
         raise ValueError("expansion base must have positive degree")
     coeffs = []
@@ -100,8 +98,6 @@ def expand(f: IntPoly, g: IntPoly) -> Expansion:
         if q:
             quots.append(q)
         cur = q
-    if not coeffs:
-        coeffs = [()]
     return Expansion(tuple(coeffs), tuple(quots))
 
 
@@ -239,6 +235,7 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
             tower.p_divmod_monic(R, node.t)[1], r + 1))
         out = Analysis(v, s0, u0, s1, u1, nu, R, gamma, exp.coeffs)
     node._analyses[a] = out
+    node._values[a] = out.v
     return out
 
 
@@ -250,9 +247,6 @@ def value(node: SFType, a: IntPoly) -> int:
     expansion of a by node.g.
     """
     a = ia.ptrim(a)
-    cached = node._analyses.get(a)
-    if cached is not None:
-        return cached.v
     v = node._values.get(a)
     if v is None:
         if node.order == 0:

@@ -110,6 +110,7 @@ def test_xgcd_bezout_random(T, rng):
             if ev.level == -1:
                 assert 1 < ev.factor < 35 and 35 % ev.factor == 0
             continue
+        assert T.p_is_monic(d)
         assert _cofactor_holds(T, s, u, t, d)
 
 

@@ -111,6 +111,8 @@ def test_reducible_input(capsys):
     (["basis", "--poly", "2,0,2"], (2,), "error: need a monic polynomial of "
      "degree > 1 (ascending coefficients)"),
     (["tree", "--poly", EX1, "--modulus", "1"], (2,), "error: need N > 1"),
+    # f(0) = 0: x is a factor
+    (["basis", "--poly", "0,1,1"], (3,), "reducible"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)
@@ -261,6 +263,10 @@ def test_tree_golden(capsys):
 
 def test_tree_reports_factor(capsys):
     code, out, _ = run(capsys, ["tree", "--poly", EX1, "--modulus", "1225"])
+    assert code == 0
+    assert json.loads(out) == {"n_factor": "35"}
+    code, out, _ = run(capsys, ["polygon", "--poly", EX1, "--modulus", "1225",
+                                "--level", "1"])
     assert code == 0
     assert json.loads(out) == {"n_factor": "35"}
 

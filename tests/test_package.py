@@ -1,5 +1,6 @@
 """Package-level contracts: what importing sfom loads, the value records,
-and the checks every library entry point makes on its input."""
+the checks every library entry point makes on its input, and the golden
+outputs under `python -O`."""
 
 import json
 import pathlib
@@ -12,6 +13,7 @@ from conftest import example1
 from sfom import global_basis, om_prime, sfom
 from sfom.artinalg import PolyA
 from sfom.basis import BasisElement, IntegerLattice
+from test_golden import BASIS, TREE, _fixtures
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -50,6 +52,38 @@ def test_import_graph_leaves_the_oracles_out():
     # without being cached in the package namespace
     assert seen["lazy"] and seen["validate_loaded"]
     assert seen["missing"] == "AttributeError"
+
+
+# `python -O` drops every assert, the value checks in `make_child` with
+# them, so nothing here may run inside one
+OPTIMIZED = f"""
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, {str(SRC)!r})
+from sfom import cli
+runs = {{}}
+for key, argv in json.loads(sys.stdin.read()).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs[key] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps({{"debug": __debug__, "runs": runs}}))
+"""
+
+
+def test_golden_outputs_hold_without_asserts():
+    calls, want = {}, {}
+    for name, (f, modulus) in _fixtures().items():
+        poly = "--poly=" + ",".join(map(str, f))
+        calls["basis " + name] = ["basis", poly]
+        calls["tree " + name] = ["tree", poly, "--modulus", str(modulus)]
+        want["basis " + name] = [0, BASIS[name]]
+        want["tree " + name] = [0, TREE[name]]
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED],
+                          input=json.dumps(calls), capture_output=True,
+                          text=True, timeout=120, check=True)
+    seen = json.loads(done.stdout)
+    assert seen["debug"] is False
+    assert seen["runs"] == want
 
 
 def test_records_are_immutable_values():
