@@ -32,7 +32,7 @@ class FactorEvent(Exception):
         self.factor = factor
 
 
-class NonExactDivision(Exception):
+class NonExactDivision(RuntimeError):
     """A division expected to be exact left a remainder (internal bug)."""
 
 
@@ -326,11 +326,7 @@ class AlgebraTower:
         return self.p_scale(t, self.e_invert(t.coeffs[-1]))
 
     def p_gcd(self, s: PolyA, t: PolyA) -> PolyA:
-        """Monic d with sA[y] + tA[y] = dA[y], or a FactorEvent."""
-        if not t.coeffs:
-            if not s.coeffs:
-                raise ValueError("gcd(0, 0)")
-            return self.p_make_monic(s)
+        """Monic d with sA[y] + tA[y] = dA[y] for t != 0, or a FactorEvent."""
         if s.level == 0:
             # A gap-1 step takes the pseudo-remainder lc^2 * a mod b and
             # defers lc = lc(b).  While the deferred lcs are units, every

@@ -241,7 +241,7 @@ def level_quotients(leaf: st.SFType, fdim_top: int):
         scale //= node.e
         exp = node.parent.f_exp
         w = {t: node.e * u + node.h * t
-             for t, u in st.cloud(node.parent, exp.coeffs, node.V)}
+             for t, u in st.cloud(node.parent, exp.coeffs)}
         least = min(w.values())
         s_right = max(t for t, wt in w.items() if wt == least)
         width = node.e * (fdim_top if i == leaf.order else node.fdim)
@@ -279,13 +279,11 @@ def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
 # global driver
 
 
-class GlobalBasisResult:
+class GlobalBasisResult(Record):
     """f, D, the local bases `moduli` as (N, list[BasisElement]) pairs, and
-    their merged lattice."""
+    their `merged` lattice."""
 
-    def __init__(self, f: IntPoly, D: int, moduli: list,
-                 merged: IntegerLattice):
-        self.f, self.D, self.moduli, self.merged = f, D, moduli, merged
+    __slots__ = ("f", "D", "moduli", "merged")
 
     def to_obj(self) -> dict:
         return {

@@ -5,8 +5,8 @@ order (constant first), as a file containing the same, or as `-` for stdin.
 All JSON output serializes big integers as decimal strings.  Exit codes:
 0 success, 2 malformed input or an unwritable --svg path, 3 input reducible
 over Z (flagged up front or certified by a factor the tree finds), 4 internal
-invariant failure.  Every exit-2 error is a ValueError that `main` prints as
-one `error: ...` line.
+invariant failure.  Exit-2 and exit-3 errors are a ValueError and a
+ReducibleInput that `main` prints as one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 from . import basis as bs
 from . import intarith as ia
-from .artinalg import AlgebraTower, NonExactDivision
+from .artinalg import AlgebraTower
 from .sfom import ReducibleInput, sfom as run_tree
 from . import sftypes as st
 from .intarith import IntPoly
@@ -101,7 +101,7 @@ def detect_reducible(f: IntPoly) -> bool:
 
 def _gated_disc(f: IntPoly, disc: int | None) -> int:
     """The D to work with (--disc, else disc f) once f passes the up-front
-    reducibility flags; exit 3 when one of them fires."""
+    reducibility flags; ReducibleInput(None) when one of them fires."""
     if disc is None:
         D = ia.discriminant(f)
         squarefree = D != 0
@@ -110,8 +110,7 @@ def _gated_disc(f: IntPoly, disc: int | None) -> int:
         D = disc
         squarefree = _squarefree_mod_primes(f) or ia.discriminant(f) != 0
     if not squarefree or detect_reducible(f):
-        print("error: polynomial is reducible over Z", file=sys.stderr)
-        raise SystemExit(3)
+        raise ReducibleInput(None)
     return D
 
 
@@ -160,7 +159,7 @@ def cmd_polygon(args) -> int:
         raise ValueError("no such level")
     node = leaf.trunc(args.level)
     polygon = st.NewtonPolygon.from_cloud(
-        st.cloud(node.parent, st.analyze(node, f).coeffs, node.V))
+        st.cloud(node.parent, st.analyze(node, f).coeffs))
     print(st.polygon_dump(polygon))
     if args.svg:
         try:
@@ -245,15 +244,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except ReducibleInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError, NonExactDivision) as exc:
+    except (RuntimeError, AssertionError) as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: internal: {message}", file=sys.stderr)
         return 4

@@ -231,9 +231,7 @@ def pscale(f: IntPoly, c: int) -> IntPoly:
 
 
 def pshift(f: IntPoly, k: int) -> IntPoly:
-    """Multiply by x^k."""
-    if not f:
-        return ()
+    """Multiply the nonzero f by x^k."""
     return (0,) * k + tuple(f)
 
 

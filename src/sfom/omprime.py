@@ -35,10 +35,6 @@ def om_prime(f: IntPoly, p: int) -> SFOMRep:
 # factorization over a tower level that is a finite field
 
 
-def _field_size(tower: AlgebraTower, L: int) -> int:
-    return tower.N ** tower.sizes[L]
-
-
 def ff_factor(tower: AlgebraTower, f: PolyA, rng) -> list[tuple[PolyA, int]]:
     """Complete factorization over the finite field at f's level.
 
@@ -64,7 +60,7 @@ def _poly_powmod(tower: AlgebraTower, base: PolyA, exp: int, mod: PolyA) -> Poly
 def _factor_squarefree(tower: AlgebraTower, f: PolyA, rng) -> list[PolyA]:
     """Distinct-degree then equal-degree splitting of a squarefree monic f."""
     L = f.level
-    q = _field_size(tower, L)
+    q = tower.N ** tower.sizes[L]  # the field size
     out: list[PolyA] = []
     h = tower.p_y(L)
     d = 0
@@ -94,7 +90,7 @@ def _equal_degree(tower: AlgebraTower, g: PolyA, d: int, rng) -> list[PolyA]:
     L = g.level
     if g.degree() == d:
         return [g]
-    q = _field_size(tower, L)
+    q = tower.N ** tower.sizes[L]  # the field size
     p = tower.N
     while True:
         r = _random_poly(tower, L, g.degree() - 1, rng)

@@ -17,33 +17,29 @@ import random
 
 from . import intarith as ia
 from . import sftypes as st
-from .artinalg import AlgebraTower, FactorEvent, PolyA
+from .artinalg import AlgebraTower, FactorEvent, PolyA, Record
 from .intarith import IntPoly
 
 
 class ReducibleInput(ValueError):
-    """f has the proper monic factor `factor` over Z."""
+    """f has the proper monic factor `factor` over Z; `factor` is None when
+    an up-front flag fired without finding one."""
 
-    def __init__(self, factor: IntPoly):
+    def __init__(self, factor: IntPoly | None):
         super().__init__("polynomial is reducible over Z")
         self.factor = factor
 
 
-class _Item:
+class _Item(Record):
     """A pending level: a type-to-be of order (parent.order + 1 if parent else 0)."""
 
-    def __init__(self, parent: st.SFType | None, g: IntPoly | None, h: int,
-                 e: int, t: PolyA, residual_src: PolyA, omega: int):
-        self.parent, self.g, self.h, self.e = parent, g, h, e
-        self.t, self.residual_src, self.omega = t, residual_src, omega
+    __slots__ = ("parent", "g", "h", "e", "t", "residual_src", "omega")
 
 
-class SFOMRep:
+class SFOMRep(Record):
     """Tree output: multiplicity-one leaves covering the reduction of f."""
 
-    def __init__(self, f: IntPoly, N: int, leaves: list,
-                 prime: int | None = None):
-        self.f, self.N, self.leaves, self.prime = f, N, leaves, prime
+    __slots__ = ("f", "N", "leaves", "prime")
 
     @property
     def roots(self) -> list:
@@ -59,8 +55,8 @@ class SFOMRep:
         if not parts:
             return None
         tower = parts[0].tower
-        out = tower.p_one(0)
-        for leaf in parts:
+        out = parts[0].t
+        for leaf in parts[1:]:
             out = tower.p_mul(out, leaf.t)
         return out
 
@@ -87,19 +83,15 @@ class SFOMRep:
         }
 
 
-class SplitOutcome:
+class SplitOutcome(Record):
     """Either a tree for (f, N) or a proper factor of N found on the way."""
 
-    def __init__(self, rep: SFOMRep | None = None, n_factor: int | None = None):
-        self.rep, self.n_factor = rep, n_factor
+    __slots__ = ("rep", "n_factor")
 
 
 class _State:
-    def __init__(self, tower0: AlgebraTower, worklist: list | None = None,
-                 leaves: list | None = None):
-        self.tower0 = tower0
-        self.worklist = [] if worklist is None else worklist
-        self.leaves = [] if leaves is None else leaves
+    def __init__(self, tower0: AlgebraTower):
+        self.tower0, self.worklist, self.leaves = tower0, [], []
 
 
 def sfom(f: IntPoly, N: int, shuffle_seed: int | None = None) -> SplitOutcome:
@@ -143,10 +135,10 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
             except FactorEvent as ev:
                 _handle_event(state, ev, item)
     except FactorEvent as ev:  # level -1: a factor of N ends the run
-        return SplitOutcome(n_factor=ev.factor)
-    rep = SFOMRep(f, N, state.leaves, prime=prime)
+        return SplitOutcome(None, ev.factor)
+    rep = SFOMRep(f, N, state.leaves, prime)
     _check_masses(rep)
-    return SplitOutcome(rep=rep)
+    return SplitOutcome(rep, None)
 
 
 def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:

@@ -229,7 +229,7 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
     else:
         exp = expand(a, node.g)
         v, (s0, u0, s1, u1), R = _residual(
-            node.parent, exp.coeffs, node.V, node.h, node.e)
+            node.parent, exp.coeffs, node.h, node.e)
         nu = node.ellp * s0 - node.ell * u0
         gamma = tower.e_mul(tower.zpow(r + 1, nu), tower.poly_to_elem(
             tower.p_divmod_monic(R, node.t)[1], r + 1))
@@ -253,20 +253,21 @@ def value(node: SFType, a: IntPoly) -> int:
             v = min(ia.ord_n(c, node.tower.N)[0] for c in a if c)
         else:
             v = min(node.e * u + node.h * s for s, u in
-                    cloud(node.parent, expand(a, node.g).coeffs, node.V))
+                    cloud(node.parent, expand(a, node.g).coeffs))
         node._values[a] = v
     return v
 
 
-def cloud(node: SFType, coeffs, V: int) -> list[tuple[int, int]]:
+def cloud(node: SFType, coeffs) -> list[tuple[int, int]]:
     """The points (s, v(a_s) + s * V) over `node`, in ascending s, for the
-    nonzero coefficients a_s of an expansion in powers of some g with
-    v_{node.order}(g) = V."""
+    nonzero coefficients a_s of an expansion in powers of a representative
+    of `node`, whose value V = v_{node.order}(g) `_pending_V` reads off."""
+    V = _pending_V(node)
     return [(s, value(node, b) + s * V) for s, b in enumerate(coeffs) if b]
 
 
-def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
-    """Residual polynomial operator for slope -h/e on an expansion over `node`.
+def _residual(node: SFType, coeffs, h: int, e: int) -> tuple:
+    """Residual polynomial for slope -h/e of an expansion as in `cloud`.
 
     Returns (v, (s0, u0, s1, u1), R): v is the minimum of e * u + h * s over
     the cloud, (s0, u0) and (s1, u1) the first and last points attaining it,
@@ -274,7 +275,7 @@ def _residual(node: SFType, coeffs, V: int, h: int, e: int) -> tuple:
     the residue of a_{s0 + j e} if that point attains it, else zero.  Only
     the points attaining the minimum (the component) are analyzed.
     """
-    points = cloud(node, coeffs, V)
+    points = cloud(node, coeffs)
     v = min(e * u + h * s for s, u in points)
     on = {s: u for s, u in points if e * u + h * s == v}
     s0, s1 = min(on), max(on)
@@ -298,12 +299,8 @@ def _certify(node: SFType, a: IntPoly) -> None:
         return
     tower = node.tower
     if node.order == 0:
-        for c in a:
-            if c:
-                _, b = ia.ord_n(c, tower.N)
-                g = math.gcd(b, tower.N)
-                if g != 1:
-                    raise tower.factor_event(-1, g)
+        tower.p_assert_strongly_unitary(PolyA(0, tuple(
+            (ia.ord_n(c, tower.N)[1] % tower.N,) for c in a if c)))
     else:
         for b in analyze(node, a).coeffs:
             if b:
@@ -345,7 +342,7 @@ def newton(node: SFType, exp: Expansion, bound: int) -> NewtonPolygon:
     for b in coeffs:
         if b:
             _certify(node, b)
-    return NewtonPolygon.from_cloud(cloud(node, coeffs, _pending_V(node)))
+    return NewtonPolygon.from_cloud(cloud(node, coeffs))
 
 
 def _pending_V(node: SFType) -> int:
@@ -362,7 +359,7 @@ def residual_of(node: SFType, exp: Expansion, h: int, e: int) -> PolyA:
     """
     if math.gcd(h, e) != 1:
         raise ValueError("slope must be reduced")
-    return _residual(node, exp.coeffs, _pending_V(node), h, e)[-1]
+    return _residual(node, exp.coeffs, h, e)[-1]
 
 
 # ---------------------------------------------------------------------------

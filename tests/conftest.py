@@ -118,7 +118,7 @@ def polygon_of(node, a):
     """Newton polygon of a for the type `node` of order >= 1: the hull of
     the cloud of its expansion by node.g over node.parent."""
     return st.NewtonPolygon.from_cloud(
-        st.cloud(node.parent, st.analyze(node, a).coeffs, node.V))
+        st.cloud(node.parent, st.analyze(node, a).coeffs))
 
 
 def polygon_sum(a, b):

@@ -100,10 +100,16 @@ def test_xgcd_examples(T):
 
 
 def test_xgcd_bezout_random(T, rng):
-    for _ in range(60):
+    # the second 60 pairs s = a*c, t = b*c share a planted monic c of
+    # degree 2, which d = su + tv then has as a factor
+    nonconstant = 0
+    for k in range(120):
         s = T.p_from_int_poly(tuple(rng.randrange(35) for _ in range(4)))
         t = T.p_from_int_poly(
             tuple(rng.randrange(35) for _ in range(3)) + (1,))
+        if k >= 60:
+            c = T.p_from_int_poly((rng.randrange(35), rng.randrange(35), 1))
+            s, t = T.p_mul(s, c), T.p_mul(t, c)
         try:
             d, u = T.p_xgcd(s, t)
         except FactorEvent as ev:
@@ -112,6 +118,10 @@ def test_xgcd_bezout_random(T, rng):
             continue
         assert T.p_is_monic(d)
         assert _cofactor_holds(T, s, u, t, d)
+        if k >= 60:
+            assert not T.p_divmod_monic(d, c)[1].coeffs
+        nonconstant += d.degree() > 0
+    assert nonconstant >= 15, nonconstant
 
 
 def test_sfd_examples(T):

@@ -8,6 +8,7 @@ import pytest
 from conftest import example1, example3, refine_fixture
 from sfom import cli
 from sfom import intarith as ia
+from sfom.artinalg import NonExactDivision
 from sfom.basis import global_basis
 
 
@@ -69,8 +70,12 @@ def test_malformed_input(capsys, tmp_path):
 
 
 def test_reducible_input(capsys):
-    code, _, err = run(capsys, ["basis", "--poly=-1,0,1"])
-    assert code == 3
+    # flagged up front, then certified by the factor x^2+1 the tree finds at
+    # 3: both leave through `main` with the same one line
+    for poly in ("-1,0,1", "1,0,0,0,0,0,1"):
+        code, out, err = run(capsys, ["basis", "--poly=" + poly])
+        assert (code, out) == (3, "")
+        assert err == "error: polynomial is reducible over Z\n"
     code, _, _ = run(capsys, ["basis", "--poly", "1,2,1"])  # (x+1)^2
     assert code == 3
 
@@ -144,13 +149,15 @@ def test_parser_is_built_on_first_use():
 
 
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("invariant broken\nsecond line")
+    # NonExactDivision is a RuntimeError, so `main` names it nowhere
+    for error in (RuntimeError, AssertionError, NonExactDivision):
+        def broken(*args, **kwargs):
+            raise error("invariant broken\nsecond line")
 
-    monkeypatch.setattr(cli.bs, "global_basis", broken)
-    code, out, err = run(capsys, ["basis", "--poly", EX1])
-    assert code == 4 and out == ""
-    assert err == "error: internal: invariant broken second line\n"
+        monkeypatch.setattr(cli.bs, "global_basis", broken)
+        code, out, err = run(capsys, ["basis", "--poly", EX1])
+        assert code == 4 and out == "", error
+        assert err == "error: internal: invariant broken second line\n"
 
 
 # degree 30 with small coefficients: per-modulus numerators N^k run past

@@ -117,7 +117,8 @@ def _manual_state_for_injection():
     R1 = st.residual_of(root, st.expand(f, g1), 1, 2)
     t1 = root.tower.p_sfd(R1)[0][0]
     item = sfm._Item(root, g1, 1, 2, t1, R1, 1)
-    state = sfm._State(tower0, worklist=[item])
+    state = sfm._State(tower0)
+    state.worklist.append(item)
     return f, state, item, root
 
 
@@ -291,7 +292,9 @@ def test_refine_replaces_existing_leaves():
     deep_t1 = rootq.tower.p_from_int_poly((2, 1), 1)
     deep = sfm._Item(rootq, (3, 1, 1), 1, 1, deep_t1, deep_t1, 1)
     leafq = st.make_child(rootq, (3, 1, 1), 1, 1, deep_t1, 1, deep_t1)
-    stateq = sfm._State(tower0, worklist=[deep], leaves=[leafq])
+    stateq = sfm._State(tower0)
+    stateq.worklist.append(deep)
+    stateq.leaves.append(leafq)
     ev = rootq.tower.factor_event(0, tower0.p_from_int_poly((1, 1)))
     sfm._handle_event(stateq, ev, deep)
     assert stateq.leaves == []          # the leaf under the split root is gone

@@ -351,10 +351,9 @@ def test_cloud_is_strictly_ascending_in_s():
                 clouds = []
                 if node.order >= 1:  # the CLI polygon command's cloud
                     clouds.append(st.cloud(
-                        node.parent, st.analyze(node, f).coeffs, node.V))
+                        node.parent, st.analyze(node, f).coeffs))
                 if node.f_exp is not None:  # the cloud `newton` hulls
-                    clouds.append(st.cloud(node, node.f_exp.coeffs,
-                                           st._pending_V(node)))
+                    clouds.append(st.cloud(node, node.f_exp.coeffs))
                 for pts in clouds:
                     assert all(a < b for (a, _), (b, _) in zip(pts, pts[1:]))
                     checked += 1
@@ -531,3 +530,53 @@ def test_expand_reconstruction_property(rng):
             for k, a in enumerate(exp.coeffs[s:]):
                 back = ia.padd(back, ia.pmul(a, ia.ppow(g, k)))
             assert back == q
+
+
+def _certify_order_zero_reference(node, a):
+    """`_certify` at order 0 as one gcd per coefficient: the N-free part b
+    of each nonzero coefficient, in ascending degree, must have gcd(b, N) = 1;
+    then the residual must be coprime to node.t."""
+    tower = node.tower
+    for c in a:
+        if c:
+            _, b = ia.ord_n(c, tower.N)
+            g = math.gcd(b, tower.N)
+            if g != 1:
+                raise tower.factor_event(-1, g)
+    d = tower.p_gcd(st.analyze(node, a).R, node.t)
+    if not tower.p_is_one(d):
+        raise tower.factor_event(node.order, d)
+
+
+def test_certify_order_zero_matches_per_coefficient_gcds():
+    # the unit certificate of the N-free parts fails at the same coefficient
+    # with the same factor as one gcd per coefficient
+    N = 385
+    rng = random.Random(385)
+    T0 = AlgebraTower(N)
+    t0s = [T0.p_from_int_poly(t) for t in ((1, 1), (2, 3, 1), (4, 0, 1))]
+    seen = {"pass": 0, -1: 0, 0: 0}
+
+    def outcome(certify, t0, a):
+        try:
+            certify(st.make_root(T0, t0, 1, t0), a)
+        except FactorEvent as ev:
+            return ev.level, ev.factor
+        return "pass"
+
+    for _ in range(200):
+        a = []
+        for _ in range(rng.randrange(1, 6)):
+            b = rng.choice([1, 1, 1, 1, 5, 7, 11, 35]) * rng.randrange(1, 500)
+            a.append(rng.choice([0, 1]) * N ** rng.randrange(3) * b
+                     * rng.choice([1, -1]))
+        a = ia.ptrim(a + [1] if rng.randrange(2) else a)
+        if not a:
+            continue
+        t0 = rng.choice(t0s)
+        if t0 is t0s[1] and rng.randrange(2):  # share its factor y + 1
+            a = ia.pmul(a, (1, 1))
+        want = outcome(_certify_order_zero_reference, t0, a)
+        assert outcome(st._certify, t0, a) == want, (a, t0)
+        seen[want if want == "pass" else want[0]] += 1
+    assert min(seen.values()) >= 5, seen
