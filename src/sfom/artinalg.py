@@ -410,12 +410,16 @@ class AlgebraTower:
         Output factors are monic, squarefree, pairwise coprime and certified
         strongly unitary.  Musser's gcd loop; a part with vanishing derivative
         goes through a p-th root, which only a prime N = p can reach: over a
-        composite N the driver keeps every prime of N above deg f.
+        composite N the driver keeps every prime of N above deg f.  A linear
+        f skips the loop, whose gcds and divisions would be by the monic 1.
         """
         if not f.coeffs:
             raise ValueError("squarefree decomposition of zero")
         out: dict[int, PolyA] = {}  # multiplicity -> product of its parts
         g, scale = self.p_make_monic(f), 1
+        if g.degree() == 1:
+            self.p_assert_strongly_unitary(g)
+            return [(g, 1)]
         while g.degree() >= 1:
             c = g
             deriv = self.p_deriv(g)

@@ -2,7 +2,10 @@
 
 Over a prime modulus the tower levels are finite fields, division never
 crashes, and the residual polynomials get factored completely instead of
-squarefree-decomposed.  This handles any prime, including p <= deg f: the
+squarefree-decomposed.  The one exception is f mod p itself: its
+multiplicity-1 part stays whole, as the composite engine keeps it, because
+it becomes one order-0 leaf and the basis reads order-0 leaves only through
+their product.  This handles any prime, including p <= deg f: the
 squarefree parts come from `AlgebraTower.p_sfd`, which takes p-th roots in
 characteristic p; this module adds distinct-degree splitting and randomized
 equal-degree splitting (odd characteristic uses the usual half-order
@@ -11,7 +14,6 @@ exponent, characteristic 2 the trace map).
 
 from __future__ import annotations
 
-import functools
 import random
 
 from .sfom import SFOMRep, _drive
@@ -20,11 +22,19 @@ from .intarith import IntPoly, is_probable_prime, power
 
 
 def om_prime(f: IntPoly, p: int) -> SFOMRep:
-    """Tree for f at the prime p; leaves carry irreducible moduli everywhere."""
+    """Tree for f at the prime p; leaves carry irreducible moduli everywhere
+    except the one order-0 leaf, which holds the multiplicity-1 part of
+    f mod p."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    # ff_factor sorts its factors, so the splitting stream changes no byte
-    decompose = functools.partial(ff_factor, rng=random.Random(0))
+    rng = random.Random(0)
+
+    def decompose(tower: AlgebraTower, R: PolyA) -> list[tuple[PolyA, int]]:
+        # both lists are sorted, so the splitting stream changes no byte
+        if R.level:
+            return ff_factor(tower, R, rng)
+        return _sorted_factors(tower, tower.p_sfd(R), rng, keep=1)
+
     out = _drive(f, p, decompose, prime=p)
     if out.rep is None:  # pragma: no cover
         raise AssertionError("prime run reported a factor of a prime")
@@ -42,10 +52,16 @@ def ff_factor(tower: AlgebraTower, f: PolyA, rng) -> list[tuple[PolyA, int]]:
     then coefficient data so the output does not depend on the random choices
     of the equal-degree stage.
     """
-    out: list[tuple[PolyA, int]] = []
-    for sqf, mult in tower.p_sfd(f):
-        for irr in _factor_squarefree(tower, sqf, rng):
-            out.append((irr, mult))
+    return _sorted_factors(tower, tower.p_sfd(f), rng)
+
+
+def _sorted_factors(tower: AlgebraTower, parts: list[tuple[PolyA, int]], rng,
+                    keep: int = 0) -> list[tuple[PolyA, int]]:
+    """Split the squarefree parts into irreducibles, except the part of
+    multiplicity `keep` (0: none), then sort the whole list once."""
+    out = [(irr, mult) for sqf, mult in parts
+           for irr in ([sqf] if mult == keep
+                       else _factor_squarefree(tower, sqf, rng))]
     out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     return out
 

@@ -7,8 +7,8 @@ replace all affected tree nodes by two truncated stubs (one per piece), which
 re-enter the worklist with their multiplicity and representative recomputed.
 
 The same driver runs the prime specialization: with a prime modulus and a
-complete-factorization hook instead of squarefree decomposition, no event can
-fire and every modulus is irreducible.
+factorization hook instead of squarefree decomposition, no event can fire
+and every modulus is irreducible but the order-0 leaf's.
 """
 
 from __future__ import annotations

@@ -53,7 +53,9 @@ def project_check(rep: SFOMRep, f: IntPoly, p: int) -> dict:
     one leaf).  The prime leaves of a pool must have the pool's total
     residue degree f_0...f_r and ramification e_1...e_r / gcd(rho,
     e_1...e_r).  `groups` gives, per composite leaf, the number of prime
-    leaves in its pool.  Returns a report dict with an "ok" flag.
+    leaves in its pool: 1 at the order-0 leaf, whose modulus mod p is the
+    prime tree's one order-0 modulus, the multiplicity-1 part of f mod p.
+    Returns a report dict with an "ok" flag.
     """
     N = rep.N
     if N % p:

@@ -7,8 +7,9 @@ over package objects (`p_pow`, `p_quotrem`, `polygon_of`, `polygon_sum`,
 `from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`, `psub`,
 `resultant_valuation_check`, `quotient_value_bound`) are used by tests only;
 `hnf_rows_reference`, `p_sfd_reference`, `charpoly_is_integral_reference`,
-`pz_enlarge_reference`, `eval_up_reference` and the `*_reference` level-0
-loops keep replaced package algorithms for differential tests.
+`pz_enlarge_reference`, `eval_up_reference`, `om_prime_complete` and the
+`*_reference` level-0 loops keep replaced package algorithms for
+differential tests.
 """
 
 from __future__ import annotations
@@ -160,6 +161,16 @@ def power_basis(n):
 def basis_vectors(lat):
     """The basis vectors rows / den of a lattice, as Fractions."""
     return [[Fraction(x, lat.den) for x in row] for row in lat.rows]
+
+
+def om_prime_complete(f, p):
+    """The prime tree with f mod p factored completely at the root too: one
+    order-0 leaf per irreducible factor of multiplicity 1."""
+    from sfom.omprime import ff_factor
+    from sfom.sfom import _drive
+
+    decompose = functools.partial(ff_factor, rng=random.Random(0))
+    return _drive(f, p, decompose, prime=p).rep
 
 
 def hnf_merge(lattices, f):

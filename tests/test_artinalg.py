@@ -247,6 +247,46 @@ def test_p_sfd_matches_the_yun_reference(primes):
     assert seen["event"] >= 5 and seen["parts"] >= 5, seen
 
 
+@pytest.mark.parametrize("N", [7, 35])
+def test_p_sfd_of_degree_one_matches_the_reference(N):
+    # a degree-1 input returns [(monic f, 1)] after one certificate, with
+    # the events of the full loop: the leading coefficient's inverse first,
+    # then the certificate; y^2 + 3y + 2 splits modulo 5 and 7, and y^2 + 1
+    # stays irreducible modulo 7
+    T0 = AlgebraTower(N)
+    t0 = (2, 3, 1) if N == 35 else (1, 0, 1)
+    T1 = T0.extend(T0.p_from_int_poly(t0))
+    rng = random.Random(N)
+    seen = collections.Counter()
+    for T, L in ((T0, 0), (T1, 1)):
+        special = [T.embed_int(c, L) for c in (0, 1, 3, 5, 7, N - 1)]
+        if L:
+            special += [T1.z(1), T1.e_add(T1.z(1), T1.one(1))]
+        cases = [(a, b) for a in special[1:] for b in special]
+        cases += [tuple(tuple(rng.randrange(N) for _ in range(T.sizes[L]))
+                        for _ in range(2)) for _ in range(40)]
+        for lc, c0 in cases:
+            if T.is_zero(lc):
+                continue
+            f = T.p_trim(L, [c0, lc])
+            want = _outcome(lambda g: p_sfd_reference(T, g), f)
+            assert _outcome(T.p_sfd, f) == want, (N, L, lc, c0)
+            if want[0] == "event":
+                seen[L, want[1]] += 1
+            else:
+                assert want == [(T.p_make_monic(f), 1)]
+                seen[L, "parts"] += 1
+    if N == 35:  # zero-divisor leading and constant coefficients
+        assert {(0, -1), (1, -1), (1, 0), (0, "parts"), (1, "parts")} <= set(
+            seen), seen
+        f = T0.p_trim(0, [T0.one(0), T0.embed_int(5, 0)])
+        assert _outcome(T0.p_sfd, f) == ("event", -1, 5)
+        f = T0.p_trim(0, [T0.embed_int(7, 0), T0.one(0)])
+        assert _outcome(T0.p_sfd, f) == ("event", -1, 7)
+    else:
+        assert set(seen) == {(0, "parts"), (1, "parts")}, seen
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_p_sfd_in_characteristic_p(p):
     # p <= deg f: p-th-power factors reach the p-th-root path

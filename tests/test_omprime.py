@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from conftest import (example1, example2, from_elements, hnf_merge, p_pow,
-                      poly_ints)
+from conftest import (example1, example2, from_elements, hnf_merge,
+                      om_prime_complete, p_pow, poly_ints)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower
 from sfom.basis import n_integral_basis
@@ -182,3 +182,70 @@ def test_om_prime_certifies_a_factor_of_a_reducible_input():
     with pytest.raises(ReducibleInput) as exc:
         om_prime((1, 0, 0, 0, 0, 0, 1), 3)
     assert exc.value.factor == (1, 0, 1)
+
+
+# a `random_fields` pool draw: mod 2 its root has parts of multiplicities 3
+# and 6 whose degree-then-coefficient order is not their multiplicity order;
+# mod 3, 5 and 7 it is squarefree with two irreducible factors
+POOL_DRAW = (-64, -16, 0, -76, 40, 40, 11, -55, -71, 1)
+
+
+def _reflect(f):
+    n = len(f) - 1
+    return tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(f))
+
+
+def _seeded_fields():
+    """g1^k1 * g2^k2 * c + p*h, with g1, g2 linear or quadratic and c monic
+    of degree 0-2, so f mod p often has parts of two multiplicities."""
+    rng = random.Random(21)
+    out = [POOL_DRAW, _reflect(POOL_DRAW)]
+    for _ in range(30):
+        f = (1,)
+        for k in (rng.randint(2, 3), rng.randint(2, 3), 1):
+            g = tuple(rng.randint(-4, 4) for _ in range(rng.randint(
+                0 if k == 1 else 1, 2))) + (1,)
+            f = ia.pmul(f, ia.ppow(g, k))
+        p = rng.choice((2, 3, 5, 7))
+        h = tuple(rng.randint(-3, 3) for _ in range(ia.pdeg(f)))
+        out.append(ia.padd(f, ia.pscale(h, p)))
+    return out
+
+
+def _prime_trees():
+    """(f, p, om_prime tree, the root's complete factorization) for every
+    seeded field at p in {2, 3, 5, 7}, reducible inputs left out."""
+    out = []
+    for f in _seeded_fields():
+        for p in (2, 3, 5, 7):
+            try:
+                rep = om_prime(f, p)
+            except ReducibleInput:
+                continue
+            T = AlgebraTower(p)
+            out.append((f, p, rep,
+                        ff_factor(T, T.p_from_int_poly(f), random.Random(0))))
+    return out
+
+
+def test_om_prime_basis_matches_a_complete_factorization():
+    # the root keeps its multiplicity-1 part whole; the basis reads order-0
+    # leaves only through their product and the sides keep their order, so
+    # the local basis equals the one of a completely factored root
+    seen = {"merged": 0, "two_multiplicities": 0}
+    for f, p, rep, root in _prime_trees():
+        want = n_integral_basis(om_prime_complete(f, p), f, p,
+                                assume_squarefree=True)
+        assert n_integral_basis(rep, f, p, assume_squarefree=True) == want, (
+            f, p)
+        seen["merged"] += sum(m == 1 for _, m in root) >= 2
+        seen["two_multiplicities"] += len({m for _, m in root if m > 1}) >= 2
+    assert seen["merged"] >= 50 and seen["two_multiplicities"] >= 15, seen
+
+
+def test_om_prime_keeps_the_multiplicity_one_part_whole():
+    for f, p, rep, _ in _prime_trees():
+        T = AlgebraTower(p)
+        simple = [s for s, m in T.p_sfd(T.p_from_int_poly(f)) if m == 1]
+        zero = [leaf.t for leaf in rep.leaves if leaf.order == 0]
+        assert zero == simple, (f, p)

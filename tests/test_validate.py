@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (charpoly_is_integral_reference, example1, example2,
-                      example3, pollard_factor, power_basis, psub,
-                      pz_enlarge_reference, quotient_value_bound,
-                      refine_fixture, resultant_valuation_check,
-                      sylvester_resultant)
+                      example3, om_prime_complete, pollard_factor,
+                      power_basis, psub, pz_enlarge_reference,
+                      quotient_value_bound, refine_fixture,
+                      resultant_valuation_check, sylvester_resultant)
 from sfom import intarith as ia
 from sfom import validate
 from sfom.basis import IntegerLattice, global_basis, n_integral_basis
@@ -287,6 +287,37 @@ def test_project_check_pools_leaves_no_chain_tells_apart(monkeypatch):
     monkeypatch.setattr(validate.op, "om_prime", lambda f, p: prime7)
     report = project_check(rep, POOLED, 7)
     assert report["details"] == ["leaf 0+1: residue mass 2 vs 3, e {1}"]
+
+
+# roots 143^2 and 5*143 near 0, and the simple roots 1 and 3: the composite
+# tree has the order-0 leaf (x - 1)(x - 3), which the prime trees at 11 and
+# 13 keep whole as well
+MIXED = _perturbed_product((143 ** 2, 5 * 143, 1, 3), 2 * 143 ** 3)
+
+
+def test_project_check_on_prime_trees_with_a_whole_order_zero_leaf(
+        monkeypatch):
+    # against prime trees that factor f mod p completely: the same verdict
+    # and details, and one prime leaf per order-0 composite leaf
+    fixtures = [(g(N), N) for N in (35, 143)
+                for g in (example1, lambda N: example3(1, N)[0])]
+    fixtures += [(refine_fixture(35), 35), (TIED, 35), (POOLED, 35),
+                 (MIXED, 143)]
+    changed = 0
+    for f, N in fixtures:
+        rep = sfom(f, N).rep
+        for p in (q for q in (5, 7, 11, 13) if N % q == 0):
+            merged = project_check(rep, f, p)
+            with monkeypatch.context() as m:
+                m.setattr(validate.op, "om_prime", om_prime_complete)
+                complete = project_check(rep, f, p)
+            assert merged["ok"] and merged["details"] == complete["details"]
+            assert complete["ok"]
+            assert merged["groups"] == [
+                1 if leaf.order == 0 else g
+                for leaf, g in zip(rep.leaves, complete["groups"])], (N, p)
+            changed += merged["groups"] != complete["groups"]
+    assert changed == 2  # MIXED at 11 and at 13
 
 
 def test_resultant_valuation_examples():
