@@ -19,10 +19,6 @@ from .artinalg import PolyA, Record
 from .intarith import IntPoly
 
 
-class NeedsSquarefree(Exception):
-    """The tree is ramified and N is not known squarefree; split N first."""
-
-
 class BasisElement(Record):
     """num(theta) / N^den_exp with deg num < n."""
 
@@ -33,33 +29,33 @@ class BasisElement(Record):
 # Hermite normal form lattices
 
 
-def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
-    """Row HNF of the lattice spanned by `rows`: upper triangular, positive
-    diagonal, entries above each pivot reduced into [0, pivot).
+def hnf_rows(rows, n: int, modulus: int) -> list[list[int]]:
+    """Row HNF of span(rows) + modulus * Z^n: upper triangular, every pivot a
+    positive divisor of the modulus, entries above each pivot reduced into
+    [0, pivot).
 
-    `modulus` may be given when the lattice is known to contain modulus * Z^n.
-    Its rows modulus * e_j then seed the pivots, every pivot divides the
-    modulus, and the other entries are kept in [0, modulus) (Cohen, GTM 138,
-    2.4.2): reducing them adds multiples of modulus * e_k, which the
-    untouched pivots of the columns k to the right still span.
+    The rows modulus * e_j seed the pivots, and the other entries are kept in
+    [0, modulus) (Cohen, GTM 138, 2.4.2): reducing them adds multiples of
+    modulus * e_k, which the untouched pivots of the columns k to the right
+    still span.  An extended-gcd step leaves its pivot at the gcd, which
+    divides the old pivot and stays below the modulus.
 
     Rows go in by ascending last nonzero column, so a row and every pivot it
     meets are zero right of that column, where each step stops.  First each
     row is size-reduced, right to left, against the lower pivots (for each
-    column, the first row that ends there with a positive entry), and then
-    modulo the modulus again.  The nearly triangular rows of the OM bases
-    keep few nonzero entries that way, and steps skip the columns where the
-    pivot is 0.  The back-reduction runs from the bottom row up, against
-    rows that are already reduced.
+    column, the first row that ends there), and then modulo the modulus
+    again.  The nearly triangular rows of the OM bases keep few nonzero
+    entries that way, and steps skip the columns where the pivot is 0.  The
+    back-reduction runs from the bottom row up, against rows that are
+    already reduced.
     """
 
     def wrap(vec):
-        return vec if modulus is None else [x % modulus for x in vec]
+        return [x % modulus for x in vec]
 
-    basis = ([None] * n if modulus is None else
-             [[modulus * (i == j) for i in range(n)] for j in range(n)])
+    basis = [[modulus * (i == j) for i in range(n)] for j in range(n)]
     work = sorted(((max(j for j, x in enumerate(row) if x), row)
-                   for row in (wrap(list(r)) for r in rows) if any(row)),
+                   for row in map(wrap, rows) if any(row)),
                   key=lambda t: t[0])
     lower: list[list[int] | None] = [None] * n
     for last, row in work:
@@ -68,7 +64,7 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
             if p is not None and (q := row[j] // p[j]):
                 row[:j + 1] = [x - q * y if y else x
                                for x, y in zip(row[:j + 1], p)]
-        if lower[last] is None and row[last] > 0:
+        if lower[last] is None:
             lower[last] = row
     for _, row in work:
         row[:] = wrap(row)
@@ -77,11 +73,8 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
             b = row[j]
             if b == 0:
                 continue
-            piv = basis[j]
-            if piv is None:
-                basis[j] = row
-                break
             # one extended-gcd step on the columns j to last
+            piv = basis[j]
             a = piv[j]
             xs, ys = row[j:last + 1], piv[j:last + 1]
             if b % a == 0:
@@ -94,16 +87,12 @@ def hnf_rows(rows, n: int, modulus: int | None = None) -> list[list[int]]:
             piv[j:last + 1] = wrap([u * y + v * x for x, y in zip(xs, ys)])
             row[j:last + 1] = wrap([a * x - b * y for x, y in zip(xs, ys)])
         # a fully reduced row is dropped
-    if None in basis:
-        raise ValueError("lattice does not have full rank")
-    out = [row if row[j] > 0 else [-x for x in row]
-           for j, row in enumerate(basis)]
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
-            if q := out[i][j] // out[j][j]:
-                out[i][j:] = [x - q * y if y else x
-                              for x, y in zip(out[i][j:], out[j][j:])]
-    return out
+            if q := basis[i][j] // basis[j][j]:
+                basis[i][j:] = [x - q * y if y else x
+                                for x, y in zip(basis[i][j:], basis[j][j:])]
+    return basis
 
 
 class IntegerLattice(Record):
@@ -113,11 +102,9 @@ class IntegerLattice(Record):
 
     @classmethod
     def from_rows(cls, rows, den: int, n: int) -> "IntegerLattice":
-        return cls._reduced(hnf_rows(rows, n), den, n)
-
-    @classmethod
-    def _reduced(cls, red, den: int, n: int) -> "IntegerLattice":
-        """Lattice of HNF rows `red` over `den`, with common factors cancelled."""
+        """The lattice spanned by rows/den and Z^n, in HNF over den, with the
+        factors common to den and every entry cancelled."""
+        red = hnf_rows(rows, n, den)
         g = den
         for row in red:
             g = math.gcd(g, *row)
@@ -152,30 +139,20 @@ class IntegerLattice(Record):
         return coords
 
 
-def _merge_row_groups(groups, n: int) -> IntegerLattice:
-    """The sum of Z[theta] and the lattices rows/den of `groups`.  It
-    contains den * Z^n over the common denominator den, so each group's rows
-    go in reduced modulo their own d (its integral rows vanish), and the
-    reduction runs with entries wrapped modulo den."""
-    den = math.lcm(*(d for _, d in groups))
+def _merge_row_groups(results, n: int) -> IntegerLattice:
+    """The sum of Z[theta] and the local bases of `results`, (N, elements)
+    pairs, over den = lcm of the N^den_exp.  It contains den * Z^n, so each
+    element num / N^e goes in once, as the row (den / N^e) * (num mod N^e):
+    an integral element gives a zero row."""
+    den = math.lcm(*(N ** el.den_exp for N, basis in results for el in basis))
     rows = []
-    for group_rows, d in groups:
-        scale = den // d
-        for row in group_rows:
-            rows.append([scale * (x % d) for x in row])
-    return IntegerLattice._reduced(hnf_rows(rows, n, modulus=den), den, n)
-
-
-def _element_rows(elements, N: int, n: int) -> tuple[list, int]:
-    """(rows, N^k): the elements num/N^den_exp as integer rows over N^k, with
-    k the largest den_exp."""
-    k = max((el.den_exp for el in elements), default=0)
-    rows = []
-    for el in elements:
-        scale = N ** (k - el.den_exp)
-        rows.append([scale * (el.num[i] if i < len(el.num) else 0)
-                     for i in range(n)])
-    return rows, N ** k
+    for N, basis in results:
+        for el in basis:
+            d = N ** el.den_exp
+            scale = den // d
+            row = [scale * (x % d) for x in el.num]
+            rows.append(row + [0] * (n - len(row)))
+    return IntegerLattice.from_rows(rows, den, n)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +228,12 @@ def level_quotients(leaf: st.SFType, fdim_top: int):
             yield i, j, exp.quotients[s - 1], v * scale
 
 
-def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int,
-                     assume_squarefree: bool = False) -> list[BasisElement]:
+def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int) -> list[BasisElement]:
     """Full local basis at N from a tree; n elements in total.
 
-    Raises NeedsSquarefree when the tree is ramified and N is not known to be
-    squarefree (the construction is only valid under one of the two).
+    The construction holds only when the tree is unramified or N is
+    squarefree; `global_basis` splits N by `int_sfd` first where it must.
     """
-    if rep.ramified and not assume_squarefree:
-        raise NeedsSquarefree(str(N))
     out = []
     t0 = rep.order_zero_t()
     if t0 is not None:
@@ -330,8 +304,7 @@ def global_basis(f: IntPoly, D: int | None = None) -> GlobalBasisResult:
         k, D_work = ia.ord_n(D_work, p)
         if k > 1:
             rep = op.om_prime(f, p)
-            results.append((p, n_integral_basis(rep, f, p,
-                                                assume_squarefree=True)))
+            results.append((p, n_integral_basis(rep, f, p)))
     moduli = [(D_work, False)] if D_work > 1 else []
     while moduli:
         N, sf_known = moduli.pop()
@@ -347,8 +320,6 @@ def global_basis(f: IntPoly, D: int | None = None) -> GlobalBasisResult:
                 moduli.extend((d, True) for d, _ in parts)
                 continue
             # squarefree as far as gcd refinement can tell
-        results.append((N, n_integral_basis(rep, f, N, assume_squarefree=True)))
+        results.append((N, n_integral_basis(rep, f, N)))
     results.sort(key=lambda t: t[0])
-    groups = [_element_rows(basis, N, n) for N, basis in results]
-    merged = _merge_row_groups(groups, n)
-    return GlobalBasisResult(f, D_in, results, merged)
+    return GlobalBasisResult(f, D_in, results, _merge_row_groups(results, n))

@@ -297,7 +297,10 @@ def _coord_mul(a, b, table) -> list[int]:
 
 def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
                products: tuple | None = None) -> bs.IntegerLattice:
-    """One radical/multiplier-ring enlargement step of the order at p."""
+    """One radical/multiplier-ring enlargement step of the order at p.
+
+    The ideal I = rad + pO is the HNF of the radical's lifts modulo p, in
+    coordinates over lat.  The enlargement contains the order, and so Z^n."""
     if not ia.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     n = lat.n
@@ -316,8 +319,7 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     rad = _left_kernel_mod_p([ia.power(e, q, mul_p, None) for e in unit], p)
     # ideal I = <radical lifts> + pO, as lattice coordinates over lat
-    ideal = bs.IntegerLattice.from_rows(
-        rad + [[p * x for x in e] for e in unit], 1, n)
+    ideal = bs.IntegerLattice(1, bs.hnf_rows(rad, n, p), n)
     # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
     big = []
     for e in unit:

@@ -146,10 +146,8 @@ def polygon_sum(a, b):
 
 
 def from_elements(elements, f, N):
-    """The lattice spanned by the basis elements num / N^den_exp."""
-    n = ia.pdeg(f)
-    rows, den = bs._element_rows(elements, N, n)
-    return bs.IntegerLattice.from_rows(rows, den, n)
+    """The lattice spanned by Z^n and the basis elements num / N^den_exp."""
+    return bs._merge_row_groups([(N, elements)], ia.pdeg(f))
 
 
 def power_basis(n):
@@ -175,8 +173,10 @@ def om_prime_complete(f, p):
 
 def hnf_merge(lattices, f):
     """HNF of the module sum of the given lattices and Z[theta]."""
-    return bs._merge_row_groups([(lat.rows, lat.den) for lat in lattices],
-                                ia.pdeg(f))
+    den = math.lcm(*(lat.den for lat in lattices))
+    rows = [[den // lat.den * x for x in row]
+            for lat in lattices for row in lat.rows]
+    return bs.IntegerLattice.from_rows(rows, den, ia.pdeg(f))
 
 
 def psub(f, g):
@@ -314,7 +314,7 @@ def pz_enlarge_reference(lat, f, p, *, products=None):
     # ideal I = <radical lifts> + pO, as lattice coordinates over lat
     ideal_rows = [list(v) for v in rad]
     ideal_rows += [[p * (i == j) for j in range(n)] for i in range(n)]
-    ideal = bs.IntegerLattice.from_rows(ideal_rows, 1, n)
+    ideal = bs.IntegerLattice(1, hnf_rows_reference(ideal_rows, n), n)
     # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
     big = []
     for i in range(n):
@@ -347,8 +347,9 @@ def pz_enlarge_reference(lat, f, p, *, products=None):
 
 
 def hnf_rows_reference(rows, n, modulus=None):
-    """Row HNF by remainder-swap steps, with the modulus rows appended last;
-    the same output contract as basis.hnf_rows."""
+    """Row HNF by remainder-swap steps, with the modulus rows appended last
+    when a modulus is given (then the output contract of basis.hnf_rows);
+    without one the rows must have full rank."""
     work = [list(r) for r in rows if any(r)]
     if modulus is not None:
         work = [[x % modulus for x in row] for row in work]

@@ -60,8 +60,7 @@ def test_criterion_2_example1_basis():
     N = 35
     f = example1(N)
     rep = sfom(f, N).rep
-    lat = from_elements(
-        n_integral_basis(rep, f, N, assume_squarefree=True), f, N)
+    lat = from_elements(n_integral_basis(rep, f, N), f, N)
     from sfom.basis import BasisElement
     want = from_elements([
         BasisElement((1,), 0), BasisElement((0, 1), 0),
@@ -116,8 +115,7 @@ def test_criterion_3_example2():
     ok &= leaf.order == 1 and (leaf.h, leaf.e) == (1, 2)
     want_t = ia.pmul(ia.pmul((1, 1), (2, 1)), (3, 1))
     ok &= poly_ints(leaf.t) == [c % p for c in want_t]
-    lat = from_elements(
-        n_integral_basis(rep, f, p, assume_squarefree=True), f, p)
+    lat = from_elements(n_integral_basis(rep, f, p), f, p)
     coef = list(f)
     from sfom.basis import BasisElement
     want_els = []
@@ -323,10 +321,8 @@ def test_criterion_9_engine_agreement(rng):
         rep_p = om_prime(f, p)
         out = sfom(f, p)
         assert out.n_factor is None
-        lat_p = from_elements(
-            n_integral_basis(rep_p, f, p, assume_squarefree=True), f, p)
-        lat_c = from_elements(
-            n_integral_basis(out.rep, f, p, assume_squarefree=True), f, p)
+        lat_p = from_elements(n_integral_basis(rep_p, f, p), f, p)
+        lat_c = from_elements(n_integral_basis(out.rep, f, p), f, p)
         if hnf_merge([lat_p], f) == hnf_merge([lat_c], f):
             agree += 1
     elapsed = time.monotonic() - t0

@@ -11,82 +11,94 @@ from conftest import (basis_vectors, example1, example2, example3,
                       pollard_factor, power_basis, refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
-from sfom.basis import (BasisElement, IntegerLattice, NeedsSquarefree,
-                        _element_rows, _merge_row_groups, global_basis,
-                        hnf_rows, n_integral_basis, order_zero_basis,
-                        terminal_basis)
+from sfom.basis import (BasisElement, IntegerLattice, _merge_row_groups,
+                        global_basis, hnf_rows, n_integral_basis,
+                        order_zero_basis, terminal_basis)
 from sfom.sfom import ReducibleInput, sfom
 from sfom.validate import (charpoly_is_integral, index_disc_identity,
                            mul_mod, p_maximal, ring_closed)
 
 
 def test_hnf_rows_canonical():
-    assert hnf_rows([[2, 1], [0, 3]], 2) == [[2, 1], [0, 3]]
-    assert hnf_rows([[1, 5], [0, 3]], 2) == [[1, 2], [0, 3]]
-    # order of generators never matters
+    assert hnf_rows([[2, 1], [0, 3]], 2, 6) == [[2, 1], [0, 3]]
+    assert hnf_rows([[1, 5], [0, 3]], 2, 3) == [[1, 2], [0, 3]]
+    # order of generators never matters; 20 = |det| keeps the lattice
     rows = [[4, 1, 0], [6, 0, 1], [0, 2, 2]]
-    a = hnf_rows([r[:] for r in rows], 3)
-    b = hnf_rows([r[:] for r in reversed(rows)], 3)
-    assert a == b
-    with pytest.raises(ValueError):
-        hnf_rows([[1, 0, 0], [0, 1, 0]], 3)
-
-
-def _hnf_outcome(hnf, rows, n, modulus):
-    """The HNF of a copy of `rows`, or the message of its ValueError."""
-    try:
-        return hnf([r[:] for r in rows], n, modulus)
-    except ValueError as exc:
-        return str(exc)
+    a = hnf_rows([r[:] for r in rows], 3, 20)
+    b = hnf_rows([r[:] for r in reversed(rows)], 3, 20)
+    assert a == b == hnf_rows_reference(rows, 3)
+    # the modulus rows complete a rank-deficient or empty row set
+    assert hnf_rows([[1, 0, 0], [0, 1, 0]], 3, 5) == \
+        [[1, 0, 0], [0, 1, 0], [0, 0, 5]]
+    assert hnf_rows([], 2, 4) == [[4, 0], [0, 4]]
 
 
 def test_hnf_rows_matches_the_remainder_swap_reference():
-    # small random matrices, with and without a modulus; rank-deficient
-    # inputs must raise the same full-rank error
+    # small random matrices, rank-deficient and empty ones included: the
+    # reference's modular path and its plain path on the rows plus the
+    # modulus rows modulus * e_j agree with hnf_rows
     rng = random.Random(6)
-    deficient = 0
+    short = empty = 0
     for _ in range(2000):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-20, 20) for _ in range(n)]
                 for _ in range(rng.randint(0, 8))]
-        for modulus in (None, rng.randint(1, 50)):
-            want = _hnf_outcome(hnf_rows_reference, rows, n, modulus)
-            assert _hnf_outcome(hnf_rows, rows, n, modulus) == want
-            deficient += isinstance(want, str)
-    assert deficient > 100
+        modulus = rng.randint(1, 50)
+        want = hnf_rows_reference(rows, n, modulus)
+        extended = rows + [[modulus * (i == j) for i in range(n)]
+                           for j in range(n)]
+        assert hnf_rows_reference(extended, n) == want
+        before = [row[:] for row in rows]
+        assert hnf_rows(rows, n, modulus) == want
+        assert rows == before
+        short += len(rows) < n
+        empty += not rows
+    assert short > 300 and empty > 100
+
+
+def _two_stage_rows(moduli, n):
+    """(rows, den): the merge rows built in two stages, each element scaled
+    by N^(k - e) over its group's N^k, k the largest den_exp of the group,
+    and each group's rows, reduced modulo N^k, scaled by den / N^k, with
+    den the lcm of the N^k."""
+    groups = []
+    for N, basis in moduli:
+        k = max(el.den_exp for el in basis)
+        groups.append(([[N ** (k - el.den_exp) * x for x in el.num]
+                        + [0] * (n - len(el.num)) for el in basis], N ** k))
+    den = math.lcm(*(d for _, d in groups))
+    return [[den // d * (x % d) for x in row]
+            for rows, d in groups for row in rows], den
+
+
+def _merge_matches_the_reference(result, n, rng):
+    """_merge_row_groups of the local bases is the reference HNF of the
+    two-stage rows over their den, with common factors cancelled; hnf_rows
+    gives that HNF from any row order and leaves the caller's rows alone."""
+    rows, den = _two_stage_rows(result.moduli, n)
+    want = hnf_rows_reference(rows, n, den)
+    merged = _merge_row_groups(result.moduli, n)
+    assert merged == result.merged
+    scale = den // merged.den
+    assert [[scale * x for x in row] for row in merged.rows] == want
+    # one more row that vanishes modulo den changes nothing
+    rows.append([den * x for x in rows[-1]])
+    for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
+        before = [row[:] for row in order]
+        assert hnf_rows(order, n, den) == want
+        assert order == before
 
 
 def test_hnf_rows_matches_the_reference_on_a_merge():
-    # the rows global_basis merges for example3(r, N), over their common
-    # den, plus one row that vanishes modulo den; any row order gives the
-    # reference's HNF, and the caller's rows stay as they were.  Without
-    # the modulus the entries blow up at r = 3, so only r = 2 runs that way
+    # the one-group merges of example3(r, N) at D = N, r = 2..4
     N = 10007 * 10009
-    for r in (2, 3):
+    for r in (2, 3, 4):
         f, _ = example3(r, N)
-        n = ia.pdeg(f)
         result = global_basis(f, D=N)
-        (rows, den), = [_element_rows(b, M, n) for M, b in result.moduli]
-        rows.append([den * x for x in rows[-1]])
-        rng = random.Random(r)
-        orders = [rows, rows[::-1]] + [rng.sample(rows, len(rows))
-                                       for _ in range(3)]
-        for modulus in (den, None) if r == 2 else (den,):
-            want = _hnf_outcome(hnf_rows_reference, rows, n, modulus)
-            for order in orders:
-                before = [row[:] for row in order]
-                assert hnf_rows(order, n, modulus) == want
-                assert order == before
-    # the size-reduction pass keeps the entries small without a modulus too
-    for r in (3, 4):
-        f, _ = example3(r, N)
-        n = ia.pdeg(f)
-        (rows, den), = [_element_rows(b, M, n)
-                        for M, b in global_basis(f, D=N).moduli]
-        assert hnf_rows(rows, n) == hnf_rows(rows, n, den)
+        assert len(result.moduli) == 1
+        _merge_matches_the_reference(result, ia.pdeg(f), random.Random(r))
     # merges shaped like random_fields: several groups over coprime
-    # denominators, so every last column repeats, and integral rows whose
-    # entries are multiples of their group's denominator
+    # denominators, so every last column repeats, and integral elements
     rng = random.Random(3)
     fields = 0
     while fields < 3:
@@ -96,29 +108,17 @@ def test_hnf_rows_matches_the_reference_on_a_merge():
             result = global_basis(f)
         except (ValueError, ReducibleInput):
             continue
-        groups = [_element_rows(b, M, n) for M, b in result.moduli]
-        if len(groups) < 2 or result.merged.den == 1:
+        if len(result.moduli) < 2 or result.merged.den == 1:
             continue
         fields += 1
-        den = math.lcm(*(d for _, d in groups))
-        rows = [[den // d * x for x in row] for g, d in groups for row in g]
         assert any(el.den_exp == 0 for _, b in result.moduli for el in b)
-        want = hnf_rows_reference(rows, n, den)
-        for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
-            before = [row[:] for row in order]
-            assert hnf_rows(order, n, den) == want
-            assert order == before
-        assert _merge_row_groups(groups, n) == \
-            IntegerLattice._reduced(want, den, n)
+        _merge_matches_the_reference(result, n, rng)
 
 
 def test_lattice_membership(rng):
     for _ in range(30):
         rows = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(4)]
-        try:
-            lat = IntegerLattice.from_rows(rows, 2, 3)
-        except ValueError:
-            continue
+        lat = IntegerLattice.from_rows(rows, 2, 3)
         for _ in range(10):
             coeffs = [rng.randrange(-3, 4) for _ in range(3)]
             vec = [sum(c * row[k] for c, row in zip(coeffs, lat.rows))
@@ -133,13 +133,13 @@ def test_hnf_merge_examples():
     assert hnf_merge([L1, L1], f) == L1
     fe = example1(35)
     rep = sfom(fe, 35).rep
-    lat = from_elements(
-        n_integral_basis(rep, fe, 35, assume_squarefree=True), fe, 35)
+    lat = from_elements(n_integral_basis(rep, fe, 35), fe, 35)
     assert hnf_merge([lat, power_basis(4)], fe) == lat
 
 
 def test_hnf_merge_coprime_denominators_bruteforce():
-    # lattice sum with coprime denominators matches residue patching
+    # lattice sum with coprime denominators matches residue patching; each
+    # lattice is spanned by Z^2 and the vectors named
     a = IntegerLattice.from_rows([[3, 1], [0, 3]], 3, 2)    # (1, 1/3), (0, 1)
     b = IntegerLattice.from_rows([[5, 0], [2, 5]], 5, 2)    # (1, 0), (2/5, 1)
     merged = hnf_merge([a, b], (1, 0, 1))
@@ -228,8 +228,7 @@ def test_terminal_basis_example1():
     N = 35
     f = example1(N)
     rep = sfom(f, N).rep
-    lat = from_elements(
-        n_integral_basis(rep, f, N, assume_squarefree=True), f, N)
+    lat = from_elements(n_integral_basis(rep, f, N), f, N)
     want = from_elements([
         BasisElement((1,), 0), BasisElement((0, 1), 0),
         BasisElement((0, 0, 1), 1), BasisElement((0, N, 0, 1), 2),
@@ -241,8 +240,7 @@ def test_terminal_basis_example2():
     p, r, m = 11, 3, 5
     f = example2(p, r, m)
     rep = sfom(f, p).rep
-    lat = from_elements(
-        n_integral_basis(rep, f, p, assume_squarefree=True), f, p)
+    lat = from_elements(n_integral_basis(rep, f, p), f, p)
     coef = list(f)
     want_els = []
     for k in range(r):
@@ -253,14 +251,12 @@ def test_terminal_basis_example2():
 
 
 def test_needs_squarefree_gate():
-    # ramified tree over a modulus with a hidden square
+    # ramified tree over a modulus with a hidden square: the basis is built
+    # as if N were squarefree, which global_basis makes sure of first
     N, f = 175, (350, 0, 1)
     rep = sfom(f, N).rep
     assert rep.ramified
-    with pytest.raises(NeedsSquarefree):
-        n_integral_basis(rep, f, N)
-    # resolvable either by asserting squarefreeness or by splitting N
-    basis = n_integral_basis(rep, f, N, assume_squarefree=True)
+    basis = n_integral_basis(rep, f, N)
     assert len(basis) == 2
 
 
@@ -297,6 +293,15 @@ def test_global_basis_power_basis_field():
     assert result.merged == power_basis(3)
 
 
+def test_global_basis_without_moduli():
+    # nothing is left of D once |D| = 1, or once its only prime 3 <= n is
+    # stripped with exponent 1: the merge over no moduli is Z[theta]
+    for f, D in (((1, 0, 1), 1), ((1, 0, 1), -1), ((2, 0, 0, 1), -3)):
+        result = global_basis(f, D=D)
+        assert result.moduli == []
+        assert result.merged == power_basis(ia.pdeg(f))
+
+
 def test_global_basis_idempotent_serialization():
     f = example1(35)
     a = json.dumps(global_basis(f).to_obj())
@@ -320,7 +325,7 @@ def test_elements_integral_with_values_below_one():
     N = 35
     f = example1(N)
     rep = sfom(f, N).rep
-    basis = n_integral_basis(rep, f, N, assume_squarefree=True)
+    basis = n_integral_basis(rep, f, N)
     assert len(basis) == ia.pdeg(f)
     for el in basis:
         den = N ** el.den_exp
@@ -381,7 +386,7 @@ def test_example3_basis_maximal():
     N = 37 * 41
     f, _ = example3(3, N)
     rep = sfom(f, N).rep
-    basis = n_integral_basis(rep, f, N, assume_squarefree=True)
+    basis = n_integral_basis(rep, f, N)
     assert len(basis) == 36
     merged = hnf_merge([from_elements(basis, f, N)], f)
     for p in (37, 41):

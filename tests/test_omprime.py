@@ -157,10 +157,8 @@ def test_om_prime_matches_composite_run_at_large_prime(rng):
         rep_p = om_prime(f, p)
         out = sfom(f, p)
         assert out.n_factor is None
-        lat_p = from_elements(
-            n_integral_basis(rep_p, f, p, assume_squarefree=True), f, p)
-        lat_c = from_elements(
-            n_integral_basis(out.rep, f, p, assume_squarefree=True), f, p)
+        lat_p = from_elements(n_integral_basis(rep_p, f, p), f, p)
+        lat_c = from_elements(n_integral_basis(out.rep, f, p), f, p)
         # canonical comparison: saturate away from p with the power basis
         assert hnf_merge([lat_p], f) == hnf_merge([lat_c], f)
 
@@ -234,10 +232,8 @@ def test_om_prime_basis_matches_a_complete_factorization():
     # the local basis equals the one of a completely factored root
     seen = {"merged": 0, "two_multiplicities": 0}
     for f, p, rep, root in _prime_trees():
-        want = n_integral_basis(om_prime_complete(f, p), f, p,
-                                assume_squarefree=True)
-        assert n_integral_basis(rep, f, p, assume_squarefree=True) == want, (
-            f, p)
+        want = n_integral_basis(om_prime_complete(f, p), f, p)
+        assert n_integral_basis(rep, f, p) == want, (f, p)
         seen["merged"] += sum(m == 1 for _, m in root) >= 2
         seen["two_multiplicities"] += len({m for _, m in root if m > 1}) >= 2
     assert seen["merged"] >= 50 and seen["two_multiplicities"] >= 15, seen

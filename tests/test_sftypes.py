@@ -453,7 +453,7 @@ def test_gamma_is_z_power_times_residual_evaluated_at_z(monkeypatch):
             else:  # primes <= deg f go to the prime engine
                 trees = [(om_prime(f, p), p) for p in primes]
             for rep, M in trees:
-                n_integral_basis(rep, f, M, assume_squarefree=True)
+                n_integral_basis(rep, f, M)
                 for leaf in rep.leaves:
                     for node in leaf.chain():
                         st.analyze(node, f)
