@@ -16,7 +16,7 @@ import math
 import operator
 from itertools import accumulate, chain
 
-from .intarith import IntPoly, power
+from .intarith import IntPoly, pmul, power
 
 
 class FactorEvent(Exception):
@@ -225,11 +225,6 @@ class AlgebraTower:
     def _poly0(self, ints) -> PolyA:
         return PolyA(0, tuple((x,) for x in self._reduce0(ints)))
 
-    @staticmethod
-    def _pack(ints: list, k: int) -> int:
-        return int.from_bytes(
-            b"".join(x.to_bytes(k, "little") for x in ints), "little")
-
     def _divmod0(self, s: list, t: list) -> tuple[list, list]:
         """Division by a monic t (t[-1] is not read); only the current
         leading coefficient is reduced mod N inside the loop."""
@@ -274,14 +269,8 @@ class AlgebraTower:
         L = p.level
         if not p.coeffs or not q.coeffs:
             return PolyA(L, ())
-        if L == 0:  # Kronecker substitution: one product of packed ints
-            a, b = self._ints(p), self._ints(q)
-            k = (2 * self.N.bit_length() + min(len(a), len(b)).bit_length()
-                 + 8) // 8  # bytes per slot; no product coefficient overflows
-            prod = (self._pack(a, k) * self._pack(b, k)).to_bytes(
-                k * (len(a) + len(b) - 1), "little")
-            return self._poly0(int.from_bytes(prod[i:i + k], "little")
-                               for i in range(0, len(prod), k))
+        if L == 0:  # schoolbook over Z, then one reduction mod N
+            return self._poly0(pmul(self._ints(p), self._ints(q)))
         out = [self.zero(L)] * (len(p.coeffs) + len(q.coeffs) - 1)
         for i, a in enumerate(p.coeffs):
             if self.is_zero(a):
@@ -391,14 +380,9 @@ class AlgebraTower:
         return q
 
     def p_assert_strongly_unitary(self, t: PolyA) -> None:
-        """Certify every nonzero coefficient is a unit (FactorEvent hook).
-        Coefficients in Z/N (every level below has degree 1) take one gcd of
-        their product with N; the loop then only reports the first of them
-        that shares a factor with N."""
-        if self.sizes[t.level] == 1 and math.gcd(
-                math.prod(c[0] for c in t.coeffs if c[0]) % self.N,
-                self.N) == 1:
-            return
+        """Certify every nonzero coefficient is a unit (FactorEvent hook):
+        one gcd with N for a coefficient in Z/N, an inverse above it.  The
+        first coefficient that fails raises its FactorEvent."""
         for c in t.coeffs:
             if not self.is_zero(c) and (
                     len(c) > 1 or math.gcd(c[0], self.N) != 1):

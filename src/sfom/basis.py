@@ -305,19 +305,18 @@ def global_basis(f: IntPoly, D: int | None = None) -> GlobalBasisResult:
         if k > 1:
             rep = op.om_prime(f, p)
             results.append((p, n_integral_basis(rep, f, p)))
-    moduli = [(D_work, False)] if D_work > 1 else []
+    moduli = [D_work] if D_work > 1 else []
     while moduli:
-        N, sf_known = moduli.pop()
+        N = moduli.pop()
         out = run_tree(f, N)
         if out.n_factor is not None:
-            moduli.extend((d, sf_known) for d in
-                          ia.coprime_splitting(out.n_factor, N))
+            moduli.extend(ia.coprime_splitting(out.n_factor, N))
             continue
         rep = out.rep
-        if rep.ramified and not sf_known:
+        if rep.ramified:
             parts = ia.int_sfd(N)
             if parts != [(N, 1)]:
-                moduli.extend((d, True) for d, _ in parts)
+                moduli.extend(d for d, _ in parts)
                 continue
             # squarefree as far as gcd refinement can tell
         results.append((N, n_integral_basis(rep, f, N)))

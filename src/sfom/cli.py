@@ -189,9 +189,10 @@ def cmd_verify(args) -> int:
         if p not in primes:
             primes.append(p)
     D = _gated_disc(f, args.disc)
-    checks = vd.verify_report(f, D, primes,
-                              disc=D if args.disc is None else None)
-    print(json.dumps(checks))
+    with _unlimited_digits():  # check names and details print the moduli
+        checks = vd.verify_report(f, D, primes,
+                                  disc=D if args.disc is None else None)
+        print(json.dumps(checks))
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 

@@ -2,8 +2,7 @@
 
 Integers are plain Python ints (arbitrary precision).  Integer polynomials
 are dense tuples of ints in ascending degree order with trailing zeros
-trimmed; the zero polynomial is the empty tuple.  Floating point appears
-only in the first estimate of `iroot`, which its integer steps correct.
+trimmed; the zero polynomial is the empty tuple.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -35,13 +34,12 @@ def ord_n(a: int, N: int) -> tuple[int, int]:
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, by Newton from just above it."""
+    """Floor of the k-th root of n >= 0, by Newton from 2^ceil(bits(n)/k)."""
     if n < 0 or k < 1:
         raise ValueError("iroot needs n >= 0, k >= 1")
     if n < 2 or k == 1:
         return n
-    s = max(0, n.bit_length() // k - 50)  # root bits below a float estimate
-    x = (int(math.exp(math.log(n >> k * s) / k) * (1 + 2 ** -30)) + 1) << s
+    x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

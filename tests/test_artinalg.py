@@ -533,8 +533,8 @@ def test_level0_gcd_with_deferred_leading_coefficients(primes):
                                   ("big", 31)])
 def test_kronecker_slot_boundary(N, n):
     # every coefficient N - 1 makes each product coefficient the largest sum
-    # a slot must hold: 257 products of (2^64 - 2)^2 need 137 bits, one more
-    # than a slot without the length term has
+    # over Z before the one reduction mod N: 257 products of (2^64 - 2)^2
+    # need 137 bits, and the product stays exact
     N = math.prod(_big_primes()) if N == "big" else N
     T = AlgebraTower(N)
     p = T.p_from_int_poly((N - 1,) * n)
@@ -545,8 +545,9 @@ def test_kronecker_slot_boundary(N, n):
 
 @pytest.mark.parametrize("N, coeffs", [(15, (3, 5, 1)), (35, (2, 5, 3, 1))])
 def test_unit_certificate_falls_back_to_the_loop(N, coeffs):
-    # 3 * 5 = 0 mod 15 and 2 * 5 * 3 shares 5 with 35: the one gcd fails,
-    # and the loop names the same coefficient the per-coefficient check did
+    # 3 and 5 both share a factor with 15, and 5 is the first coefficient
+    # of 2 + 5y + 3y^2 + y^3 to share one with 35: the certificate raises
+    # the event of the first coefficient that fails, as the reference does
     T = AlgebraTower(N)
     t = T.p_from_int_poly(coeffs)
     want = _outcome(strongly_unitary_reference, T, t)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -331,6 +332,32 @@ def test_verify_cli_degree_24(capsys):
     assert {"elements-integral", "p-maximal-5", "p-maximal-7"} <= {
         c["check"] for c in checks}
     assert all(c["status"] == "pass" for c in checks), checks
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python without the int-to-str digit limit")
+def test_verify_names_moduli_over_the_digit_limit(capsys):
+    # f = (x - r)^2 g mod p with 30-digit lifts: disc f has 798 digits, and
+    # global_basis keeps a 797-digit modulus that p divides, so the check
+    # named project-<N>-p needs str(N) beyond the lowest limit Python allows
+    rng = random.Random(5)
+    p = 1000003
+    r = rng.randrange(p)
+    g = tuple(rng.randrange(p) for _ in range(10)) + (1,)
+    fp = ia.pmul(ia.pmul((-r, 1), (-r, 1)), g)
+    f = [c % p + p * rng.randrange(10 ** 30) for c in fp[:12]] + [1]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, ["verify", "--poly=" + ",".join(
+            map(str, f)), "--known-primes", str(p)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, err) == (0, "")
+    checks = json.loads(out)
+    assert all(c["status"] == "pass" for c in checks), checks
+    assert any(c["check"].startswith("project-") and
+               c["check"].endswith(f"-{p}") for c in checks)
 
 
 def test_seed_byte_stability(capsys):

@@ -167,7 +167,8 @@ def test_perfect_power_and_iroot():
 
 
 def _iroot_from_a_power_of_two(n, k):
-    # the Newton loop iroot used before its float start: from 2^ceil(bits/k)
+    # Newton from 2^ceil(bits/k), the start iroot takes, so the test below
+    # also checks the root itself
     if n < 2 or k == 1:
         return n
     x = 1 << (-(-n.bit_length() // k))
@@ -189,10 +190,14 @@ def test_iroot_matches_newton_from_a_power_of_two():
         for m in (n, b ** k - 1, b ** k, b ** k + 1, (b + 1) ** k - 1,
                   (b + 1) ** k):
             if m >= 0:
-                assert ia.iroot(m, k) == _iroot_from_a_power_of_two(m, k)
+                r = ia.iroot(m, k)
+                assert r == _iroot_from_a_power_of_two(m, k)
+                assert r ** k <= m < (r + 1) ** k
     for k in (1, 2, 3, 64, 199, 200):
         for m in range(70):
-            assert ia.iroot(m, k) == _iroot_from_a_power_of_two(m, k)
+            r = ia.iroot(m, k)
+            assert r == _iroot_from_a_power_of_two(m, k)
+            assert r ** k <= m < (r + 1) ** k
 
 
 def _perfect_power_descending(n):

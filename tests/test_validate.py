@@ -358,6 +358,24 @@ def test_verify_report_end_to_end(f):
             "p-maximal-7"} <= names
 
 
+# the next primes after 2^64: their product is a modulus nobody factors
+P64, Q64 = 18446744073709551629, 18446744073709551653
+
+
+@pytest.mark.parametrize("fixture", [example1, refine_fixture])
+def test_verify_report_at_a_product_of_two_64_bit_primes(fixture):
+    # the paper's headline: the run keeps N = pq whole as one of its moduli,
+    # and the order is still maximal at p and at q
+    N = P64 * Q64
+    assert ia.is_probable_prime(P64) and ia.is_probable_prime(Q64)
+    f = fixture(N)
+    assert N in [M for M, _ in global_basis(f).moduli]
+    checks = verify_report(f, None, [P64, Q64])
+    assert all(c["status"] == "pass" for c in checks), checks
+    assert {f"p-maximal-{P64}", f"project-{N}-{P64}", f"p-maximal-{Q64}",
+            f"project-{N}-{Q64}"} <= {c["check"] for c in checks}
+
+
 def test_verify_report_builds_each_composite_tree_once(monkeypatch):
     calls = []
 
