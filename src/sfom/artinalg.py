@@ -210,8 +210,9 @@ class AlgebraTower:
             c.pop()
         return PolyA(L, tuple(c))
 
-    # Level 0 runs on plain int lists: unwrap the 1-tuples, compute with
-    # deferred reductions, and wrap back reducing each coefficient once.
+    # Level 0, and every level over linear moduli (sizes[L] = 1: Z/N again),
+    # runs on plain int lists: unwrap the 1-tuples, compute with deferred
+    # reductions, and wrap back reducing each coefficient once.
 
     def _ints(self, p: PolyA) -> list:
         return [c[0] for c in p.coeffs]
@@ -222,8 +223,8 @@ class AlgebraTower:
             c.pop()
         return c
 
-    def _poly0(self, ints) -> PolyA:
-        return PolyA(0, tuple((x,) for x in self._reduce0(ints)))
+    def _poly0(self, L: int, ints) -> PolyA:
+        return PolyA(L, tuple((x,) for x in self._reduce0(ints)))
 
     def _divmod0(self, s: list, t: list) -> tuple[list, list]:
         """Division by a monic t (t[-1] is not read); only the current
@@ -269,8 +270,8 @@ class AlgebraTower:
         L = p.level
         if not p.coeffs or not q.coeffs:
             return PolyA(L, ())
-        if L == 0:  # schoolbook over Z, then one reduction mod N
-            return self._poly0(pmul(self._ints(p), self._ints(q)))
+        if self.sizes[L] == 1:  # schoolbook over Z, then one reduction mod N
+            return self._poly0(L, pmul(self._ints(p), self._ints(q)))
         out = [self.zero(L)] * (len(p.coeffs) + len(q.coeffs) - 1)
         for i, a in enumerate(p.coeffs):
             if self.is_zero(a):
@@ -280,20 +281,18 @@ class AlgebraTower:
         return self.p_trim(L, out)
 
     def p_deriv(self, p: PolyA) -> PolyA:
-        L = p.level
-        out = [
-            self.e_mul(self.embed_int(i, L), c) for i, c in enumerate(p.coeffs)
-        ][1:]
-        return self.p_trim(L, out)
+        N = self.N  # i * c is i times each coordinate of c
+        return self.p_trim(p.level, [tuple(i * x % N for x in c)
+                                     for i, c in enumerate(p.coeffs)][1:])
 
     def p_divmod_monic(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
         """Division with remainder by a monic t; never raises FactorEvent."""
         L = s.level
         if not self.p_is_monic(t):
             raise ValueError("divisor must be monic")
-        if L == 0:
+        if self.sizes[L] == 1:
             quo, rem = self._divmod0(self._ints(s), self._ints(t))
-            return self._poly0(quo), self._poly0(rem)
+            return self._poly0(L, quo), self._poly0(L, rem)
         dt = t.degree()
         rem = list(s.coeffs)
         quo = [self.zero(L)] * max(len(rem) - dt, 0)
@@ -316,7 +315,7 @@ class AlgebraTower:
 
     def p_gcd(self, s: PolyA, t: PolyA) -> PolyA:
         """Monic d with sA[y] + tA[y] = dA[y] for t != 0, or a FactorEvent."""
-        if s.level == 0:
+        if self.sizes[s.level] == 1:
             # A gap-1 step takes the pseudo-remainder lc^2 * a mod b and
             # defers lc = lc(b).  While the deferred lcs are units, every
             # remainder is a unit multiple of the generic loop's, so their
@@ -335,7 +334,7 @@ class AlgebraTower:
                          in zip(a, b[:-1], chain((0,), b))])
                     continue
                 if lc != 1 and lcs:
-                    self.p_assert_strongly_unitary(PolyA(0, tuple(lcs)))
+                    self.p_assert_strongly_unitary(PolyA(s.level, tuple(lcs)))
                     lcs = []
                 if not b:
                     break
@@ -344,11 +343,11 @@ class AlgebraTower:
                     b = [x * inv % N for x in b]
                 a, b = b, self._reduce0(self._divmod0(a, b)[1])
             if len(a) == 1:  # a unit: its lc was certified
-                return PolyA(0, ((1,),))
+                return PolyA(s.level, ((1,),))
             if a[-1] != 1:
                 inv = self.e_invert((a[-1],))[0]
                 a = [x * inv for x in a]
-            return self._poly0(a)
+            return self._poly0(s.level, a)
         while t.coeffs:
             t = self.p_make_monic(t)
             _, r = self.p_divmod_monic(s, t)

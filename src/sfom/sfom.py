@@ -154,8 +154,10 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
         state.leaves.append(node)
         return
     g = st.representative(node)
-    node.f_exp = st.expand(f, g)
-    polygon = st.newton(node, node.f_exp, node.omega)
+    # the hull does not fall after the principal part, which ends at omega:
+    # no later point attains a side's minimum, so f is expanded to a_omega
+    node.f_exp = st.expand(f, g, node.omega + 1)
+    polygon = st.newton(node, node.f_exp)
     if polygon.points[0][0] > 0:
         # f mod g = 0 over Z, and omega >= 2 gives deg f >= 2 deg g
         raise ReducibleInput(g)

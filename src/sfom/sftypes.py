@@ -76,23 +76,23 @@ class NewtonPolygon(Record):
 
 
 class Expansion(Record):
-    """Canonical g-expansion f = sum a_s g^s plus the division-chain quotients.
-
-    quotients[s-1] is the s-th quotient q_s, so that q_s = a_s + a_{s+1} g + ...
-    """
+    """Canonical g-expansion f = sum a_s g^s, whole or through its principal
+    part, with the division-chain quotients q_s = a_s + a_{s+1} g + ... as
+    quotients[s-1]."""
 
     __slots__ = ("coeffs", "quotients")
 
 
-def expand(f: IntPoly, g: IntPoly) -> Expansion:
+def expand(f: IntPoly, g: IntPoly, terms: int | None = None) -> Expansion:
     """Expand the nonzero f in powers of the monic g; coefficients have
-    degree < deg g."""
+    degree < deg g.  With `terms`, stop after the first `terms` divisions:
+    a_0..a_{terms-1} and the nonzero ones of q_1..q_terms."""
     if ia.pdeg(g) < 1:
         raise ValueError("expansion base must have positive degree")
     coeffs = []
     quots = []
     cur = f
-    while cur:
+    while cur and len(coeffs) != terms:
         q, a = ia.pdivmod_monic(cur, g)
         coeffs.append(a)
         if q:
@@ -113,8 +113,8 @@ class SFType:
     (ell, ellp) with ell*h + ellp*e = 1 and 0 <= ell < e.  `omega` is the
     multiplicity of t inside `residual_src`, the residual polynomial this
     level's modulus was extracted from (the reduction of f for roots).
-    `f_exp` is the expansion of f by the representative of this node, kept
-    by the tree driver for the basis stage once it has processed the node.
+    `f_exp` is f expanded by this node's representative through its principal
+    part (omega + 1 terms), kept by the tree driver for the basis stage.
     """
 
     def __init__(self, parent: SFType | None, order: int, tower: AlgebraTower,
@@ -330,19 +330,18 @@ def ord_in_residual(tower: AlgebraTower, R: PolyA, t: PolyA) -> int:
         R = q
 
 
-def newton(node: SFType, exp: Expansion, bound: int) -> NewtonPolygon:
-    """Polygon of the first bound+1 points of the expansion `exp` of f by a
-    representative of `node`, certified.
+def newton(node: SFType, exp: Expansion) -> NewtonPolygon:
+    """Polygon of the expansion `exp` of f by a representative of `node`,
+    certified; the tree passes f expanded through its principal part.
 
     The certificate makes f robust for the type about to be created on top
-    of `node`: every used coefficient is recursively robust and its residual
-    is coprime to node.t.  Failures raise FactorEvent.
+    of `node`: every coefficient is recursively robust and its residual is
+    coprime to node.t.  Failures raise FactorEvent.
     """
-    coeffs = exp.coeffs[:bound + 1]
-    for b in coeffs:
+    for b in exp.coeffs:
         if b:
             _certify(node, b)
-    return NewtonPolygon.from_cloud(cloud(node, coeffs))
+    return NewtonPolygon.from_cloud(cloud(node, exp.coeffs))
 
 
 def _pending_V(node: SFType) -> int:
@@ -395,7 +394,7 @@ def _representative_self_check(node: SFType, g: IntPoly) -> None:
     e, h, fdim = node.e, node.h, node.fdim
     width = e * fdim
     exp = expand(g, node.g)
-    polygon = newton(node.parent, exp, width)
+    polygon = newton(node.parent, exp)
     ok = (
         len(polygon.sides) == 1
         and (polygon.sides[0].h, polygon.sides[0].e) == (h, e)

@@ -512,7 +512,8 @@ def p_sfd_reference(T, f):
 
 
 # ---------------------------------------------------------------------------
-# the level-0 loops that the plain-int kernels replaced (1-tuple elements)
+# the loops that the plain-int kernels replaced, at level 0 or at any level
+# whose elements are 1-tuples (every modulus below it linear)
 
 
 def invert_reference(T, a):
@@ -523,19 +524,20 @@ def invert_reference(T, a):
 
 
 def p_mul_reference(T, p, q):
+    L = p.level
     if not p.coeffs or not q.coeffs:
-        return T.p_zero(0)
-    out = [T.zero(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+        return T.p_zero(L)
+    out = [T.zero(L)] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, a in enumerate(p.coeffs):
         for j, b in enumerate(q.coeffs):
             out[i + j] = T.e_add(out[i + j], T.e_mul(a, b))
-    return T.p_trim(0, out)
+    return T.p_trim(L, out)
 
 
 def p_divmod_reference(T, s, t):
-    dt = t.degree()
+    L, dt = s.level, t.degree()
     rem = list(s.coeffs)
-    quo = [T.zero(0)] * max(len(rem) - dt, 0)
+    quo = [T.zero(L)] * max(len(rem) - dt, 0)
     for i in range(len(rem) - 1 - dt, -1, -1):
         c = rem[i + dt]
         if T.is_zero(c):
@@ -543,15 +545,17 @@ def p_divmod_reference(T, s, t):
         quo[i] = c
         for j, b in enumerate(t.coeffs):
             rem[i + j] = T.e_sub(rem[i + j], T.e_mul(c, b))
-    return T.p_trim(0, quo), T.p_trim(0, rem[:dt])
+    return T.p_trim(L, quo), T.p_trim(L, rem[:dt])
 
 
 def p_gcd_reference(T, s, t):
+    L = s.level
+
     def make_monic(p):
         if T.is_one(p.coeffs[-1]):
             return p
         inv = invert_reference(T, p.coeffs[-1])
-        return T.p_trim(0, [T.e_mul(inv, c) for c in p.coeffs])
+        return T.p_trim(L, [T.e_mul(inv, c) for c in p.coeffs])
 
     if not t.coeffs:
         return make_monic(s)
@@ -559,6 +563,13 @@ def p_gcd_reference(T, s, t):
         t = make_monic(t)
         s, t = t, p_divmod_reference(T, s, t)[1]
     return s
+
+
+def p_deriv_reference(T, p):
+    # the tower product by the embedded integer i, at any level
+    L = p.level
+    return T.p_trim(L, [T.e_mul(T.embed_int(i, L), c)
+                        for i, c in enumerate(p.coeffs)][1:])
 
 
 def strongly_unitary_reference(T, t):

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import (_next_prime, fp_divmod, fp_gcd, fp_mul, fp_sfd,
-                      fp_trim, p_divmod_reference, p_gcd_reference,
-                      p_mul_reference, p_pow, p_quotrem, p_sfd_reference,
-                      poly_ints, strongly_unitary_reference)
+                      fp_trim, p_deriv_reference, p_divmod_reference,
+                      p_gcd_reference, p_mul_reference, p_pow, p_quotrem,
+                      p_sfd_reference, poly_ints, strongly_unitary_reference)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower, FactorEvent, NonExactDivision, PolyA
 
@@ -399,28 +399,61 @@ def test_level0_kernels_match_the_fp_oracle(p):
 
 @pytest.mark.parametrize("primes", [(3, 5), (5, 7), (10007, 10009), "big"])
 def test_level0_kernels_match_the_tuple_loops(primes):
-    # a common factor c makes the gcds long; a zero divisor in a leading
-    # coefficient or inside the common factor makes them raise
+    primes = _big_primes() if primes == "big" else primes
+    _kernels_match_the_tuple_loops(AlgebraTower(math.prod(primes)), 0, primes)
+
+
+@pytest.mark.parametrize("primes", [(3, 5), (5, 7), (10007, 10009), "big"])
+def test_one_residue_levels_match_the_tuple_loops(primes):
+    # over linear moduli every element of level 2 is a 1-tuple, and level 2
+    # runs the level-0 kernels
     primes = _big_primes() if primes == "big" else primes
     N = math.prod(primes)
-    rng = random.Random(N % 9973)
     T = AlgebraTower(N)
+    for L, c in enumerate((1, N - 1)):  # y + 1, then y - 1
+        T = T.extend(T.p_from_int_poly((c, 1), L))
+    assert T.sizes == (1, 1, 1)
+    _kernels_match_the_tuple_loops(T, 2, primes)
+
+
+def test_p_deriv_matches_the_tower_product():
+    # i * c taken coordinatewise, at every level of a tower whose elements
+    # have 1, 2 and 6 coordinates
+    N = 35
+    T = AlgebraTower(N)
+    for L, t in enumerate([(1, 1, 1), (3, 0, 0, 1)]):
+        T = T.extend(T.p_from_int_poly(t, L))
+    rng = random.Random(5)
+    for L in range(3):
+        for _ in range(20):
+            p = T.p_trim(L, [tuple(rng.randrange(N) for _ in range(T.sizes[L]))
+                             for _ in range(rng.randrange(0, 12))])
+            assert T.p_deriv(p) == p_deriv_reference(T, p)
+
+
+def _kernels_match_the_tuple_loops(T, L, primes):
+    # a common factor c makes the gcds long; a zero divisor in a leading
+    # coefficient or inside the common factor makes them raise
+    N = T.N
+    rng = random.Random(N % 9973 + L)
 
     def rand(deg, lc=None):
         return T.p_from_int_poly(tuple(rng.randrange(N) for _ in range(deg))
-                                 + (rng.randrange(N) if lc is None else lc,))
+                                 + (rng.randrange(N) if lc is None else lc,),
+                                 L)
 
     seen = {"event": 0, "poly": 0}
     for _ in range(40):
         s, t = rand(rng.randrange(0, 30)), rand(rng.randrange(0, 12), 1)
         assert T.p_mul(s, t) == p_mul_reference(T, s, t)
         assert T.p_divmod_monic(s, t) == p_divmod_reference(T, s, t)
+        assert T.p_deriv(s) == p_deriv_reference(T, s)
         zd = rng.choice(primes) * rng.randrange(1, N) % N
         c = rand(rng.randrange(0, 4), 1)
         a = T.p_mul(rand(rng.randrange(0, 8)), c)
         b = rand(rng.randrange(0, 6), rng.choice([1, zd]))
         if rng.randrange(2):
-            c = T.p_add(c, T.p_from_int_poly((zd,)))
+            c = T.p_add(c, T.p_from_int_poly((zd,), L))
         b = T.p_mul(b, c)
         if not a.coeffs and not b.coeffs:
             continue

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import random
@@ -17,6 +18,8 @@ from sfom.basis import (BasisElement, IntegerLattice, _merge_row_groups,
 from sfom.sfom import ReducibleInput, sfom
 from sfom.validate import (charpoly_is_integral, index_disc_identity,
                            mul_mod, p_maximal, ring_closed)
+
+sfom_module = importlib.import_module("sfom.sfom")
 
 
 def test_hnf_rows_canonical():
@@ -368,6 +371,72 @@ def test_global_basis_expands_f_once_per_representative(monkeypatch):
     of_f = {g: k for (a, g), k in seen.items() if a == f}
     assert len(of_f) >= 2
     assert max(of_f.values()) == 1, of_f
+
+
+def _fields_of_degree_at_most_12():
+    """g1^k1 * g2^k2 * c + N * h at N = 10007 * 10009, with g1, g2 linear
+    or quadratic and c monic of degree 0-2, and random monic fields."""
+    N = 10007 * 10009
+    rng = random.Random(24)
+    out = []
+    for _ in range(12):
+        f = (1,)
+        for k in (rng.randint(2, 3), rng.randint(2, 3), 1):
+            g = tuple(rng.randint(-9, 9) for _ in range(rng.randint(
+                0 if k == 1 else 1, 2))) + (1,)
+            f = ia.pmul(f, ia.ppow(g, k))
+        h = tuple(rng.randint(-3, 3) for _ in range(ia.pdeg(f)))
+        if ia.pdeg(f) <= 12:
+            out.append((ia.padd(f, ia.pscale(h, N)), N))
+    for n in range(4, 13):
+        out.append((tuple(rng.randint(-30, 30) for _ in range(n)) + (1,),
+                    None))
+    return out
+
+
+def test_trees_expand_f_through_the_principal_part(monkeypatch):
+    # every processed node keeps a_0..a_omega and q_1..q_(omega+1) of the
+    # expansion of f by its representative; the points after omega lie
+    # strictly above the line of every side, so the sides, the residuals
+    # and the quotients the basis reads are those of the whole expansion
+    reps = []
+    check = sfom_module._check_masses
+
+    def recording(rep):
+        check(rep)
+        reps.append(rep)
+
+    monkeypatch.setattr(sfom_module, "_check_masses", recording)
+    N = 10007 * 10009
+    cases = [(example1(N), N), (refine_fixture(N), N)]
+    cases += [(example3(r, N)[0], N) for r in range(1, 6)]
+    for f, D in cases + _fields_of_degree_at_most_12():
+        try:
+            global_basis(f, D)
+        except ReducibleInput:
+            continue
+    seen, cut = set(), 0
+    for rep in reps:
+        for leaf in rep.leaves:
+            chain = leaf.chain()
+            for node, child in zip(chain, chain[1:]):
+                if node in seen:
+                    continue
+                seen.add(node)
+                full = st.expand(rep.f, child.g)
+                w = node.omega + 1
+                assert node.f_exp == st.Expansion(full.coeffs[:w],
+                                                  full.quotients[:w])
+                cut += len(full.coeffs) > w
+                points = st.cloud(node, full.coeffs)
+                sides = st.NewtonPolygon.from_cloud(points).sides
+                assert sides == st.NewtonPolygon.from_cloud(
+                    st.cloud(node, node.f_exp.coeffs)).sides
+                for side in sides:
+                    ws = [side.e * u + side.h * s for s, u in points]
+                    assert all(wt > min(ws) for (s, _), wt in zip(points, ws)
+                               if s > node.omega)
+    assert len(seen) >= 40 and cut >= 20, (len(seen), cut)
 
 
 def test_global_basis_example2_maximal():

@@ -167,8 +167,8 @@ def test_perfect_power_and_iroot():
 
 
 def _iroot_from_a_power_of_two(n, k):
-    # Newton from 2^ceil(bits/k), the start iroot takes, so the test below
-    # also checks the root itself
+    # Newton from 2^ceil(bits/k): a reference that shares neither iroot's
+    # bit-by-bit short roots nor its start from the root of the top bits
     if n < 2 or k == 1:
         return n
     x = 1 << (-(-n.bit_length() // k))
@@ -226,13 +226,18 @@ _PRIMES_BELOW_100 = [k for k in range(2, 100) if is_probable_prime(k)]
 def test_sieved_perfect_power_on_prime_powers_and_neighbours(b):
     # b^k is (b, k); by Mihailescu's theorem b^k +- 1 is no power but for
     # 3^2 - 1 = 2^3 and 2^3 + 1 = 3^2.  The descending search agrees below
-    # 2^1024 (it tries every exponent up to the bit length: ~3 s for all)
+    # 2^1024 (it tries every exponent up to the bit length: ~3 s for all).
+    # iroot takes every prime root of them, up to 5,917 bits
     for k in _PRIMES_BELOW_100:
         for n, want in [(b ** k, (b, k)), (b ** k + 1, (b ** k + 1, 1)),
                         (b ** k - 1, (b ** k - 1, 1))]:
             want = {8: (2, 3), 9: (3, 2)}.get(n, want)
             if n < 2:
                 continue
+            assert ia.iroot(n, k) == (b - 1 if n < b ** k else b)
+            for j in _PRIMES_BELOW_100:
+                r = ia.iroot(n, j)
+                assert r ** j <= n < (r + 1) ** j, (b, k, n, j)
             assert ia.perfect_power(n) == want, (b, k, n)
             if n.bit_length() <= 1024:
                 assert _perfect_power_descending(n) == want, (b, k, n)

@@ -31,6 +31,14 @@ def test_example1_tree():
     assert rep.ramified
 
 
+def test_a_representative_dividing_f_is_a_factor():
+    # f = (x^2+1)^2 and x^2+1 mod 35 has multiplicity 2: the expansion
+    # through a_omega is (0, 0, 1), whose first point lies right of s = 0
+    with pytest.raises(sfm.ReducibleInput) as exc:
+        sfom((1, 0, 2, 0, 1), 35)
+    assert exc.value.factor == (1, 0, 1)
+
+
 def test_example2_tree():
     f = example2(11, 3, 5)
     rep = sfom(f, 11).rep

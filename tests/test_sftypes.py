@@ -66,20 +66,20 @@ def test_expand_examples():
 def test_newton_and_residual_examples(chain):
     f, root, node1, leaf = chain
     exp1 = st.expand(f, (0, 1))
-    poly1 = st.newton(root, exp1, 4)
+    poly1 = st.newton(root, exp1)
     assert poly1.principal_vertices == ((0, 2), (4, 0))
     assert [(s.h, s.e) for s in poly1.sides] == [(1, 2)]
     R1 = st.residual_of(root, exp1, 1, 2)
     assert poly_ints(R1) == [1, 2, 1]  # (y+1)^2
     exp2 = st.expand(f, (35, 0, 1))
-    poly2 = st.newton(node1, exp2, 2)
+    poly2 = st.newton(node1, exp2)
     assert poly2.principal_vertices == ((0, 7), (2, 4))
     assert [(s.h, s.e) for s in poly2.sides] == [(3, 2)]
     R2 = st.residual_of(node1, exp2, 3, 2)
     assert poly_ints(R2) == [1, 1]  # y+1
     # f = g^l: single point, no principal sides, constant residual
     expg = st.expand(ia.ppow((35, 0, 1), 2), (35, 0, 1))
-    polyg = st.newton(node1, expg, 2)
+    polyg = st.newton(node1, expg)
     assert not polyg.sides and polyg.principal_vertices == ((2, 4),)
     Rv = st.residual_of(node1, expg, 3, 2)
     assert Rv.degree() == 0
