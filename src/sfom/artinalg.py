@@ -16,7 +16,7 @@ import math
 import operator
 from itertools import accumulate, chain
 
-from .intarith import IntPoly, pmul, power
+from .intarith import IntPoly, padd, pmul, power, pscale
 
 
 class FactorEvent(Exception):
@@ -146,6 +146,9 @@ class AlgebraTower:
         L = self.sizes.index(len(a))
         if L == 0:
             return (a[0] * b[0] % self.N,)
+        if self.sizes[L - 1] == 1:  # d residues mod N over t in (Z/N)[y]
+            rem = self._divmod0(pmul(a, b), self._ints(self.moduli[L - 1]))[1]
+            return self.lift_elem(tuple(x % self.N for x in rem), L)
         prod = self.p_mul(self.elem_to_poly(a, L), self.elem_to_poly(b, L))
         _, rem = self.p_divmod_monic(prod, self.moduli[L - 1])
         return self.poly_to_elem(rem, L)
@@ -165,6 +168,18 @@ class AlgebraTower:
                 return (pow(a[0], -1, self.N),)
             except ValueError:
                 raise self.factor_event(-1, math.gcd(a[0], self.N)) from None
+        if self.sizes[L - 1] == 1:  # p_xgcd's loop over Z/N, on int lists
+            r0, r1, u0, u1 = list(a), self._ints(self.moduli[L - 1]), [1], []
+            while r1:
+                if r1[-1] != 1:
+                    inv = self.e_invert((r1[-1],))[0]
+                    r1, u1 = ([x * inv % self.N for x in p] for p in (r1, u1))
+                q, r2 = self._divmod0(r0, r1)
+                r0, r1 = r1, self._reduce0(r2)
+                u0, u1 = u1, self._reduce0(padd(u0, pscale(pmul(q, u1), -1)))
+            if len(r0) > 1:
+                raise self.factor_event(L - 1, self._poly0(L - 1, r0))
+            return self.lift_elem(tuple(u0), L)
         d, u = self.p_xgcd(self.elem_to_poly(a, L), self.moduli[L - 1])
         if not self.p_is_one(d):
             raise self.factor_event(L - 1, d)
@@ -212,7 +227,8 @@ class AlgebraTower:
 
     # Level 0, and every level over linear moduli (sizes[L] = 1: Z/N again),
     # runs on plain int lists: unwrap the 1-tuples, compute with deferred
-    # reductions, and wrap back reducing each coefficient once.
+    # reductions, and wrap back reducing each coefficient once.  So do e_mul
+    # and e_invert on the d residues of an element over Z/N (sizes[L-1] = 1).
 
     def _ints(self, p: PolyA) -> list:
         return [c[0] for c in p.coeffs]
@@ -356,7 +372,8 @@ class AlgebraTower:
 
     def p_xgcd(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
         """(d, u) with s*u = d mod t, d as in p_gcd.  t != 0; d is monic,
-        the last divisor of the Euclidean loop made monic."""
+        the last divisor of the Euclidean loop made monic.  e_invert runs
+        this loop on int lists for an element of a level over Z/N."""
         L = s.level
         r0, r1 = s, t
         s0, s1 = self.p_one(L), self.p_zero(L)

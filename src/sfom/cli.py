@@ -129,7 +129,8 @@ def _tree_or_factor(args):
     """(f, tree outcome) for --poly and --modulus; the outcome is None after
     a detected factor of the modulus has been printed."""
     f = _read_poly(args.poly)
-    if any(args.modulus % p == 0 for p in range(2, ia.pdeg(f) + 1)):
+    if args.modulus > 1 and any(args.modulus % p == 0
+                                for p in range(2, ia.pdeg(f) + 1)):
         raise ValueError("--modulus must have no prime factor <= deg f")
     out = run_tree(f, args.modulus)
     if out.n_factor is not None:

@@ -7,9 +7,9 @@ over package objects (`p_pow`, `p_quotrem`, `polygon_of`, `polygon_sum`,
 `from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`, `psub`,
 `resultant_valuation_check`, `quotient_value_bound`) are used by tests only;
 `hnf_rows_reference`, `p_sfd_reference`, `charpoly_is_integral_reference`,
-`pz_enlarge_reference`, `eval_up_reference`, `om_prime_complete` and the
-`*_reference` level-0 loops keep replaced package algorithms for
-differential tests.
+`pz_enlarge_reference`, `eval_up_reference`, `om_prime_complete`, the
+`*_reference` level-0 loops and the `e_*_reference` element routes keep
+replaced package algorithms for differential tests.
 """
 
 from __future__ import annotations
@@ -576,6 +576,39 @@ def strongly_unitary_reference(T, t):
     for c in t.coeffs:
         if not T.is_zero(c):
             invert_reference(T, c)
+
+
+# ---------------------------------------------------------------------------
+# the PolyA route that the int-list element kernels replaced at every level
+# over Z/N: coordinates as a polynomial over the level below, then its loops
+
+
+def e_mul_reference(T, a, b):
+    L = T.sizes.index(len(a))
+    if L == 0:
+        return (a[0] * b[0] % T.N,)
+    prod = p_mul_reference(T, T.elem_to_poly(a, L), T.elem_to_poly(b, L))
+    return T.poly_to_elem(p_divmod_reference(T, prod, T.moduli[L - 1])[1], L)
+
+
+def e_invert_reference(T, a):
+    # p_xgcd's monic loop against the modulus; its gcd must be 1
+    L = T.sizes.index(len(a))
+    if L == 0:
+        return invert_reference(T, a)
+    r0, r1 = T.elem_to_poly(a, L), T.moduli[L - 1]
+    s0, s1 = T.p_one(L - 1), T.p_zero(L - 1)
+    while r1.coeffs:
+        if not T.is_one(r1.coeffs[-1]):
+            inv = e_invert_reference(T, r1.coeffs[-1])
+            r1, s1 = (T.p_trim(L - 1, [e_mul_reference(T, inv, c)
+                                       for c in p.coeffs]) for p in (r1, s1))
+        q, r2 = p_divmod_reference(T, r0, r1)
+        r0, r1 = r1, r2
+        s0, s1 = s1, T.p_sub(s0, p_mul_reference(T, q, s1))
+    if not T.p_is_one(r0):
+        raise FactorEvent(L - 1, r0)
+    return T.poly_to_elem(s0, L)
 
 
 def sylvester_resultant(f, g):

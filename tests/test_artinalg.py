@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from conftest import (_next_prime, fp_divmod, fp_gcd, fp_mul, fp_sfd,
-                      fp_trim, p_deriv_reference, p_divmod_reference,
-                      p_gcd_reference, p_mul_reference, p_pow, p_quotrem,
-                      p_sfd_reference, poly_ints, strongly_unitary_reference)
+from conftest import (_next_prime, e_invert_reference, e_mul_reference,
+                      fp_divmod, fp_gcd, fp_mul, fp_sfd, fp_trim,
+                      p_deriv_reference, p_divmod_reference, p_gcd_reference,
+                      p_mul_reference, p_pow, p_quotrem, p_sfd_reference,
+                      poly_ints, strongly_unitary_reference)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower, FactorEvent, NonExactDivision, PolyA
 
@@ -461,6 +462,100 @@ def _kernels_match_the_tuple_loops(T, L, primes):
         assert _outcome(T.p_gcd, a, b) == want
         seen["poly" if isinstance(want, PolyA) else "event"] += 1
     assert seen["event"] >= 5 and seen["poly"] >= 5, seen
+
+
+def _split_modulus(T, L, degrees, rng):
+    """(t, parts): a monic modulus at level L, the product of two random
+    monic parts of the given degrees, drawn again until it would pass
+    `extend`."""
+    while True:
+        parts = [T.p_trim(L, [_rand_elem(T, L, rng) for _ in range(k)]
+                          + [T.one(L)]) for k in degrees]
+        t = T.p_mul(*parts)
+        if (not T.is_zero(t.coeffs[0])
+                and _outcome(T.p_assert_strongly_unitary, t) is None):
+            return t, parts
+
+
+def _rand_elem(T, L, rng):
+    return tuple(rng.randrange(T.N) for _ in range(T.sizes[L]))
+
+
+def _e_pow_reference(T, a, k):
+    if k < 0:
+        a, k = e_invert_reference(T, a), -k
+    out = T.one(T.sizes.index(len(a)))
+    for _ in range(k):
+        out = e_mul_reference(T, out, a)
+    return out
+
+
+def _elements_match_the_polya_route(T, L, parts, zero_divisors, rng):
+    """Compare e_mul, e_invert and e_pow at level L + 1 of T with the
+    references on random elements, multiples of a part of the top modulus
+    and zero-divisor multiples; return the outcome kinds of the inverses."""
+    top = T.moduli[L]
+    elems = [_rand_elem(T, L + 1, rng) for _ in range(12)]
+    for g in parts:  # g * r mod t
+        r = T.p_trim(L, [_rand_elem(T, L, rng) for _ in range(top.degree())])
+        elems.append(T.poly_to_elem(
+            T.p_divmod_monic(T.p_mul(g, r), top)[1], L + 1))
+    for zd in zero_divisors:
+        elems.append(T.e_mul(T.lift_elem(zd, L + 1),
+                             _rand_elem(T, L + 1, rng)))
+    kinds = collections.Counter()
+    for a in elems:
+        b = _rand_elem(T, L + 1, rng)
+        assert T.e_mul(a, b) == e_mul_reference(T, a, b)
+        if T.is_zero(a):
+            continue
+        want = _outcome(e_invert_reference, T, a)
+        assert _outcome(T.e_invert, a) == want, (a, want)
+        for k in (-2, -1, 3):
+            assert (_outcome(T.e_pow, a, k)
+                    == _outcome(_e_pow_reference, T, a, k))
+        kinds[want[:2] if want[0] == "event" else "unit"] += 1
+    return kinds
+
+
+@pytest.mark.parametrize("primes", [(3, 5), (5, 7), (10007, 10009), "big"])
+def test_elements_over_z_n_match_the_polya_route(primes):
+    # a level whose coordinates lie in Z/N, over level 0 and over a linear
+    # level: int-list products and inverses against the PolyA route, with
+    # each event's level and factor
+    primes = _big_primes() if primes == "big" else primes
+    N = math.prod(primes)
+    rng = random.Random(N % 9973)
+    T0 = AlgebraTower(N)
+    T1 = T0.extend(T0.p_from_int_poly((N - 2, 1)))
+    seen = collections.Counter()
+    for d in (2, 3, 4):
+        for T, L in ((T0, 0), (T1, 1)):
+            t, parts = _split_modulus(T, L, (1, d - 1), rng)
+            T = T.extend(t)
+            assert T.sizes[L:] == (1, d)
+            zds = [T.embed_int(p, L) for p in primes]
+            seen += _elements_match_the_polya_route(T, L, parts, zds, rng)
+    assert seen["unit"] >= 5, seen
+    assert seen["event", -1] >= 5, seen
+    assert seen["event", 0] + seen["event", 1] >= 5, seen
+
+
+def test_two_nonlinear_levels_match_the_polya_route():
+    # level 2 has 4 coordinates over a level of 2, so its products and
+    # inverses take the PolyA paths; z + 1 divides t_0 = (y + 1)(y + 2)
+    rng = random.Random(35)
+    T = AlgebraTower(10007 * 10009)
+    T = T.extend(T.p_from_int_poly((2, 3, 1)))
+    t, parts = _split_modulus(T, 1, (1, 1), rng)
+    T = T.extend(t)
+    assert T.sizes == (1, 2, 4)
+    zds = [T.embed_int(10007, 1), T.e_add(T.z(1), T.one(1))]
+    seen = collections.Counter()
+    for _ in range(4):
+        seen += _elements_match_the_polya_route(T, 1, parts, zds, rng)
+    assert set(seen) == {"unit", ("event", -1), ("event", 0),
+                         ("event", 1)}, seen
 
 
 def _raising_gap(T, a, b):

@@ -119,6 +119,10 @@ def test_reducible_input(capsys):
     (["tree", "--poly", EX1, "--modulus", "1"], (2,), "error: need N > 1"),
     # f(0) = 0: x is a factor
     (["basis", "--poly", "0,1,1"], (3,), "reducible"),
+    # 0 and -35 are divisible by primes <= deg f, but they are no modulus
+    (["tree", "--poly", EX1, "--modulus", "0"], (2,), "error: need N > 1"),
+    (["polygon", "--poly", "2,0,0,0,0,1", "--modulus", "-35", "--level",
+      "1"], (2,), "error: need N > 1"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)
