@@ -31,6 +31,9 @@ class FactorEvent(Exception):
         self.level = level
         self.factor = factor
 
+    def __reduce__(self):
+        return FactorEvent, (self.level, self.factor)
+
 
 class NonExactDivision(RuntimeError):
     """A division expected to be exact left a remainder (internal bug)."""
@@ -71,6 +74,10 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__name__}{self._astuple(self)!r}"
+
+    def __reduce__(self):  # copy and pickle through __init__, not setattr
+        values = self._astuple(self)
+        return type(self), values if len(self.__slots__) > 1 else (values,)
 
 
 class PolyA(Record):
@@ -159,7 +166,9 @@ class AlgebraTower:
         return power(a, k, self.e_mul, self.one(self.sizes.index(len(a))))
 
     def e_invert(self, a: tuple) -> tuple:
-        """Inverse certified by a recursive Bezout chain; FactorEvent on failure."""
+        """Inverse by the monic Bezout loop of a against the modulus below, on
+        int lists over Z/N and on PolyAs above; a gcd other than one raises
+        FactorEvent(L - 1, gcd), a lc that is no unit an event lower down."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero")
         L = self.sizes.index(len(a))
@@ -168,7 +177,7 @@ class AlgebraTower:
                 return (pow(a[0], -1, self.N),)
             except ValueError:
                 raise self.factor_event(-1, math.gcd(a[0], self.N)) from None
-        if self.sizes[L - 1] == 1:  # p_xgcd's loop over Z/N, on int lists
+        if self.sizes[L - 1] == 1:  # on int lists
             r0, r1, u0, u1 = list(a), self._ints(self.moduli[L - 1]), [1], []
             while r1:
                 if r1[-1] != 1:
@@ -180,10 +189,18 @@ class AlgebraTower:
             if len(r0) > 1:
                 raise self.factor_event(L - 1, self._poly0(L - 1, r0))
             return self.lift_elem(tuple(u0), L)
-        d, u = self.p_xgcd(self.elem_to_poly(a, L), self.moduli[L - 1])
-        if not self.p_is_one(d):
-            raise self.factor_event(L - 1, d)
-        return self.poly_to_elem(u, L)
+        r0, r1 = self.elem_to_poly(a, L), self.moduli[L - 1]
+        u0, u1 = self.p_one(L - 1), PolyA(L - 1, ())
+        while r1.coeffs:
+            if not self.is_one(r1.coeffs[-1]):
+                inv = self.e_invert(r1.coeffs[-1])
+                r1, u1 = self.p_scale(r1, inv), self.p_scale(u1, inv)
+            q, r2 = self.p_divmod_monic(r0, r1)
+            r0, r1 = r1, r2
+            u0, u1 = u1, self.p_sub(u0, self.p_mul(q, u1))
+        if not self.p_is_one(r0):
+            raise self.factor_event(L - 1, r0)
+        return self.poly_to_elem(u0, L)
 
     def z(self, L: int) -> tuple:
         """Generator of A_L over A_{L-1} (class of y)."""
@@ -209,9 +226,6 @@ class AlgebraTower:
         return self.lift_elem(tuple(chain.from_iterable(p.coeffs)), L)
 
     # -- polynomial layer ----------------------------------------------------
-
-    def p_zero(self, L: int) -> PolyA:
-        return PolyA(L, ())
 
     def p_one(self, L: int) -> PolyA:
         return PolyA(L, (self.one(L),))
@@ -260,8 +274,8 @@ class AlgebraTower:
     def p_is_monic(self, p: PolyA) -> bool:
         return bool(p.coeffs) and self.is_one(p.coeffs[-1])
 
-    def p_from_int_poly(self, f: IntPoly, L: int = 0) -> PolyA:
-        return self.p_trim(L, [self.embed_int(c, L) for c in f])
+    def p_from_int_poly(self, f: IntPoly) -> PolyA:
+        return self._poly0(0, f)
 
     def p_add(self, p: PolyA, q: PolyA) -> PolyA:
         L = p.level
@@ -273,11 +287,8 @@ class AlgebraTower:
             out[i] = self.e_add(out[i], c)
         return self.p_trim(L, out)
 
-    def p_neg(self, p: PolyA) -> PolyA:
-        return PolyA(p.level, tuple(self.e_neg(c) for c in p.coeffs))
-
     def p_sub(self, p: PolyA, q: PolyA) -> PolyA:
-        return self.p_add(p, self.p_neg(q))
+        return self.p_add(p, PolyA(q.level, tuple(map(self.e_neg, q.coeffs))))
 
     def p_scale(self, p: PolyA, a: tuple) -> PolyA:
         return self.p_trim(p.level, [self.e_mul(a, c) for c in p.coeffs])
@@ -370,24 +381,6 @@ class AlgebraTower:
             s, t = t, r
         return s
 
-    def p_xgcd(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
-        """(d, u) with s*u = d mod t, d as in p_gcd.  t != 0; d is monic,
-        the last divisor of the Euclidean loop made monic.  e_invert runs
-        this loop on int lists for an element of a level over Z/N."""
-        L = s.level
-        r0, r1 = s, t
-        s0, s1 = self.p_one(L), self.p_zero(L)
-        while r1.coeffs:
-            lc = r1.coeffs[-1]
-            if not self.is_one(lc):
-                inv = self.e_invert(lc)
-                r1 = self.p_scale(r1, inv)
-                s1 = self.p_scale(s1, inv)
-            q, r2 = self.p_divmod_monic(r0, r1)
-            r0, r1 = r1, r2
-            s0, s1 = s1, self.p_sub(s0, self.p_mul(q, s1))
-        return r0, s0
-
     def p_exact_divide(self, t: PolyA, d: PolyA) -> PolyA:
         """Quotient t/d for monic d; NonExactDivision when remainder is nonzero."""
         q, r = self.p_divmod_monic(t, d)
@@ -441,18 +434,15 @@ class AlgebraTower:
                     i += 1
             if c.degree() < 1:
                 break
-            g, scale = self._pth_root(c), scale * self.N
+            # c = g^p over a prime N = p: x^(p^(sizes[L]-1)) inverts x^p in
+            # the field A_L, so g is every p-th coefficient of c to that power
+            k = self.N ** (self.sizes[c.level] - 1)
+            g = self.p_trim(c.level, [self.e_pow(x, k)
+                                      for x in c.coeffs[::self.N]])
+            scale *= self.N
         for s in out.values():
             self.p_assert_strongly_unitary(s)
         return [(s, m) for m, s in sorted(out.items())]
-
-    def _pth_root(self, f: PolyA) -> PolyA:
-        """Inverse Frobenius over a prime N = p: f = g(y^p) gives g, each
-        coefficient raised to p^(sizes[L]-1) in the field A_L of p^sizes[L]
-        elements."""
-        k = self.N ** (self.sizes[f.level] - 1)
-        return self.p_trim(f.level,
-                           [self.e_pow(c, k) for c in f.coeffs[::self.N]])
 
     # -- tower construction --------------------------------------------------
 
@@ -497,6 +487,3 @@ class AlgebraTower:
             return str(a[0])
         k = self.sizes[L - 1]
         return [self.elem_to_obj(a[i:i + k], L - 1) for i in range(0, len(a), k)]
-
-    def poly_to_obj(self, p: PolyA):
-        return [self.elem_to_obj(c, p.level) for c in p.coeffs]

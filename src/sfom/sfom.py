@@ -13,8 +13,6 @@ and every modulus is irreducible but the order-0 leaf's.
 
 from __future__ import annotations
 
-import random
-
 from . import intarith as ia
 from . import sftypes as st
 from .artinalg import AlgebraTower, FactorEvent, PolyA, Record
@@ -65,10 +63,10 @@ class SFOMRep(Record):
         for leaf in self.leaves:
             chain = []
             for node in leaf.chain():
-                tower = node.tower
+                elem_to_obj = node.tower.elem_to_obj
                 chain.append({
                     "level": node.order,
-                    "t": tower.poly_to_obj(node.t),
+                    "t": [elem_to_obj(c, node.order) for c in node.t.coeffs],
                     "g": None if node.g is None else [str(c) for c in node.g],
                     "lambda": [node.h, node.e],
                     "omega": node.omega,
@@ -94,7 +92,7 @@ class _State:
         self.tower0, self.worklist, self.leaves = tower0, [], []
 
 
-def sfom(f: IntPoly, N: int, shuffle_seed: int | None = None) -> SplitOutcome:
+def sfom(f: IntPoly, N: int) -> SplitOutcome:
     """Run the tree construction for f modulo the composite N.
 
     f must be monic of degree > 1 and is expected to be irreducible over the
@@ -102,11 +100,11 @@ def sfom(f: IntPoly, N: int, shuffle_seed: int | None = None) -> SplitOutcome:
     every prime of N to exceed deg f, which the global driver arranges by
     stripping small primes first.
     """
-    return _drive(f, N, AlgebraTower.p_sfd, shuffle_seed=shuffle_seed)
+    return _drive(f, N, AlgebraTower.p_sfd)
 
 
-def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
-           shuffle_seed: int | None = None) -> SplitOutcome:
+def _drive(f: IntPoly, N: int, decompose,
+           prime: int | None = None) -> SplitOutcome:
     """Grow the tree; decompose(tower, R) splits a residual polynomial into
     (modulus, multiplicity) pairs."""
     f = ia.ptrim(f)
@@ -114,7 +112,6 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
     if n < 2 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree > 1")
     state = _State(AlgebraTower(N))
-    shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
     try:
         red = state.tower0.p_from_int_poly(f)
         # no moduli exist yet, so an event here can only split N itself
@@ -125,10 +122,6 @@ def _drive(f: IntPoly, N: int, decompose, prime: int | None = None,
             steps += 1
             if steps > 1000 + 200 * n:
                 raise RuntimeError("tree construction exceeded its step budget")
-            if shuffler is not None and len(state.worklist) > 1:
-                i = shuffler.randrange(len(state.worklist))
-                state.worklist[i], state.worklist[-1] = (
-                    state.worklist[-1], state.worklist[i])
             item = state.worklist.pop()
             try:
                 _process(state, item, f, decompose)

@@ -3,18 +3,21 @@
 The oracles here are deliberately written from scratch (dense lists mod p,
 Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
-over package objects (`p_pow`, `p_quotrem`, `polygon_of`, `polygon_sum`,
-`from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`, `psub`,
-`resultant_valuation_check`, `quotient_value_bound`) are used by tests only;
-`hnf_rows_reference`, `p_sfd_reference`, `charpoly_is_integral_reference`,
-`pz_enlarge_reference`, `eval_up_reference`, `om_prime_complete`, the
-`*_reference` level-0 loops and the `e_*_reference` element routes keep
-replaced package algorithms for differential tests.
+over package objects (`int_poly_at`, `p_pow`, `p_quotrem`, `polygon_of`,
+`polygon_sum`, `from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`,
+`psub`, `resultant_valuation_check`, `quotient_value_bound`) and the driver
+hook `shuffled_worklist` are used by tests only; `hnf_rows_reference`,
+`p_sfd_reference`, `charpoly_is_integral_reference`, `pz_enlarge_reference`,
+`eval_up_reference`, `om_prime_complete`, the `*_reference` level-0 loops and
+the `e_*_reference` element routes keep replaced package algorithms for
+differential tests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import importlib
 import itertools
 import math
 import random
@@ -25,7 +28,7 @@ import pytest
 from sfom import basis as bs
 from sfom import intarith as ia
 from sfom import sftypes as st
-from sfom.artinalg import FactorEvent
+from sfom.artinalg import FactorEvent, PolyA
 from sfom.validate import charpoly, product_table
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,11 @@ def refine_fixture(N=35):
 def poly_ints(p):
     """Base residues of a polynomial's constant coefficients."""
     return [c[0] for c in p.coeffs]
+
+
+def int_poly_at(T, f, L):
+    """The integer polynomial f mod N as a polynomial over level L of T."""
+    return T.p_trim(L, [T.embed_int(c, L) for c in f])
 
 
 def p_pow(T, p, k):
@@ -526,7 +534,7 @@ def invert_reference(T, a):
 def p_mul_reference(T, p, q):
     L = p.level
     if not p.coeffs or not q.coeffs:
-        return T.p_zero(L)
+        return PolyA(L, ())
     out = [T.zero(L)] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, a in enumerate(p.coeffs):
         for j, b in enumerate(q.coeffs):
@@ -592,12 +600,13 @@ def e_mul_reference(T, a, b):
 
 
 def e_invert_reference(T, a):
-    # p_xgcd's monic loop against the modulus; its gcd must be 1
+    # the monic Bezout loop of e_invert against the modulus, on PolyAs at
+    # every level with the reference loops; its gcd must be 1
     L = T.sizes.index(len(a))
     if L == 0:
         return invert_reference(T, a)
     r0, r1 = T.elem_to_poly(a, L), T.moduli[L - 1]
-    s0, s1 = T.p_one(L - 1), T.p_zero(L - 1)
+    s0, s1 = T.p_one(L - 1), PolyA(L - 1, ())
     while r1.coeffs:
         if not T.is_one(r1.coeffs[-1]):
             inv = e_invert_reference(T, r1.coeffs[-1])
@@ -724,6 +733,31 @@ def _next_prime(p: int) -> int:
     while not is_probable_prime(p):
         p += 1
     return p
+
+
+@contextlib.contextmanager
+def shuffled_worklist(seed):
+    """Within the block, the tree driver shuffles its worklist with
+    random.Random(seed) after every `_process` call, so its items are taken
+    in a seeded random order; yields a list with one entry per shuffle of two
+    or more items, true where the shuffle changed the order."""
+    sfm = importlib.import_module("sfom.sfom")
+    process, shuffle, moved = sfm._process, random.Random(seed).shuffle, []
+
+    def shuffling(state, *args):
+        try:
+            return process(state, *args)
+        finally:
+            if len(state.worklist) > 1:
+                before = list(state.worklist)
+                shuffle(state.worklist)
+                moved.append(state.worklist != before)
+
+    sfm._process = shuffling
+    try:
+        yield moved
+    finally:
+        sfm._process = process
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (_next_prime, e_invert_reference, e_mul_reference,
-                      fp_divmod, fp_gcd, fp_mul, fp_sfd, fp_trim,
+                      fp_divmod, fp_gcd, fp_mul, fp_sfd, fp_trim, int_poly_at,
                       p_deriv_reference, p_divmod_reference, p_gcd_reference,
                       p_mul_reference, p_pow, p_quotrem, p_sfd_reference,
                       poly_ints, strongly_unitary_reference)
@@ -81,48 +81,87 @@ def test_gcd_examples(T):
     with pytest.raises(FactorEvent) as exc:
         T.p_gcd(f, P(T, -7, 2))
     assert exc.value.level == -1 and exc.value.factor in (5, 7)
-    assert T.p_gcd(T.p_zero(0), P(T, -1, 2)) == T.p_make_monic(P(T, -1, 2))
+    assert T.p_gcd(PolyA(0, ()), P(T, -1, 2)) == T.p_make_monic(P(T, -1, 2))
 
 
-def _cofactor_holds(T, s, u, t, d):
-    """s*u = d mod the monic t."""
-    return not T.p_divmod_monic(T.p_sub(T.p_mul(s, u), d), t)[1].coeffs
+def _inverse_or_split(T, a):
+    """e_invert(a) as the reference loop gives it: an inverse, checked by a
+    product, or a FactorEvent; one at the level below a (a split of the
+    modulus t of a's level) carries a monic proper divisor of t.  Returns
+    "unit" or the event's ("event", level, factor)."""
+    L = T.sizes.index(len(a))
+    got = _outcome(T.e_invert, a)
+    assert got == _outcome(e_invert_reference, T, a), a
+    if got[0] != "event":
+        assert T.e_mul(a, got) == T.one(L)
+        return "unit"
+    if got[1] == L - 1:
+        d, t = got[2], T.moduli[L - 1]
+        assert T.p_is_monic(d) and 0 < d.degree() < t.degree()
+        assert not T.p_divmod_monic(t, d)[1].coeffs
+    return got
 
 
-def test_xgcd_examples(T):
-    d, u = T.p_xgcd(P(T, 1, 1), P(T, 0, 1))
-    assert T.p_is_one(d)
-    assert _cofactor_holds(T, P(T, 1, 1), u, P(T, 0, 1), d)
-    d, u = T.p_xgcd(P(T, 0, 0, 1), P(T, 0, 1))
-    assert d == P(T, 0, 1)
-    with pytest.raises(FactorEvent) as exc:
-        T.p_xgcd(P(T, 0, 1), P(T, 0, 7))
-    assert (exc.value.level, exc.value.factor) == (-1, 7)
+def test_e_invert_examples(T):
+    # over Z/35: t_0 = y(y + 1); over the nonlinear A_1 = Z/35[x]/(x^2 + 3x
+    # + 2): t_1 = (y - x)(y + 1), in which x + 1 is a zero divisor of A_1
+    T1 = T.extend(P(T, 0, 1, 1))
+    z = T1.z(1)
+    assert _inverse_or_split(T1, T1.e_add(z, T1.embed_int(2, 1))) == "unit"
+    assert _inverse_or_split(T1, z) == ("event", 0, P(T, 0, 1))
+    assert _inverse_or_split(T1, T1.e_add(z, T1.one(1))) == (
+        "event", 0, P(T, 1, 1))
+    assert _inverse_or_split(T1, T1.embed_int(5, 1)) == ("event", -1, 5)
+    Tx = T.extend(P(T, 2, 3, 1))
+    x, one = Tx.z(1), Tx.one(1)
+    T2 = Tx.extend(Tx.p_trim(1, [Tx.e_neg(x), Tx.e_sub(one, x), one]))
+    w = T2.z(2)
+    assert T2.sizes == (1, 2, 4)
+    assert _inverse_or_split(T2, w) == "unit"
+    assert _inverse_or_split(T2, T2.e_sub(w, T2.lift_elem(x, 2))) == (
+        "event", 1, Tx.p_trim(1, [Tx.e_neg(x), one]))
+    assert _inverse_or_split(T2, T2.e_add(w, T2.one(2))) == (
+        "event", 1, Tx.p_trim(1, [one, one]))
+    assert _inverse_or_split(T2, T2.embed_int(7, 2)) == ("event", -1, 7)
+    # (x + 1) w + 1: the loop's second divisor has the leading coefficient
+    # x + 1, whose inverse splits t_0
+    a = T2.e_add(T2.e_mul(T2.lift_elem(Tx.e_add(x, one), 2), w), T2.one(2))
+    assert _inverse_or_split(T2, a) == ("event", 0, P(T, 1, 1))
 
 
-def test_xgcd_bezout_random(T, rng):
-    # the second 60 pairs s = a*c, t = b*c share a planted monic c of
-    # degree 2, which d = su + tv then has as a factor
-    nonconstant = 0
+@pytest.mark.parametrize("t0", [None, (2, 3, 1)],
+                         ids=["over_z_n", "over_a_nonlinear_level"])
+def test_e_invert_bezout_random(t0):
+    # a level over Z/N (t0 None) and over the nonlinear A_1 = Z/N[x]/(t0),
+    # each time under a fresh modulus t of degree 2 or 3 (the loop's length
+    # changes parity), a product of two random monic parts; a third of the
+    # elements are random, a third a part times a random cofactor mod t, so
+    # that their gcd with t is that part or more, and a third a zero divisor
+    # of the level below times a random element
+    N = 10007 * 10009
+    rng = random.Random(35)
+    T = AlgebraTower(N)
+    if t0:
+        T = T.extend(T.p_from_int_poly(t0))
+    L = T.levels()
+    zero_divisors = [T.embed_int(10007, L)] + (
+        [T.e_add(T.z(1), T.one(1))] if t0 else [])
+    kinds = collections.Counter()
     for k in range(120):
-        s = T.p_from_int_poly(tuple(rng.randrange(35) for _ in range(4)))
-        t = T.p_from_int_poly(
-            tuple(rng.randrange(35) for _ in range(3)) + (1,))
-        if k >= 60:
-            c = T.p_from_int_poly((rng.randrange(35), rng.randrange(35), 1))
-            s, t = T.p_mul(s, c), T.p_mul(t, c)
-        try:
-            d, u = T.p_xgcd(s, t)
-        except FactorEvent as ev:
-            if ev.level == -1:
-                assert 1 < ev.factor < 35 and 35 % ev.factor == 0
-            continue
-        assert T.p_is_monic(d)
-        assert _cofactor_holds(T, s, u, t, d)
-        if k >= 60:
-            assert not T.p_divmod_monic(d, c)[1].coeffs
-        nonconstant += d.degree() > 0
-    assert nonconstant >= 15, nonconstant
+        t, parts = _split_modulus(T, L, (1, 1 + k // 3 % 2), rng)
+        T1 = T.extend(t)
+        a = _rand_elem(T1, L + 1, rng)
+        if k % 3 == 1:
+            r = T.p_trim(L, [_rand_elem(T, L, rng) for _ in range(3)])
+            a = T1.poly_to_elem(T.p_divmod_monic(
+                T.p_mul(rng.choice(parts), r), t)[1], L + 1)
+        elif k % 3 == 2:
+            a = T1.e_mul(T1.lift_elem(rng.choice(zero_divisors), L + 1), a)
+        if not T1.is_zero(a):
+            got = _inverse_or_split(T1, a)
+            kinds[got if got == "unit" else got[:2]] += 1
+    assert kinds["unit"] >= 15 and kinds["event", L] >= 15, kinds
+    assert kinds["event", -1] >= 5 and (not t0 or kinds["event", 0] >= 5), kinds
 
 
 def test_sfd_examples(T):
@@ -328,8 +367,8 @@ def test_degree_one_level_is_the_ring_below(T, rng, monkeypatch):
     c = T1.e_add(T1.embed_int(2, 1), T1.e_mul(T1.embed_int(3, 1), T1.z(1)))
     T2 = T1.extend(PolyA(1, (T1.e_neg(c), T1.one(1))))
     # the same top modulus (y - 1)(y - 3) with and without the degree-1 level
-    full = T2.extend(T2.p_from_int_poly((3, -4, 1), 2))
-    short = T1.extend(T1.p_from_int_poly((3, -4, 1), 1))
+    full = T2.extend(int_poly_at(T2, (3, -4, 1), 2))
+    short = T1.extend(int_poly_at(T1, (3, -4, 1), 1))
     assert full.sizes == (1, 2, 2, 4) and short.sizes == (1, 2, 4)
     assert full.z(2) == c
     for k in range(-3, 4):
@@ -412,7 +451,7 @@ def test_one_residue_levels_match_the_tuple_loops(primes):
     N = math.prod(primes)
     T = AlgebraTower(N)
     for L, c in enumerate((1, N - 1)):  # y + 1, then y - 1
-        T = T.extend(T.p_from_int_poly((c, 1), L))
+        T = T.extend(int_poly_at(T, (c, 1), L))
     assert T.sizes == (1, 1, 1)
     _kernels_match_the_tuple_loops(T, 2, primes)
 
@@ -423,7 +462,7 @@ def test_p_deriv_matches_the_tower_product():
     N = 35
     T = AlgebraTower(N)
     for L, t in enumerate([(1, 1, 1), (3, 0, 0, 1)]):
-        T = T.extend(T.p_from_int_poly(t, L))
+        T = T.extend(int_poly_at(T, t, L))
     rng = random.Random(5)
     for L in range(3):
         for _ in range(20):
@@ -439,9 +478,8 @@ def _kernels_match_the_tuple_loops(T, L, primes):
     rng = random.Random(N % 9973 + L)
 
     def rand(deg, lc=None):
-        return T.p_from_int_poly(tuple(rng.randrange(N) for _ in range(deg))
-                                 + (rng.randrange(N) if lc is None else lc,),
-                                 L)
+        return int_poly_at(T, tuple(rng.randrange(N) for _ in range(deg))
+                           + (rng.randrange(N) if lc is None else lc,), L)
 
     seen = {"event": 0, "poly": 0}
     for _ in range(40):
@@ -454,7 +492,7 @@ def _kernels_match_the_tuple_loops(T, L, primes):
         a = T.p_mul(rand(rng.randrange(0, 8)), c)
         b = rand(rng.randrange(0, 6), rng.choice([1, zd]))
         if rng.randrange(2):
-            c = T.p_add(c, T.p_from_int_poly((zd,), L))
+            c = T.p_add(c, int_poly_at(T, (zd,), L))
         b = T.p_mul(b, c)
         if not a.coeffs and not b.coeffs:
             continue

@@ -2,18 +2,24 @@
 the checks every library entry point makes on its input, and the golden
 outputs under `python -O`."""
 
+import copy
+import importlib
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from conftest import example1
+from conftest import example1, refine_fixture
 from sfom import global_basis, om_prime, sfom
-from sfom.artinalg import PolyA
+from sfom.artinalg import FactorEvent, PolyA, Record
 from sfom.basis import BasisElement, IntegerLattice
 from test_golden import BASIS, TREE, _fixtures
+
+sfm = importlib.import_module("sfom.sfom")
+st = importlib.import_module("sfom.sftypes")
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -103,6 +109,68 @@ def test_records_are_immutable_values():
             delattr(record, field)
     with pytest.raises(TypeError):
         BasisElement((1,))
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("sfom."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+def _plain(x):
+    """x with records taken apart by field and type nodes by their level
+    data up the chain, so that copies compare equal to their originals."""
+    if isinstance(x, st.SFType):
+        return (x.order, x.t, x.g, x.h, x.e, x.omega, x.V, _plain(x.parent))
+    if isinstance(x, Record):
+        return type(x), tuple(_plain(getattr(x, n)) for n in x.__slots__)
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_plain, x))
+    return x
+
+
+def test_records_and_events_copy_and_pickle(monkeypatch):
+    # one record of every class and the FactorEvents of a real run come back
+    # from pickle, copy and deepcopy equal to the original, and a record
+    # still refuses to change a field
+    items, events = [], []
+    process, handle = sfm._process, sfm._handle_event
+
+    def recording_process(state, item, *args):
+        items.append(item)
+        return process(state, item, *args)
+
+    def recording_handle(state, ev, ctx):
+        events.append(ev)
+        return handle(state, ev, ctx)
+
+    monkeypatch.setattr(sfm, "_process", recording_process)
+    monkeypatch.setattr(sfm, "_handle_event", recording_handle)
+    out = sfom(refine_fixture(35), 35)
+    node = next(n for leaf in out.rep.leaves for n in leaf.chain()[1:]
+                if n.f_exp is not None)
+    polygon = st.newton(node, node.f_exp)
+    result = global_basis(refine_fixture(35), 35)
+    records = [out, out.rep, next(it for it in items if it.parent),
+               node.t, node.f_exp, polygon, polygon.sides[0],
+               next(iter(node._analyses.values())), result, result.merged,
+               result.moduli[0][1][0]]
+    assert {type(r) for r in records} == set(_record_classes())
+    assert {ev.level for ev in events} == {1}
+    clones = (lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+              copy.deepcopy)
+    for clone in clones:
+        for r in records:
+            c = clone(r)
+            assert type(c) is type(r) and _plain(c) == _plain(r)
+            if hasattr(r, "to_obj"):
+                assert c.to_obj() == r.to_obj()
+            with pytest.raises(AttributeError):
+                setattr(c, r.__slots__[0], None)
+        for ev in events:
+            c = clone(ev)
+            assert (type(c), c.level, c.factor) == (FactorEvent, 1, ev.factor)
 
 
 # not monic, degree 1, constant

@@ -1,11 +1,11 @@
 import importlib
 import json
-import random
 
 import pytest
 
-from conftest import (example1, example2, example3, is_irreducible_over_z,
-                      poly_ints, refine_fixture)
+from conftest import (example1, example2, example3, int_poly_at,
+                      is_irreducible_over_z, poly_ints, refine_fixture,
+                      shuffled_worklist)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower, FactorEvent
 from sfom.sfom import SFOMRep, SplitOutcome, sfom
@@ -135,7 +135,7 @@ def test_refine_injected_split_of_level_one():
     # with their multiplicities in R_1, then two leaves
     f, state, item, root = _manual_state_for_injection()
     tower = root.tower.extend(item.t)
-    phi = root.tower.p_from_int_poly((3, 1), 1)
+    phi = int_poly_at(root.tower, (3, 1), 1)
     ev = tower.factor_event(1, phi)
     state.worklist.pop()  # the failed item leaves the worklist first
     sfm._handle_event(state, ev, item)
@@ -155,7 +155,7 @@ def test_refine_injected_split_cascades_on_nonunit_piece():
     # certification exposes the factor 5 of 35
     f, state, item, root = _manual_state_for_injection()
     tower = root.tower.extend(item.t)
-    phi = root.tower.p_from_int_poly((1, 1), 1)
+    phi = int_poly_at(root.tower, (1, 1), 1)
     state.worklist.pop()
     sfm._handle_event(state, tower.factor_event(1, phi), item)
     with pytest.raises(FactorEvent) as exc:
@@ -212,28 +212,24 @@ def test_refine_cascade_escalates_to_n_factor():
     assert exc.value.level == -1 and exc.value.factor in (5, 7)
 
 
-def test_determinism_and_shuffle_invariance(monkeypatch):
-    draws = []
-    randrange = random.Random.randrange
-
-    def counted(self, *args):
-        draws.append(args)
-        return randrange(self, *args)
-
-    monkeypatch.setattr(random.Random, "randrange", counted)
+def test_determinism_and_shuffle_invariance():
     f = example1(35)
     a = json.dumps(sfom(f, 35).rep.to_obj())
     b = json.dumps(sfom(f, 35).rep.to_obj())
     assert a == b
-    # example1's worklist never holds two items; refine_fixture's does
+    # the leaves do not depend on the worklist order; example1's worklist
+    # never holds two items, refine_fixture's does, and some seed reorders it
+    moved = []
     for f in (example1(35), refine_fixture(35)):
         base = sorted(json.dumps(l) for l in sfom(f, 35).rep.to_obj()["leaves"])
         for seed in (1, 7, 99):
-            draws.clear()
-            shuffled = sorted(json.dumps(l) for l in sfom(
-                f, 35, shuffle_seed=seed).rep.to_obj()["leaves"])
+            with shuffled_worklist(seed) as shuffles:
+                shuffled = sorted(json.dumps(l)
+                                  for l in sfom(f, 35).rep.to_obj()["leaves"])
             assert shuffled == base
-            assert bool(draws) == (f != example1(35))
+            assert bool(shuffles) == (f != example1(35))
+            moved += shuffles
+    assert any(moved)
 
 
 def test_leaf_disjointness_and_mass(rng):
@@ -289,7 +285,7 @@ def test_refine_replaces_existing_leaves():
     # make a sibling leaf under the same root and a deep worklist item
     t0 = root.t
     sibling = st.make_child(root, (0, 1), 1, 2,
-                            root.tower.p_from_int_poly((4, 1), 1), 1,
+                            int_poly_at(root.tower, (4, 1), 1), 1,
                             item.residual_src)
     state.leaves.append(sibling)
     # t_0 = y is irreducible, so fake a quadratic root to have a splittable one
@@ -297,7 +293,7 @@ def test_refine_replaces_existing_leaves():
     t0q = tower0.p_from_int_poly(ia.pmul((1, 1), (3, 1)))
     red = tower0.p_mul(t0q, t0q)
     rootq = st.make_root(tower0, t0q, 2, red)
-    deep_t1 = rootq.tower.p_from_int_poly((2, 1), 1)
+    deep_t1 = int_poly_at(rootq.tower, (2, 1), 1)
     deep = sfm._Item(rootq, (3, 1, 1), 1, 1, deep_t1, deep_t1, 1)
     leafq = st.make_child(rootq, (3, 1, 1), 1, 1, deep_t1, 1, deep_t1)
     stateq = sfm._State(tower0)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import (eval_up_reference, example1, example2, example3,
-                      poly_ints, polygon_of, polygon_sum, psub, refine_fixture)
+                      int_poly_at, poly_ints, polygon_of, polygon_sum, psub,
+                      refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.basis import level_quotients, n_integral_basis
@@ -105,7 +106,7 @@ def test_nu_unramified_is_abscissa():
     T0 = AlgebraTower(N)
     red = T0.p_from_int_poly((0, 0, 1))
     root = st.make_root(T0, T0.p_from_int_poly((0, 1)), 2, red)
-    t1 = root.tower.p_from_int_poly((1, 1), 1)
+    t1 = int_poly_at(root.tower, (1, 1), 1)
     node1 = st.make_child(root, (0, 1), 1, 1, t1, 1, t1)
     a = ia.pscale((0, 1), N)  # N x: single point (1, 1)
     an = st.analyze(node1, a)
@@ -158,7 +159,7 @@ def test_construct_with_residue_unsatisfiable():
     T0 = AlgebraTower(35)
     t0 = T0.p_from_int_poly((0, 1))
     root = st.make_root(T0, t0, 1, t0)
-    t1 = root.tower.p_from_int_poly(ia.pmul((1, 1), (2, 1)), 1)
+    t1 = int_poly_at(root.tower, ia.pmul((1, 1), (2, 1)), 1)
     node = st.make_child(root, (0, 1), 1, 2, t1, 1, t1)
     with pytest.raises(ValueError):
         st.construct_with_residue(node, 0, node.tower.z(2))
