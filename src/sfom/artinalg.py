@@ -401,8 +401,10 @@ class AlgebraTower:
         """Squarefree decomposition f = lc * prod s_i^l_i, l_1 < l_2 < ...
 
         Output factors are monic, squarefree, pairwise coprime and certified
-        strongly unitary.  Musser's gcd loop; a part with vanishing derivative
-        goes through a p-th root, which only a prime N = p can reach: over a
+        strongly unitary.  Musser's gcd loop divides c by the monic w once per
+        step, as gcd(c, w) would first: a zero remainder gives y = w and s = 1,
+        else y = gcd(w, c mod w).  A part with vanishing derivative goes
+        through a p-th root, which only a prime N = p can reach: over a
         composite N the driver keeps every prime of N above deg f.  A linear
         f skips the loop, whose gcds and divisions would be by the monic 1.
         """
@@ -424,13 +426,15 @@ class AlgebraTower:
                     if i > g.degree():
                         raise RuntimeError(
                             "squarefree decomposition did not terminate")
-                    y = self.p_gcd(c, w)
-                    s = self.p_exact_divide(w, y)
-                    if s.degree() >= 1:
+                    quo, rem = self.p_divmod_monic(c, w)
+                    if not rem.coeffs:  # y = w, s = 1
+                        c = quo
+                    else:  # y divides rem, so deg s >= deg w - deg rem > 0
+                        y = self.p_gcd(w, rem)
+                        s = self.p_exact_divide(w, y)
                         m = i * scale
                         out[m] = self.p_mul(out[m], s) if m in out else s
-                    w = y
-                    c = self.p_exact_divide(c, y)
+                        w, c = y, self.p_exact_divide(c, y)
                     i += 1
             if c.degree() < 1:
                 break

@@ -29,6 +29,15 @@ class BasisElement(Record):
 # Hermite normal form lattices
 
 
+def _sub_multiple(row: dict, q: int, p: dict) -> None:
+    """row -= q * p on rows held as {column: nonzero entry}."""
+    for k, y in p.items():
+        if x := row.get(k, 0) - q * y:
+            row[k] = x
+        else:
+            del row[k]
+
+
 def hnf_rows(rows, n: int, modulus: int) -> list[list[int]]:
     """Row HNF of span(rows) + modulus * Z^n: upper triangular, every pivot a
     positive divisor of the modulus, entries above each pivot reduced into
@@ -40,59 +49,51 @@ def hnf_rows(rows, n: int, modulus: int) -> list[list[int]]:
     still span.  An extended-gcd step leaves its pivot at the gcd, which
     divides the old pivot and stays below the modulus.
 
-    Rows go in by ascending last nonzero column, so a row and every pivot it
-    meets are zero right of that column, where each step stops.  First each
-    row is size-reduced, right to left, against the lower pivots (for each
-    column, the first row that ends there), and then modulo the modulus
-    again.  The nearly triangular rows of the OM bases keep few nonzero
-    entries that way, and steps skip the columns where the pivot is 0.  The
-    back-reduction runs from the bottom row up, against rows that are
-    already reduced.
+    Every work and pivot row is a dict {column: nonzero entry}, so a step
+    touches only the entries that exist.  Rows go in by ascending last
+    column.  First each row is size-reduced, right to left, against the
+    lower pivots (for each column, the first row that ends there), and then
+    modulo the modulus again: the nearly triangular OM rows keep few nonzero
+    entries that way.  Then each row meets the pivot of its first nonzero
+    column, by an exact step or an extended-gcd step, until it is zero.  The
+    back-reduction runs from the bottom row up, against reduced rows.
     """
-
-    def wrap(vec):
-        return [x % modulus for x in vec]
-
-    basis = [[modulus * (i == j) for i in range(n)] for j in range(n)]
-    work = sorted(((max(j for j, x in enumerate(row) if x), row)
-                   for row in map(wrap, rows) if any(row)),
-                  key=lambda t: t[0])
-    lower: list[list[int] | None] = [None] * n
-    for last, row in work:
+    work = sorted(filter(None, ({j: y for j, x in enumerate(row)
+                                 if (y := x % modulus)} for row in rows)),
+                  key=max)
+    lower: list[dict | None] = [None] * n
+    for row in work:
+        last = max(row)
         for j in range(last - 1, -1, -1):
-            p = lower[j]
-            if p is not None and (q := row[j] // p[j]):
-                row[:j + 1] = [x - q * y if y else x
-                               for x, y in zip(row[:j + 1], p)]
+            if (p := lower[j]) is not None and (q := row.get(j, 0) // p[j]):
+                _sub_multiple(row, q, p)
         if lower[last] is None:
             lower[last] = row
-    for _, row in work:
-        row[:] = wrap(row)
-    for last, row in work:
-        for j in range(last + 1):
-            b = row[j]
-            if b == 0:
-                continue
-            # one extended-gcd step on the columns j to last
-            piv = basis[j]
-            a = piv[j]
-            xs, ys = row[j:last + 1], piv[j:last + 1]
+    basis = [{j: modulus} for j in range(n)]
+    for row in work:
+        row = {k: y for k, x in row.items() if (y := x % modulus)}
+        while row:
+            piv = basis[j := min(row)]
+            a, b = piv[j], row[j]
             if b % a == 0:
                 q = b // a
-                row[j:last + 1] = wrap([x - q * y if y else x
-                                        for x, y in zip(xs, ys)])
+                for k, y in piv.items():
+                    if x := (row.get(k, 0) - q * y) % modulus:
+                        row[k] = x
+                    else:
+                        row.pop(k, None)
                 continue
             d, u, v = ia.xgcd(a, b)
             a, b = a // d, b // d
-            piv[j:last + 1] = wrap([u * y + v * x for x, y in zip(xs, ys)])
-            row[j:last + 1] = wrap([a * x - b * y for x, y in zip(xs, ys)])
-        # a fully reduced row is dropped
+            xy = [(k, row.get(k, 0), piv.get(k, 0))
+                  for k in piv.keys() | row.keys()]
+            basis[j] = {k: z for k, x, y in xy if (z := (u * y + v * x) % modulus)}
+            row = {k: z for k, x, y in xy if (z := (a * x - b * y) % modulus)}
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
-            if q := basis[i][j] // basis[j][j]:
-                basis[i][j:] = [x - q * y if y else x
-                                for x, y in zip(basis[i][j:], basis[j][j:])]
-    return basis
+            if (x := basis[i].get(j)) and (q := x // basis[j][j]):
+                _sub_multiple(basis[i], q, basis[j])
+    return [[row.get(k, 0) for k in range(n)] for row in basis]
 
 
 class IntegerLattice(Record):
@@ -142,12 +143,14 @@ class IntegerLattice(Record):
 def _merge_row_groups(results, n: int) -> IntegerLattice:
     """The sum of Z[theta] and the local bases of `results`, (N, elements)
     pairs, over den = lcm of the N^den_exp.  It contains den * Z^n, so each
-    element num / N^e goes in once, as the row (den / N^e) * (num mod N^e):
-    an integral element gives a zero row."""
+    element num / N^e goes in once, as the row (den / N^e) * (num mod N^e),
+    and an integral element (e = 0), whose row is zero, is left out."""
     den = math.lcm(*(N ** el.den_exp for N, basis in results for el in basis))
     rows = []
     for N, basis in results:
         for el in basis:
+            if not el.den_exp:
+                continue
             d = N ** el.den_exp
             scale = den // d
             row = [scale * (x % d) for x in el.num]

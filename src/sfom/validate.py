@@ -319,7 +319,7 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     rad = _left_kernel_mod_p([ia.power(e, q, mul_p, None) for e in unit], p)
     # ideal I = <radical lifts> + pO, as lattice coordinates over lat
-    ideal = bs.IntegerLattice(1, bs.hnf_rows(rad, n, p), n)
+    ideal = bs.IntegerLattice(1, tuple(map(tuple, bs.hnf_rows(rad, n, p))), n)
     # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
     big = []
     for e in unit:

@@ -7,7 +7,8 @@ over package objects (`int_poly_at`, `p_pow`, `p_quotrem`, `polygon_of`,
 `polygon_sum`, `from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`,
 `psub`, `resultant_valuation_check`, `quotient_value_bound`) and the driver
 hook `shuffled_worklist` are used by tests only; `hnf_rows_reference`,
-`p_sfd_reference`, `charpoly_is_integral_reference`, `pz_enlarge_reference`,
+`p_sfd_reference`, `p_sfd_musser_reference`,
+`charpoly_is_integral_reference`, `pz_enlarge_reference`,
 `eval_up_reference`, `om_prime_complete`, the `*_reference` level-0 loops and
 the `e_*_reference` element routes keep replaced package algorithms for
 differential tests.
@@ -322,7 +323,8 @@ def pz_enlarge_reference(lat, f, p, *, products=None):
     # ideal I = <radical lifts> + pO, as lattice coordinates over lat
     ideal_rows = [list(v) for v in rad]
     ideal_rows += [[p * (i == j) for j in range(n)] for i in range(n)]
-    ideal = bs.IntegerLattice(1, hnf_rows_reference(ideal_rows, n), n)
+    ideal = bs.IntegerLattice(
+        1, tuple(map(tuple, hnf_rows_reference(ideal_rows, n))), n)
     # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
     big = []
     for i in range(n):
@@ -517,6 +519,45 @@ def p_sfd_reference(T, f):
     for s, _ in out:
         T.p_assert_strongly_unitary(s)
     return out
+
+
+def p_sfd_musser_reference(T, f):
+    """AlgebraTower.p_sfd with Musser's step as it was before the step shared
+    its first division with the gcd: y = gcd(c, w), then w / y and c / y."""
+    if not f.coeffs:
+        raise ValueError("squarefree decomposition of zero")
+    out = {}
+    g, scale = T.p_make_monic(f), 1
+    if g.degree() == 1:
+        T.p_assert_strongly_unitary(g)
+        return [(g, 1)]
+    while g.degree() >= 1:
+        c = g
+        deriv = T.p_deriv(g)
+        if deriv.coeffs:
+            c = T.p_gcd(g, deriv)
+            w = T.p_exact_divide(g, c)
+            i = 1
+            while not T.p_is_one(w):
+                if i > g.degree():
+                    raise RuntimeError(
+                        "squarefree decomposition did not terminate")
+                y = T.p_gcd(c, w)
+                s = T.p_exact_divide(w, y)
+                if s.degree() >= 1:
+                    m = i * scale
+                    out[m] = T.p_mul(out[m], s) if m in out else s
+                w = y
+                c = T.p_exact_divide(c, y)
+                i += 1
+        if c.degree() < 1:
+            break
+        k = T.N ** (T.sizes[c.level] - 1)
+        g = T.p_trim(c.level, [T.e_pow(x, k) for x in c.coeffs[::T.N]])
+        scale *= T.N
+    for s in out.values():
+        T.p_assert_strongly_unitary(s)
+    return [(s, m) for m, s in sorted(out.items())]
 
 
 # ---------------------------------------------------------------------------

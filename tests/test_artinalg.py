@@ -7,8 +7,9 @@ import pytest
 from conftest import (_next_prime, e_invert_reference, e_mul_reference,
                       fp_divmod, fp_gcd, fp_mul, fp_sfd, fp_trim, int_poly_at,
                       p_deriv_reference, p_divmod_reference, p_gcd_reference,
-                      p_mul_reference, p_pow, p_quotrem, p_sfd_reference,
-                      poly_ints, strongly_unitary_reference)
+                      p_mul_reference, p_pow, p_quotrem,
+                      p_sfd_musser_reference, p_sfd_reference, poly_ints,
+                      strongly_unitary_reference)
 from sfom import intarith as ia
 from sfom.artinalg import AlgebraTower, FactorEvent, NonExactDivision, PolyA
 
@@ -325,6 +326,78 @@ def test_p_sfd_of_degree_one_matches_the_reference(N):
         assert _outcome(T0.p_sfd, f) == ("event", -1, 7)
     else:
         assert set(seen) == {(0, "parts"), (1, "parts")}, seen
+
+
+def _musser_agrees(T, f):
+    """p_sfd and the loop before its shared division give one outcome."""
+    want = _outcome(lambda g: p_sfd_musser_reference(T, g), f)
+    assert _outcome(T.p_sfd, f) == want, (T.N, f)
+    return want
+
+
+@pytest.mark.parametrize("t0", [None, (2, 3, 1)],
+                         ids=["level_0", "over_a_nonlinear_level"])
+def test_p_sfd_musser_step_on_powers(t0):
+    # x^k and (x - a)^k (x - b): every step of x^k divides c by w = x with
+    # no remainder, while (x - a)^k (x - b) first meets a nonzero one; b - a
+    # is a unit, or a zero divisor that splits N or t_0 = (y + 1)(y + 2)
+    N = 10007 * 10009
+    T = AlgebraTower(N)
+    if t0:
+        T = T.extend(T.p_from_int_poly(t0))
+    L = T.levels()
+    rng = random.Random(60)
+    zero_divisors = [T.embed_int(10009, L)] + (
+        [T.e_add(T.z(1), T.one(1))] if t0 else [])
+    x = T.p_y(L)
+    seen = collections.Counter()
+    ks = range(1, 61) if L == 0 else (*range(1, 9), 12, 16, 24, 36, 48, 60)
+    for i, k in enumerate(ks):
+        assert _musser_agrees(T, p_pow(T, x, k)) == [(x, k)]
+        a = tuple(rng.randrange(N) for _ in range(T.sizes[L]))
+        b = T.e_add(a, rng.choice(zero_divisors) if i % 2 else
+                    tuple(rng.randrange(N) for _ in range(T.sizes[L])))
+        f = T.p_mul(p_pow(T, T.p_trim(L, [T.e_neg(a), T.one(L)]), k),
+                    T.p_trim(L, [T.e_neg(b), T.one(L)]))
+        want = _musser_agrees(T, f)
+        seen["event" if want[0] == "event" else len(want)] += 1
+    assert seen["event"] >= 5 and seen[2] >= 5, seen
+
+
+@pytest.mark.parametrize("primes", [(5, 7), (11, 13), (10007, 10009)],
+                         ids=["35", "143", "10007*10009"])
+def test_p_sfd_musser_step_matches_the_reference(primes):
+    # seeded products of powers of random monic parts, at level 0 and over
+    # t_0 = (y + 1)(y + 2); a twin part that agrees with another modulo a
+    # zero divisor makes a gcd split N or t_0
+    N, p = math.prod(primes), primes[0]
+    rng = random.Random(N)
+    T0 = AlgebraTower(N)
+    T1 = T0.extend(T0.p_from_int_poly((2, 3, 1)))
+    top = min(p, 16)  # deg f < top: below every prime of N
+    seen = collections.Counter()
+    for T, L in ((T0, 0), (T1, 1)):
+        zero_divisors = [T.embed_int(p, L)] + (
+            [T1.e_add(T1.z(1), T1.one(1))] if L else [])
+        for _ in range(50):
+            f = T.p_one(L)
+            while True:
+                d, k = rng.randrange(1, 3), rng.randrange(1, 5)
+                twin = rng.randrange(3) == 0
+                if f.degree() + d * (k + twin) >= top:
+                    break
+                s = T.p_trim(L, [tuple(rng.randrange(N) for _ in
+                                       range(T.sizes[L])) for _ in range(d)]
+                             + [T.one(L)])
+                f = T.p_mul(f, p_pow(T, s, k))
+                if twin:
+                    zd = rng.choice(zero_divisors)
+                    r = T.p_trim(L, [T.e_mul(zd, c) for c in s.coeffs[:-1]])
+                    f = T.p_mul(f, T.p_add(s, r))
+            if f.degree() >= 1:
+                want = _musser_agrees(T, f)
+                seen["event" if want[0] == "event" else "parts"] += 1
+    assert seen["event"] >= 5 and seen["parts"] >= 5, seen
 
 
 @pytest.mark.parametrize("p", [2, 3])

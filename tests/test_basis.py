@@ -118,6 +118,68 @@ def test_hnf_rows_matches_the_reference_on_a_merge():
         _merge_matches_the_reference(result, n, rng)
 
 
+def _om_rows(rng, N, n, k):
+    """Lower-triangular rows N^(k - e_L) * (monic num mod N^e_L), deg num = L,
+    with 0 <= e_0 <= e_1 <= ... <= k: the shape of an OM basis over N^k."""
+    rows, e = [], 0
+    for L in range(n):
+        e = min(k, e + rng.choice((0, 0, 1, 2)))
+        num = [rng.randrange(N ** e) for _ in range(L)] + [1]
+        rows.append([N ** (k - e) * x for x in num] + [0] * (n - L - 1))
+    return rows
+
+
+def _sparse_hnf_case(kind, rng):
+    """(rows, n, modulus) of one seeded case of the given kind."""
+    N = rng.choice((3, 35, 143, 10007 * 10009, 2 ** 61 - 1))
+    n, k = rng.randint(2, 10), rng.randint(1, 4)
+    if kind == "two_coprime_groups":
+        M = rng.choice((2, 17, 65537))  # coprime to every N above
+        k2 = rng.randint(1, 3)
+        den = N ** k * M ** k2
+        rows = [[M ** k2 * x for x in row] for row in _om_rows(rng, N, n, k)]
+        rows += [[N ** k * x for x in row] for row in _om_rows(rng, M, n, k2)]
+        return rows, n, den
+    rows, modulus = _om_rows(rng, N, n, k), N ** k
+    if kind == "shared_last_columns":  # more rows ending where others end
+        for _ in range(rng.randint(1, n)):
+            row = rng.choice(rows)
+            last = max(j for j, x in enumerate(row) if x)
+            rows.append([rng.randrange(modulus) if j < last else x
+                         for j, x in enumerate(row)])
+    elif kind == "off_range_entries":  # negatives, >= modulus, vanishing rows
+        rows = [[x + modulus * rng.randint(-3, 3) for x in row]
+                for row in rows]
+        rows = [[-x for x in row] if rng.random() < 0.3 else row
+                for row in rows]
+        rows += [[modulus * rng.randint(-2, 2) for _ in range(n)]
+                 for _ in range(2)]
+    elif kind == "one_column":
+        rows, n = [[x] for x in rng.sample(range(-50, 50), 3)], 1
+        modulus = rng.choice((1, modulus))
+    elif kind == "modulus_one":
+        modulus = 1
+    return rows, n, modulus
+
+
+@pytest.mark.parametrize("kind", ["om_rows", "shared_last_columns",
+                                  "two_coprime_groups", "off_range_entries",
+                                  "one_column", "modulus_one"])
+def test_hnf_rows_on_om_shaped_rows(kind):
+    # the sparse rows give the reference HNF from any row order, and the
+    # caller's rows come back unchanged
+    rng = random.Random(kind)
+    for _ in range(60):
+        rows, n, modulus = _sparse_hnf_case(kind, rng)
+        rng.shuffle(rows)
+        want = hnf_rows_reference(rows, n, modulus)
+        before = [row[:] for row in rows]
+        assert hnf_rows(rows, n, modulus) == want, (rows, n, modulus)
+        assert rows == before
+        if modulus == 1:
+            assert want == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_lattice_membership(rng):
     for _ in range(30):
         rows = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(4)]

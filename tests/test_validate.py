@@ -100,6 +100,29 @@ def test_pz_enlarge_matches_the_reference(f, primes):
                != power_basis(ia.pdeg(f)) for p in primes)
 
 
+@pytest.mark.parametrize("enlarge", [pz_enlarge, pz_enlarge_reference],
+                         ids=["package", "reference"])
+def test_pz_enlarge_ideal_is_a_hashable_lattice(enlarge, monkeypatch):
+    # the ideal rad + pO, which the step solves against, has tuple rows like
+    # every other lattice: it hashes and equals its tuple-row rebuild
+    ideals = []
+    solve = IntegerLattice.solve
+
+    def recording(lat, *args):
+        ideals.append(lat)
+        return solve(lat, *args)
+
+    monkeypatch.setattr(IntegerLattice, "solve", recording)
+    for f, p in (((-25, 0, 1), 5), (example1(35), 7)):
+        lat = power_basis(ia.pdeg(f))
+        enlarge(lat, f, p)
+        ideal = ideals[-1]
+        assert ideal is not lat and ideal.den == 1
+        same = IntegerLattice(1, tuple(map(tuple, ideal.rows)), ideal.n)
+        assert hash(ideal) == hash(same) and ideal == same
+        assert {ideal, same} == {same}
+
+
 def _rank_mod_p(M, p):
     """Rank over Z/pZ by elimination on a copy, column by column."""
     M = [[x % p for x in row] for row in M]
