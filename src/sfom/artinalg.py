@@ -167,7 +167,7 @@ class AlgebraTower:
 
     def e_invert(self, a: tuple) -> tuple:
         """Inverse by the monic Bezout loop of a against the modulus below, on
-        int lists over Z/N and on PolyAs above; a gcd other than one raises
+        int lists over Z/N and by `_bezout` above; a gcd other than one raises
         FactorEvent(L - 1, gcd), a lc that is no unit an event lower down."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero")
@@ -189,18 +189,10 @@ class AlgebraTower:
             if len(r0) > 1:
                 raise self.factor_event(L - 1, self._poly0(L - 1, r0))
             return self.lift_elem(tuple(u0), L)
-        r0, r1 = self.elem_to_poly(a, L), self.moduli[L - 1]
-        u0, u1 = self.p_one(L - 1), PolyA(L - 1, ())
-        while r1.coeffs:
-            if not self.is_one(r1.coeffs[-1]):
-                inv = self.e_invert(r1.coeffs[-1])
-                r1, u1 = self.p_scale(r1, inv), self.p_scale(u1, inv)
-            q, r2 = self.p_divmod_monic(r0, r1)
-            r0, r1 = r1, r2
-            u0, u1 = u1, self.p_sub(u0, self.p_mul(q, u1))
-        if not self.p_is_one(r0):
-            raise self.factor_event(L - 1, r0)
-        return self.poly_to_elem(u0, L)
+        g, u = self._bezout(self.elem_to_poly(a, L), self.moduli[L - 1])
+        if not self.p_is_one(g):
+            raise self.factor_event(L - 1, g)
+        return self.poly_to_elem(u, L)
 
     def z(self, L: int) -> tuple:
         """Generator of A_L over A_{L-1} (class of y)."""
@@ -332,16 +324,22 @@ class AlgebraTower:
                 rem[i + j] = self.e_sub(rem[i + j], self.e_mul(c, b))
         return self.p_trim(L, quo), self.p_trim(L, rem[:dt])
 
-    def p_make_monic(self, t: PolyA) -> PolyA:
-        """Scale by lc^-1 (FactorEvent when the leading coefficient splits)."""
-        if not t.coeffs:
-            raise ValueError("zero polynomial")
-        if self.is_one(t.coeffs[-1]):
-            return t
-        return self.p_scale(t, self.e_invert(t.coeffs[-1]))
+    def _bezout(self, s: PolyA, t: PolyA) -> tuple[PolyA, PolyA]:
+        """(d, u): d = gcd(s, t) monic, u * s = d mod t (t != 0); a divisor's
+        leading coefficient that is no unit raises its FactorEvent lower down."""
+        u0, u1 = self.p_one(s.level), PolyA(s.level, ())
+        while t.coeffs:
+            if not self.is_one(t.coeffs[-1]):
+                inv = self.e_invert(t.coeffs[-1])
+                t, u1 = self.p_scale(t, inv), self.p_scale(u1, inv)
+            q, r = self.p_divmod_monic(s, t)
+            s, t = t, r
+            u0, u1 = u1, self.p_sub(u0, self.p_mul(q, u1))
+        return s, u0
 
     def p_gcd(self, s: PolyA, t: PolyA) -> PolyA:
-        """Monic d with sA[y] + tA[y] = dA[y] for t != 0, or a FactorEvent."""
+        """Monic d with sA[y] + tA[y] = dA[y] for t != 0, or a FactorEvent:
+        over Z/N on int lists, above by `_bezout`, dropping its cofactor."""
         if self.sizes[s.level] == 1:
             # A gap-1 step takes the pseudo-remainder lc^2 * a mod b and
             # defers lc = lc(b).  While the deferred lcs are units, every
@@ -375,11 +373,7 @@ class AlgebraTower:
                 inv = self.e_invert((a[-1],))[0]
                 a = [x * inv for x in a]
             return self._poly0(s.level, a)
-        while t.coeffs:
-            t = self.p_make_monic(t)
-            _, r = self.p_divmod_monic(s, t)
-            s, t = t, r
-        return s
+        return self._bezout(s, t)[0]
 
     def p_exact_divide(self, t: PolyA, d: PolyA) -> PolyA:
         """Quotient t/d for monic d; NonExactDivision when remainder is nonzero."""
@@ -411,7 +405,8 @@ class AlgebraTower:
         if not f.coeffs:
             raise ValueError("squarefree decomposition of zero")
         out: dict[int, PolyA] = {}  # multiplicity -> product of its parts
-        g, scale = self.p_make_monic(f), 1
+        lc, scale = f.coeffs[-1], 1  # lc^-1 f, or the lc's FactorEvent
+        g = f if self.is_one(lc) else self.p_scale(f, self.e_invert(lc))
         if g.degree() == 1:
             self.p_assert_strongly_unitary(g)
             return [(g, 1)]

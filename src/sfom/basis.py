@@ -205,30 +205,27 @@ def terminal_basis(leaves, f: IntPoly) -> list[BasisElement]:
 
 def level_quotients(leaf: st.SFType, fdim_top: int):
     """(i, j, q, H) for the division-chain quotients of f at each level i of
-    the chain of `leaf`, read from the expansions the tree kept.
+    the chain of `leaf`, read from the expansions and polygons the tree kept.
 
-    q is the quotient ending j steps left of the right endpoint of the
-    lambda-component of f, for 0 <= j < e_i * f_i, where f_i is `fdim_top` at
-    the top level; H / E = v_i(q) / (e_1...e_i) is its accumulated value,
-    over the leaf's e-product E = e_1...e_r, so H = v_i(q) * (e_{i+1}...e_r).
-    With w_t = e * u_t + h * t on the cloud of f and s_right the last t where
-    w_t is least, q_s (expanded by g as coeffs[s:]) has the value
-    min(w_t for t >= s) - s * (e * V + h) = w_{s_right} - s * (e * V + h).
+    q is the quotient ending j steps left of the right end (s1, u1) of the
+    side of slope h/e, the lambda-component of f, for 0 <= j < e_i * f_i,
+    where f_i is `fdim_top` at the top level; H / E = v_i(q) / (e_1...e_i) is
+    its accumulated value, over the leaf's e-product E = e_1...e_r, so H =
+    v_i(q) * (e_{i+1}...e_r).  As s1 is the last t where w_t = e * u_t + h * t
+    is least on the cloud of f, q_s (expanded by g as coeffs[s:]) has the
+    value min(w_t for t >= s) - s * (e * V + h) = e * (u1 - s * V) + h * j.
     """
     nodes = [leaf.trunc(i) for i in range(1, leaf.order + 1)]
     scale = math.prod(node.e for node in nodes)
     for i, node in enumerate(nodes, 1):
         scale //= node.e
-        exp = node.parent.f_exp
-        w = {t: node.e * u + node.h * t
-             for t, u in st.cloud(node.parent, exp.coeffs)}
-        least = min(w.values())
-        s_right = max(t for t, wt in w.items() if wt == least)
+        side = next(sd for sd in node.parent.polygon.sides
+                    if (sd.h, sd.e) == (node.h, node.e))
         width = node.e * (fdim_top if i == leaf.order else node.fdim)
         for j in range(width):
-            s = s_right - j
-            v = least - s * (node.e * node.V + node.h)
-            yield i, j, exp.quotients[s - 1], v * scale
+            s = side.s1 - j
+            v = node.e * (side.u1 - s * node.V) + node.h * j
+            yield i, j, node.parent.f_exp.quotients[s - 1], v * scale
 
 
 def n_integral_basis(rep: SFOMRep, f: IntPoly, N: int) -> list[BasisElement]:

@@ -27,6 +27,15 @@ from . import sftypes as st
 from .intarith import IntPoly
 
 
+def _read_int(option: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        why = ("over the digit limit" if re.fullmatch(r"\s*[+-]?\d+\s*", text)
+               else "not an integer")
+        raise ValueError(f"{option}: {why}: {text[:40]!r}") from None
+
+
 def _read_poly(source: str) -> IntPoly:
     if source == "-":
         text = sys.stdin.read()
@@ -36,15 +45,8 @@ def _read_poly(source: str) -> IntPoly:
                 text = handle.read()
         except OSError:
             text = source
-    coeffs = []
-    for part in text.replace(",", " ").split():
-        try:
-            coeffs.append(int(part))
-        except ValueError:
-            why = ("over the digit limit" if re.fullmatch(r"[+-]?\d+", part)
-                   else "not an integer")
-            raise ValueError(f"--poly: {why}: {part[:40]!r}") from None
-    f = ia.ptrim(coeffs)
+    f = ia.ptrim([_read_int("--poly", part)
+                  for part in text.replace(",", " ").split()])
     if ia.pdeg(f) < 2 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree > 1 "
                          "(ascending coefficients)")
@@ -211,27 +213,27 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="global integral basis")
     common(p)
-    p.add_argument("--disc", type=int, default=None,
+    p.add_argument("--disc", default=None,
                    help="work with this integer instead of disc(f)")
     p.add_argument("--merged-only", action="store_true")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("tree", help="serialized tree for one modulus")
     common(p)
-    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument("--modulus", required=True)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("polygon", help="polygon dump for a leaf level")
     common(p)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--leaf", type=int, default=0)
+    p.add_argument("--modulus", required=True)
+    p.add_argument("--level", required=True)
+    p.add_argument("--leaf", default="0")
     p.add_argument("--svg", default=None, help="also write an SVG file here")
     p.set_defaults(func=cmd_polygon)
 
     p = sub.add_parser("verify", help="run the oracle suite")
     common(p)
-    p.add_argument("--disc", type=int, default=None)
+    p.add_argument("--disc", default=None)
     p.add_argument("--known-primes", default="",
                    help="comma-separated primes for maximality checks")
     p.set_defaults(func=cmd_verify)
@@ -245,6 +247,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for name in ("disc", "modulus", "level", "leaf"):  # integer options
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _read_int(f"--{name}", getattr(args, name)))
         return args.func(args)
     except ReducibleInput as exc:
         print(f"error: {exc}", file=sys.stderr)

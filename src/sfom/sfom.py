@@ -40,10 +40,6 @@ class SFOMRep(Record):
     __slots__ = ("f", "N", "leaves", "prime")
 
     @property
-    def roots(self) -> list:
-        return list(dict.fromkeys(leaf.trunc(0) for leaf in self.leaves))
-
-    @property
     def ramified(self) -> bool:
         return any(leaf.e_prod() > 1 for leaf in self.leaves)
 
@@ -150,7 +146,7 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
     # the hull does not fall after the principal part, which ends at omega:
     # no later point attains a side's minimum, so f is expanded to a_omega
     node.f_exp = st.expand(f, g, node.omega + 1)
-    polygon = st.newton(node, node.f_exp)
+    polygon = node.polygon = st.newton(node, node.f_exp)
     if polygon.points[0][0] > 0:
         # f mod g = 0 over Z, and omega >= 2 gives deg f >= 2 deg g
         raise ReducibleInput(g)
@@ -195,8 +191,7 @@ def _check_masses(rep: SFOMRep) -> None:
     for leaf in rep.leaves:
         root = leaf.trunc(0)
         mass[root] = mass.get(root, 0) + leaf.e_prod() * leaf.f_prod()
-    roots = rep.roots
-    if any(mass[r] != r.omega * r.fdim for r in roots):
+    if any(mass[r] != r.omega * r.fdim for r in mass):
         raise RuntimeError("leaf degree mass does not match its root")
-    if sum(r.omega * r.fdim for r in roots) != ia.pdeg(rep.f):
+    if sum(r.omega * r.fdim for r in mass) != ia.pdeg(rep.f):
         raise RuntimeError("tree does not account for the full degree")

@@ -113,8 +113,8 @@ class SFType:
     (ell, ellp) with ell*h + ellp*e = 1 and 0 <= ell < e.  `omega` is the
     multiplicity of t inside `residual_src`, the residual polynomial this
     level's modulus was extracted from (the reduction of f for roots).
-    `f_exp` is f expanded by this node's representative through its principal
-    part (omega + 1 terms), kept by the tree driver for the basis stage.
+    The tree driver keeps `f_exp`, f expanded by `representative(node)` to
+    omega + 1 terms, and its `polygon` for the basis stage; None on leaves.
     """
 
     def __init__(self, parent: SFType | None, order: int, tower: AlgebraTower,
@@ -125,7 +125,7 @@ class SFType:
         self.ell, self.ellp, self.omega = ell, ellp, omega
         self.residual_src = residual_src
         self._analyses, self._values, self._certified = {}, {}, set()
-        self.f_exp = None
+        self.f_exp = self.polygon = None
 
     @property
     def t(self) -> PolyA:

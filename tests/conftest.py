@@ -3,11 +3,11 @@
 The oracles here are deliberately written from scratch (dense lists mod p,
 Sylvester determinants, brute-force factor enumeration, a remainder-swap
 HNF) so they share no code with the package paths they check.  The helpers
-over package objects (`int_poly_at`, `p_pow`, `p_quotrem`, `polygon_of`,
-`polygon_sum`, `from_elements`, `power_basis`, `basis_vectors`, `hnf_merge`,
-`psub`, `resultant_valuation_check`, `quotient_value_bound`) and the driver
-hook `shuffled_worklist` are used by tests only; `hnf_rows_reference`,
-`p_sfd_reference`, `p_sfd_musser_reference`,
+over package objects (`int_poly_at`, `p_pow`, `make_monic`, `p_quotrem`,
+`polygon_of`, `polygon_sum`, `from_elements`, `power_basis`,
+`basis_vectors`, `hnf_merge`, `psub`, `resultant_valuation_check`,
+`quotient_value_bound`) and the driver hook `shuffled_worklist` are used by
+tests only; `hnf_rows_reference`, `p_sfd_reference`, `p_sfd_musser_reference`,
 `charpoly_is_integral_reference`, `pz_enlarge_reference`,
 `eval_up_reference`, `om_prime_complete`, the `*_reference` level-0 loops and
 the `e_*_reference` element routes keep replaced package algorithms for
@@ -100,6 +100,14 @@ def p_pow(T, p, k):
         if k:
             base = T.p_mul(base, base)
     return out
+
+
+def make_monic(T, p):
+    """lc^-1 p in the tower T (FactorEvent when the leading coefficient is no
+    unit)."""
+    if T.p_is_monic(p):
+        return p
+    return T.p_scale(p, T.e_invert(p.coeffs[-1]))
 
 
 def p_quotrem(T, s, t):
@@ -497,7 +505,7 @@ def p_sfd_reference(T, f):
     deg f; the same output contract as AlgebraTower.p_sfd."""
     if not f.coeffs:
         raise ValueError("squarefree decomposition of zero")
-    f = T.p_make_monic(f)
+    f = make_monic(T, f)
     if f.degree() == 0:
         return []
     d = T.p_gcd(f, T.p_deriv(f))
@@ -527,7 +535,7 @@ def p_sfd_musser_reference(T, f):
     if not f.coeffs:
         raise ValueError("squarefree decomposition of zero")
     out = {}
-    g, scale = T.p_make_monic(f), 1
+    g, scale = make_monic(T, f), 1
     if g.degree() == 1:
         T.p_assert_strongly_unitary(g)
         return [(g, 1)]
@@ -598,13 +606,15 @@ def p_divmod_reference(T, s, t):
 
 
 def p_gcd_reference(T, s, t):
+    # a leading coefficient of two or more coordinates is inverted by the
+    # PolyA route of e_invert_reference, a 1-tuple by invert_reference
     L = s.level
 
     def make_monic(p):
         if T.is_one(p.coeffs[-1]):
             return p
-        inv = invert_reference(T, p.coeffs[-1])
-        return T.p_trim(L, [T.e_mul(inv, c) for c in p.coeffs])
+        inv = e_invert_reference(T, p.coeffs[-1])
+        return T.p_trim(L, [e_mul_reference(T, inv, c) for c in p.coeffs])
 
     if not t.coeffs:
         return make_monic(s)

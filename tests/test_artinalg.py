@@ -6,8 +6,8 @@ import pytest
 
 from conftest import (_next_prime, e_invert_reference, e_mul_reference,
                       fp_divmod, fp_gcd, fp_mul, fp_sfd, fp_trim, int_poly_at,
-                      p_deriv_reference, p_divmod_reference, p_gcd_reference,
-                      p_mul_reference, p_pow, p_quotrem,
+                      make_monic, p_deriv_reference, p_divmod_reference,
+                      p_gcd_reference, p_mul_reference, p_pow, p_quotrem,
                       p_sfd_musser_reference, p_sfd_reference, poly_ints,
                       strongly_unitary_reference)
 from sfom import intarith as ia
@@ -82,7 +82,7 @@ def test_gcd_examples(T):
     with pytest.raises(FactorEvent) as exc:
         T.p_gcd(f, P(T, -7, 2))
     assert exc.value.level == -1 and exc.value.factor in (5, 7)
-    assert T.p_gcd(PolyA(0, ()), P(T, -1, 2)) == T.p_make_monic(P(T, -1, 2))
+    assert T.p_gcd(PolyA(0, ()), P(T, -1, 2)) == make_monic(T, P(T, -1, 2))
 
 
 def _inverse_or_split(T, a):
@@ -315,7 +315,7 @@ def test_p_sfd_of_degree_one_matches_the_reference(N):
             if want[0] == "event":
                 seen[L, want[1]] += 1
             else:
-                assert want == [(T.p_make_monic(f), 1)]
+                assert want == [(make_monic(T, f), 1)]
                 seen[L, "parts"] += 1
     if N == 35:  # zero-divisor leading and constant coefficients
         assert {(0, -1), (1, -1), (1, 0), (0, "parts"), (1, "parts")} <= set(
@@ -667,6 +667,44 @@ def test_two_nonlinear_levels_match_the_polya_route():
         seen += _elements_match_the_polya_route(T, 1, parts, zds, rng)
     assert set(seen) == {"unit", ("event", -1), ("event", 0),
                          ("event", 1)}, seen
+
+
+@pytest.mark.parametrize("primes", [(5, 7), (10007, 10009)])
+def test_p_gcd_over_a_nonlinear_level_matches_the_reference(primes):
+    # level 1 over t_0 = (y - a)(y - b): coefficients have two random
+    # coordinates, a common monic factor c makes the gcd nonconstant, and a
+    # zero divisor (a prime of N, or z - a) times a random element, as a
+    # leading coefficient or inside c, makes the Bezout loop raise at level
+    # -1 or 0
+    N = math.prod(primes)
+    rng = random.Random(N % 9973 + 1)
+    T = AlgebraTower(N)
+    t, parts = _split_modulus(T, 0, (1, 1), rng)
+    T, L = T.extend(t), 1
+    zero_divisors = ([T.embed_int(p, L) for p in primes]
+                     + [T.poly_to_elem(g, L) for g in parts])
+
+    def rand(deg, lc):
+        return T.p_trim(L, [_rand_elem(T, L, rng) for _ in range(deg)] + [lc])
+
+    seen = collections.Counter()
+    for _ in range(60):
+        zd = T.e_mul(rng.choice(zero_divisors), _rand_elem(T, L, rng))
+        c = rand(rng.randrange(1, 4), T.one(L))
+        if rng.randrange(2):
+            c = T.p_add(c, T.p_trim(L, [zd]))
+        a = T.p_mul(rand(rng.randrange(0, 5), _rand_elem(T, L, rng)), c)
+        lc = rng.choice([T.one(L), zd, _rand_elem(T, L, rng)])
+        b = T.p_mul(rand(rng.randrange(0, 4), lc), c)
+        if not b.coeffs:
+            continue
+        want = _outcome(p_gcd_reference, T, a, b)
+        assert _outcome(T.p_gcd, a, b) == want, (a, b)
+        if isinstance(want, PolyA):
+            seen["gcd", min(want.degree(), 1)] += 1
+        else:
+            seen["event", want[1]] += 1
+    assert seen["event", 0] >= 5 and seen["gcd", 1] >= 5, seen
 
 
 def _raising_gap(T, a, b):

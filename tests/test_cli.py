@@ -20,6 +20,11 @@ def run(capsys, argv):
 
 
 EX1 = "1225,1457750,70,0,1"
+# one digit over Python's default int-to-str limit, where it has one
+OVER = "7" * 4301
+_has_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="Python without the default int-to-str digit limit")
 
 
 def test_basis_example1(capsys):
@@ -123,6 +128,23 @@ def test_reducible_input(capsys):
     (["tree", "--poly", EX1, "--modulus", "0"], (2,), "error: need N > 1"),
     (["polygon", "--poly", "2,0,0,0,0,1", "--modulus", "-35", "--level",
       "1"], (2,), "error: need N > 1"),
+    # integer options: one line that quotes at most 40 characters
+    pytest.param(["basis", "--poly", EX1, "--disc", OVER], (2,),
+                 f"error: --disc: over the digit limit: {OVER[:40]!r}\n",
+                 marks=_has_limit, id="disc-over-the-digit-limit"),
+    (["verify", "--poly", EX1, "--disc", "x"], (2,),
+     "error: --disc: not an integer: 'x'\n"),
+    pytest.param(["tree", "--poly", EX1, "--modulus", OVER], (2,),
+                 f"error: --modulus: over the digit limit: {OVER[:40]!r}\n",
+                 marks=_has_limit, id="modulus-over-the-digit-limit"),
+    (["tree", "--poly", EX1, "--modulus", "3.5"], (2,),
+     "error: --modulus: not an integer: '3.5'\n"),
+    pytest.param(["polygon", "--poly", EX1, "--modulus", "35", "--level",
+                  OVER], (2,),
+                 f"error: --level: over the digit limit: {OVER[:40]!r}\n",
+                 marks=_has_limit, id="level-over-the-digit-limit"),
+    (["polygon", "--poly", EX1, "--modulus", "35", "--level", "one"], (2,),
+     "error: --level: not an integer: 'one'\n"),
 ])
 def test_documented_exit_codes(capsys, argv, code, message):
     got, _, err = run(capsys, argv)

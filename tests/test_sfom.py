@@ -311,6 +311,29 @@ def _two_sided(N=77):
     return ia.padd(ia.pmul((2 * N, 0, 1), (3 * N * N, 0, 0, 1)), (4 * N ** 4,))
 
 
+@pytest.mark.parametrize("f, N", [
+    (example1(10007 * 10009), 10007 * 10009),
+    *((example3(r, 10007 * 10009)[0], 10007 * 10009) for r in range(1, 6)),
+    (refine_fixture(10007 * 10009), 10007 * 10009),
+    (refine_fixture(35), 35),  # splits t_1 = (y + 1)(y + 2)
+], ids=["example1", *(f"example3_r{r}" for r in range(1, 6)),
+        "refine_fixture", "refine_fixture_35"])
+def test_nodes_keep_their_polygon(f, N):
+    # every processed node keeps the certified polygon of the expansion it
+    # keeps, the one its children's slopes came from; leaves keep none
+    rep = sfom(f, N).rep
+    processed = {id(node): node for leaf in rep.leaves
+                 for node in leaf.chain()[:-1]}
+    assert processed
+    for node in processed.values():
+        assert node.polygon == st.NewtonPolygon.from_cloud(
+            st.cloud(node, node.f_exp.coeffs))
+    for leaf in rep.leaves:
+        assert leaf.polygon is None
+        assert (leaf.h, leaf.e) in {(sd.h, sd.e)
+                                    for sd in leaf.parent.polygon.sides}
+
+
 def test_two_sided_polygon_gives_two_leaves():
     # each negative side contributes its own multiplicity-one leaf
     N = 77
@@ -320,7 +343,7 @@ def test_two_sided_polygon_gives_two_leaves():
     assert len(rep.leaves) == 2
     slopes = sorted((l.h, l.e) for l in rep.leaves)
     assert slopes == [(1, 2), (2, 3)]
-    assert len(rep.roots) == 1
+    assert len({leaf.trunc(0) for leaf in rep.leaves}) == 1
     assert sum(l.e_prod() * l.f_prod() for l in rep.leaves) == 5
 
 
