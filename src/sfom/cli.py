@@ -3,10 +3,10 @@
 Polynomials are given as comma-separated integer coefficients in ascending
 order (constant first), as a file containing the same, or as `-` for stdin.
 All JSON output serializes big integers as decimal strings.  Exit codes:
-0 success, 2 malformed input or an unwritable --svg path, 3 input reducible
-over Z (flagged up front or certified by a factor the tree finds), 4 internal
-invariant failure.  Exit-2 and exit-3 errors are a ValueError and a
-ReducibleInput that `main` prints as one `error: ...` line.
+0 success, 2 malformed input, a usage error or an unwritable --svg path,
+3 input reducible over Z (flagged up front or certified by a factor the tree
+finds), 4 internal invariant failure.  Exit-2 and exit-3 errors are a
+ValueError and a ReducibleInput that `main` prints as one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def cmd_polygon(args) -> int:
         raise ValueError("no such level")
     node = leaf.trunc(args.level)
     polygon = st.NewtonPolygon.from_cloud(
-        st.cloud(node.parent, st.analyze(node, f).coeffs))
+        st.cloud(node.parent, st.expand(f, node.g).coeffs))
     print(st.polygon_dump(polygon))
     if args.svg:
         try:
@@ -180,13 +180,7 @@ def cmd_verify(args) -> int:
     f = _read_poly(args.poly)
     primes = []  # first occurrences, in order
     for entry in filter(None, args.known_primes.split(",")):
-        try:
-            p = int(entry)
-        except ValueError:
-            why = ("is over the digit limit"
-                   if re.fullmatch(r"\s*[+-]?\d+\s*", entry)
-                   else "is not an integer")
-            raise ValueError(f"--known-primes: {entry[:40]!r} {why}") from None
+        p = _read_int("--known-primes", entry)
         if not ia.is_probable_prime(p):
             raise ValueError(f"--known-primes: {p} is not prime")
         if p not in primes:
@@ -199,10 +193,17 @@ def cmd_verify(args) -> int:
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as a ValueError for `main` to print as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call to `main`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sfom",
         description="integral bases of number fields modulo composite integers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,13 +245,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         for name in ("disc", "modulus", "level", "leaf"):  # integer options
             if getattr(args, name, None) is not None:
                 setattr(args, name, _read_int(f"--{name}", getattr(args, name)))
         return args.func(args)
+    except SystemExit:  # --help
+        return 0
     except ReducibleInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -154,7 +154,7 @@ def _process(state: _State, item: _Item, f: IntPoly, decompose) -> None:
         raise RuntimeError("principal polygon length disagrees with multiplicity")
     children = []
     for side in polygon.sides:
-        R = st.residual_of(node, node.f_exp, side.h, side.e)
+        R = st.residual(node, node.f_exp.coeffs, side)
         for t2, mult in reversed(decompose(node.tower, R)):
             children.append(_Item(node, g, side.h, side.e, t2, R, mult))
     state.worklist.extend(children)

@@ -24,8 +24,9 @@ from .intarith import IntPoly
 
 
 class Side(Record):
-    """A negative-slope side from (s0, u0) to (s1, u1); geometric slope is
-    -h/e with gcd(h, e) = 1."""
+    """A segment from (s0, u0) to (s1, u1) of geometric slope -h/e with
+    gcd(h, e) = 1: a side of a polygon, or the lambda-component of a cloud
+    for lambda = h/e, which may be a single point (s0 == s1)."""
 
     __slots__ = ("h", "e", "s0", "u0", "s1", "u1")
 
@@ -228,12 +229,13 @@ def analyze(node: SFType, a: IntPoly) -> Analysis:
         out = Analysis(v, 0, v, 0, v, 0, R, gamma, (a,))
     else:
         exp = expand(a, node.g)
-        v, (s0, u0, s1, u1), R = _residual(
-            node.parent, exp.coeffs, node.h, node.e)
-        nu = node.ellp * s0 - node.ell * u0
+        side = component(cloud(node.parent, exp.coeffs), node.h, node.e)
+        R = residual(node.parent, exp.coeffs, side)
+        nu = node.ellp * side.s0 - node.ell * side.u0
         gamma = tower.e_mul(tower.zpow(r + 1, nu), tower.poly_to_elem(
             tower.p_divmod_monic(R, node.t)[1], r + 1))
-        out = Analysis(v, s0, u0, s1, u1, nu, R, gamma, exp.coeffs)
+        out = Analysis(node.e * side.u0 + node.h * side.s0, side.s0, side.u0,
+                       side.s1, side.u1, nu, R, gamma, exp.coeffs)
     node._analyses[a] = out
     node._values[a] = out.v
     return out
@@ -266,27 +268,28 @@ def cloud(node: SFType, coeffs) -> list[tuple[int, int]]:
     return [(s, value(node, b) + s * V) for s, b in enumerate(coeffs) if b]
 
 
-def _residual(node: SFType, coeffs, h: int, e: int) -> tuple:
-    """Residual polynomial for slope -h/e of an expansion as in `cloud`.
-
-    Returns (v, (s0, u0, s1, u1), R): v is the minimum of e * u + h * s over
-    the cloud, (s0, u0) and (s1, u1) the first and last points attaining it,
-    and R the polynomial over level node.order + 1 whose j-th coefficient is
-    the residue of a_{s0 + j e} if that point attains it, else zero.  Only
-    the points attaining the minimum (the component) are analyzed.
-    """
-    points = cloud(node, coeffs)
+def component(points, h: int, e: int) -> Side:
+    """The lambda-component of a cloud given in ascending s, lambda = h/e:
+    the segment from the first to the last point attaining the minimum of
+    e * u + h * s."""
     v = min(e * u + h * s for s, u in points)
-    on = {s: u for s, u in points if e * u + h * s == v}
-    s0, s1 = min(on), max(on)
-    u0, u1 = on[s0], on[s1]
-    tower = node.tower
-    L = node.order + 1
-    R = tower.p_trim(L, [analyze(node, coeffs[s]).gamma if s in on
-                         else tower.zero(L) for s in range(s0, s1 + 1, e)])
-    if R.degree() != (s1 - s0) // e:
+    on = [(s, u) for s, u in points if e * u + h * s == v]
+    return Side(h, e, *on[0], *on[-1])
+
+
+def residual(node: SFType, coeffs, side: Side) -> PolyA:
+    """Residual polynomial along `side` of an expansion as in `cloud`, over
+    level node.order + 1: its j-th coefficient is the residue of a_{s0 + j e}
+    if that point lies on the side, by its memoized value, else zero."""
+    h, e, L = side.h, side.e, node.order + 1
+    slope, line = e * _pending_V(node) + h, e * side.u0 + h * side.s0
+    R = node.tower.p_trim(L, [
+        analyze(node, coeffs[s]).gamma
+        if coeffs[s] and e * value(node, coeffs[s]) + slope * s == line
+        else node.tower.zero(L) for s in range(side.s0, side.s1 + 1, e)])
+    if R.degree() != (side.s1 - side.s0) // e:
         raise RuntimeError("residual lost its leading coefficient")
-    return v, (s0, u0, s1, u1), R
+    return R
 
 
 def _certify(node: SFType, a: IntPoly) -> None:
@@ -349,18 +352,6 @@ def _pending_V(node: SFType) -> int:
     return node.e * node.fdim * (node.e * node.V + node.h)
 
 
-def residual_of(node: SFType, exp: Expansion, h: int, e: int) -> PolyA:
-    """Residual polynomial for slope -h/e of f, given by its expansion `exp`
-    by a representative of `node`, over the pending level.
-
-    Coefficients live in level node.order + 1; robustness of f is assumed to
-    have been certified by `newton` for this same expansion.
-    """
-    if math.gcd(h, e) != 1:
-        raise ValueError("slope must be reduced")
-    return _residual(node, exp.coeffs, h, e)[-1]
-
-
 # ---------------------------------------------------------------------------
 # representatives
 
@@ -391,20 +382,13 @@ def representative(node: SFType) -> IntPoly:
 
 
 def _representative_self_check(node: SFType, g: IntPoly) -> None:
-    e, h, fdim = node.e, node.h, node.fdim
-    width = e * fdim
+    width = node.e * node.fdim
+    side = Side(node.h, node.e, 0, width * node.V + node.fdim * node.h,
+                width, width * node.V)
     exp = expand(g, node.g)
-    polygon = newton(node.parent, exp)
-    ok = (
-        len(polygon.sides) == 1
-        and (polygon.sides[0].h, polygon.sides[0].e) == (h, e)
-        and (polygon.sides[0].s0, polygon.sides[0].s1) == (0, width)
-        and polygon.sides[0].u1 == width * node.V
-    )
-    if not ok:
+    if newton(node.parent, exp).sides != (side,):
         raise RuntimeError("representative polygon check failed")
-    R = residual_of(node.parent, exp, h, e)
-    if R != node.t:
+    if residual(node.parent, exp.coeffs, side) != node.t:
         raise RuntimeError("representative residual check failed")
     # the one-sided polygon gives v(g) = e * u1 + h * width
     node._values[ia.ptrim(g)] = _pending_V(node)

@@ -108,7 +108,7 @@ def test_reducible_input(capsys):
     # a repeated known prime is checked once
     (["verify", "--poly", EX1, "--known-primes", "5,5"], (0,), ""),
     (["verify", "--poly", EX1, "--known-primes", "x"], (2,),
-     "error: --known-primes: 'x' is not an integer"),
+     "error: --known-primes: not an integer: 'x'"),
     # a zero --disc is rejected as such; f itself is squarefree
     (["basis", "--poly", EX1, "--disc", "0"], (2,), "nonzero"),
     (["verify", "--poly", EX1, "--disc", "0"], (2,), "nonzero"),
@@ -152,6 +152,26 @@ def test_documented_exit_codes(capsys, argv, code, message):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == (got != 0)
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a value that starts with "-" and a digit but is no number
+    (["verify", "--poly", "-5,3,1"], "argument --poly: expected one argument"),
+    (["verify"], "the following arguments are required: --poly"),
+    ([], "the following arguments are required: command"),
+    (["basis", "--poly", EX1, "--bogus"], "unrecognized arguments: --bogus"),
+    (["basis", "--poly", EX1, "extra"], "unrecognized arguments: extra"),
+], ids=["option-like-value", "missing-poly", "no-command", "unknown-option",
+        "extra-positional"])
+def test_usage_errors_are_one_line(capsys, argv, message):
+    # argparse's own errors leave through `main` like every other exit 2
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["tree", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out.startswith("usage: sfom")
 
 
 def test_consecutive_calls_share_no_state(capsys):
@@ -273,16 +293,16 @@ def test_verify_drops_repeated_known_primes(capsys):
 
 
 def test_verify_rejects_non_integer_known_primes(capsys):
-    for entry, why in [("x", "is not an integer"),
-                       ("5.0", "is not an integer"),
-                       ("7" * 5000, "is over the digit limit")]:
+    for entry, why in [("x", "not an integer"),
+                       ("5.0", "not an integer"),
+                       ("7" * 5000, "over the digit limit")]:
         if why.endswith("limit") and not hasattr(sys,
                                                  "get_int_max_str_digits"):
             continue
         code, out, err = run(capsys, ["verify", "--poly", EX1,
                                       "--known-primes", "5," + entry])
         assert code == 2 and out == ""
-        assert err == f"error: --known-primes: {entry[:40]!r} {why}\n"
+        assert err == f"error: --known-primes: {why}: {entry[:40]!r}\n"
 
 
 def test_tree_golden(capsys):

@@ -122,7 +122,8 @@ def _manual_state_for_injection():
     t0 = tower0.p_from_int_poly((0, 1))
     root = st.make_root(tower0, t0, 6, red)
     g1 = (0, 1)
-    R1 = st.residual_of(root, st.expand(f, g1), 1, 2)
+    c1 = st.expand(f, g1).coeffs
+    R1 = st.residual(root, c1, st.component(st.cloud(root, c1), 1, 2))
     t1 = root.tower.p_sfd(R1)[0][0]
     item = sfm._Item(root, g1, 1, 2, t1, R1, 1)
     state = sfm._State(tower0)
@@ -311,13 +312,16 @@ def _two_sided(N=77):
     return ia.padd(ia.pmul((2 * N, 0, 1), (3 * N * N, 0, 0, 1)), (4 * N ** 4,))
 
 
-@pytest.mark.parametrize("f, N", [
+_KEPT_POLYGON_TREES = pytest.mark.parametrize("f, N", [
     (example1(10007 * 10009), 10007 * 10009),
     *((example3(r, 10007 * 10009)[0], 10007 * 10009) for r in range(1, 6)),
     (refine_fixture(10007 * 10009), 10007 * 10009),
     (refine_fixture(35), 35),  # splits t_1 = (y + 1)(y + 2)
 ], ids=["example1", *(f"example3_r{r}" for r in range(1, 6)),
         "refine_fixture", "refine_fixture_35"])
+
+
+@_KEPT_POLYGON_TREES
 def test_nodes_keep_their_polygon(f, N):
     # every processed node keeps the certified polygon of the expansion it
     # keeps, the one its children's slopes came from; leaves keep none
@@ -332,6 +336,22 @@ def test_nodes_keep_their_polygon(f, N):
         assert leaf.polygon is None
         assert (leaf.h, leaf.e) in {(sd.h, sd.e)
                                     for sd in leaf.parent.polygon.sides}
+
+
+@_KEPT_POLYGON_TREES
+def test_each_polygon_side_is_the_component_of_its_slope(f, N):
+    # the tree takes a residual along a side of the polygon and `analyze`
+    # along the component of its own slope: one routine serves both because
+    # every side is the component of the cloud for its slope
+    rep = sfom(f, N).rep
+    processed = {id(node): node for leaf in rep.leaves
+                 for node in leaf.chain()[:-1]}
+    checked = 0
+    for node in processed.values():
+        for side in node.polygon.sides:
+            assert side == st.component(node.polygon.points, side.h, side.e)
+            checked += 1
+    assert checked
 
 
 def test_two_sided_polygon_gives_two_leaves():

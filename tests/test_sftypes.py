@@ -20,11 +20,13 @@ def build_example1_chain(N=35):
     red = T0.p_from_int_poly(f)
     root = st.make_root(T0, T0.p_from_int_poly((0, 1)), 4, red)
     g1 = st.lift_order_zero(root.t)
-    R1 = st.residual_of(root, st.expand(f, g1), 1, 2)
+    c1 = st.expand(f, g1).coeffs
+    R1 = st.residual(root, c1, st.component(st.cloud(root, c1), 1, 2))
     t1 = root.tower.p_sfd(R1)[0][0]
     node1 = st.make_child(root, g1, 1, 2, t1, 2, R1)
     g2 = st.representative(node1)
-    R2 = st.residual_of(node1, st.expand(f, g2), 3, 2)
+    c2 = st.expand(f, g2).coeffs
+    R2 = st.residual(node1, c2, st.component(st.cloud(node1, c2), 3, 2))
     t2 = node1.tower.p_sfd(R2)[0][0]
     leaf = st.make_child(node1, g2, 3, 2, t2, 1, R2)
     return f, root, node1, leaf
@@ -70,19 +72,22 @@ def test_newton_and_residual_examples(chain):
     poly1 = st.newton(root, exp1)
     assert poly1.principal_vertices == ((0, 2), (4, 0))
     assert [(s.h, s.e) for s in poly1.sides] == [(1, 2)]
-    R1 = st.residual_of(root, exp1, 1, 2)
+    R1 = st.residual(root, exp1.coeffs, poly1.sides[0])
     assert poly_ints(R1) == [1, 2, 1]  # (y+1)^2
     exp2 = st.expand(f, (35, 0, 1))
     poly2 = st.newton(node1, exp2)
     assert poly2.principal_vertices == ((0, 7), (2, 4))
     assert [(s.h, s.e) for s in poly2.sides] == [(3, 2)]
-    R2 = st.residual_of(node1, exp2, 3, 2)
+    R2 = st.residual(node1, exp2.coeffs, poly2.sides[0])
     assert poly_ints(R2) == [1, 1]  # y+1
-    # f = g^l: single point, no principal sides, constant residual
+    # f = g^l: single point, no principal sides, a one-point component and
+    # a constant residual
     expg = st.expand(ia.ppow((35, 0, 1), 2), (35, 0, 1))
     polyg = st.newton(node1, expg)
     assert not polyg.sides and polyg.principal_vertices == ((2, 4),)
-    Rv = st.residual_of(node1, expg, 3, 2)
+    point = st.component(polyg.points, 3, 2)
+    assert point == st.Side(3, 2, 2, 4, 2, 4)
+    Rv = st.residual(node1, expg.coeffs, point)
     assert Rv.degree() == 0
 
 
@@ -415,9 +420,10 @@ def test_value_matches_analyze():
     assert checked >= 60
 
 
-def test_residual_of_matches_analyze_of_the_child():
-    # the residual operator run from the parent, before the child exists,
-    # agrees with the one the finished child applies to f
+def test_residual_along_a_kept_side_matches_analyze_of_the_child():
+    # the residual the tree takes along the side of the parent's polygon,
+    # over f expanded through the principal part, agrees with the one the
+    # finished child reads off the component of f expanded whole
     f1 = example1(35)
     f3, _ = example3(2, 35)
     trees = [(f1, sfom(f1, 35).rep), (f3, om_prime(f3, 5)), (f3, om_prime(f3, 7))]
@@ -425,8 +431,10 @@ def test_residual_of_matches_analyze_of_the_child():
     for f, rep in trees:
         nodes = {id(n): n for leaf in rep.leaves for n in leaf.chain()[1:]}
         for child in nodes.values():
-            R = st.residual_of(child.parent, st.expand(f, child.g),
-                               child.h, child.e)
+            parent = child.parent
+            (side,) = [sd for sd in parent.polygon.sides
+                       if (sd.h, sd.e) == (child.h, child.e)]
+            R = st.residual(parent, parent.f_exp.coeffs, side)
             assert R == st.analyze(child, f).R
             checked += 1
     assert checked >= 10
@@ -484,8 +492,11 @@ def test_representative_self_check_random(rng):
             continue
         assert ia.pdeg(g) == node.e * node.fdim * node.m
         assert g[-1] == 1
-        assert st.residual_of(node.parent, st.expand(g, node.g),
-                              node.h, node.e) == node.t
+        exp = st.expand(g, node.g)
+        (side,) = st.newton(node.parent, exp).sides
+        assert (side.h, side.e, side.s0, side.s1) == (
+            node.h, node.e, 0, node.e * node.fdim)
+        assert st.residual(node.parent, exp.coeffs, side) == node.t
 
 
 def test_construct_with_residue_random_postconditions(rng):
