@@ -92,8 +92,8 @@ class PolyA(Record):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    def __len__(self) -> int:  # the number of coefficients, 0 for zero
+        return len(self.coeffs)
 
 
 class AlgebraTower:
@@ -155,7 +155,7 @@ class AlgebraTower:
             return (a[0] * b[0] % self.N,)
         if self.sizes[L - 1] == 1:  # d residues mod N over t in (Z/N)[y]
             rem = self._divmod0(pmul(a, b), self._ints(self.moduli[L - 1]))[1]
-            return self.lift_elem(tuple(x % self.N for x in rem), L)
+            return self.lift_elem(tuple(rem), L)
         prod = self.p_mul(self.elem_to_poly(a, L), self.elem_to_poly(b, L))
         _, rem = self.p_divmod_monic(prod, self.moduli[L - 1])
         return self.poly_to_elem(rem, L)
@@ -183,8 +183,7 @@ class AlgebraTower:
                 if r1[-1] != 1:
                     inv = self.e_invert((r1[-1],))[0]
                     r1, u1 = ([x * inv % self.N for x in p] for p in (r1, u1))
-                q, r2 = self._divmod0(r0, r1)
-                r0, r1 = r1, self._reduce0(r2)
+                r0, (q, r1) = r1, self._divmod0(r0, r1)
                 u0, u1 = u1, self._reduce0(padd(u0, pscale(pmul(q, u1), -1)))
             if len(r0) > 1:
                 raise self.factor_event(L - 1, self._poly0(L - 1, r0))
@@ -249,8 +248,8 @@ class AlgebraTower:
         return PolyA(L, tuple((x,) for x in self._reduce0(ints)))
 
     def _divmod0(self, s: list, t: list) -> tuple[list, list]:
-        """Division by a monic t (t[-1] is not read); only the current
-        leading coefficient is reduced mod N inside the loop."""
+        """Division by a monic t (t[-1] is not read), reducing mod N only the
+        current leading coefficient inside the loop and the remainder after."""
         dt = len(t) - 1
         rem = list(s)
         quo = [0] * max(len(rem) - dt, 0)
@@ -258,7 +257,7 @@ class AlgebraTower:
             c = quo[i] = rem[i + dt] % self.N
             if c:
                 rem[i:i + dt] = [r - c * b for r, b in zip(rem[i:i + dt], t)]
-        return quo, rem[:dt]
+        return quo, self._reduce0(rem[:dt])
 
     def p_is_one(self, p: PolyA) -> bool:
         return len(p.coeffs) == 1 and self.is_one(p.coeffs[0])
@@ -337,42 +336,44 @@ class AlgebraTower:
             u0, u1 = u1, self.p_sub(u0, self.p_mul(q, u1))
         return s, u0
 
+    def _gcd0(self, a: list, b: list) -> list:
+        """`p_gcd` over Z/N on reduced int lists.  A gap-1 step takes the
+        pseudo-remainder lc^2 * a mod b and defers lc = lc(b).  While the
+        deferred lcs are units, every remainder is a unit multiple of the
+        generic loop's, so their unit certificate before the next inverse
+        (and at the end, lc = 0) raises the generic loop's first event."""
+        N, lcs = self.N, []  # deferred leading coefficients, as elements
+        while True:
+            lc = b[-1] if b else 0
+            if lc > 1 and len(a) == len(b) + 1:
+                lcs.append((lc,))
+                q1, lc2 = lc * a[-1] % N, lc * lc % N
+                q0 = (lc * a[-2] - a[-1] * b[-2]) % N if len(b) > 1 else 0
+                a, b = b, self._reduce0(
+                    [lc2 * x - q0 * y - q1 * z for x, y, z
+                     in zip(a, b[:-1], chain((0,), b))])
+                continue
+            if lc != 1 and lcs:
+                self.p_assert_strongly_unitary(PolyA(0, tuple(lcs)))
+                lcs = []
+            if not b:
+                break
+            if lc != 1:
+                inv = self.e_invert((lc,))[0]
+                b = [x * inv % N for x in b]
+            a, b = b, self._divmod0(a, b)[1]
+        if len(a) == 1:  # a unit: its lc was certified
+            return [1]
+        if a[-1] != 1:
+            inv = self.e_invert((a[-1],))[0]
+            a = [x * inv % N for x in a]
+        return a
+
     def p_gcd(self, s: PolyA, t: PolyA) -> PolyA:
         """Monic d with sA[y] + tA[y] = dA[y] for t != 0, or a FactorEvent:
-        over Z/N on int lists, above by `_bezout`, dropping its cofactor."""
+        over Z/N by `_gcd0`, above by `_bezout`, dropping its cofactor."""
         if self.sizes[s.level] == 1:
-            # A gap-1 step takes the pseudo-remainder lc^2 * a mod b and
-            # defers lc = lc(b).  While the deferred lcs are units, every
-            # remainder is a unit multiple of the generic loop's, so their
-            # unit certificate before the next inverse (and at the end,
-            # lc = 0) raises the generic loop's first event, if any.
-            N, a, b = self.N, self._ints(s), self._ints(t)
-            lcs = []  # deferred leading coefficients, as elements
-            while True:
-                lc = b[-1] if b else 0
-                if lc > 1 and len(a) == len(b) + 1:
-                    lcs.append((lc,))
-                    q1, lc2 = lc * a[-1] % N, lc * lc % N
-                    q0 = (lc * a[-2] - a[-1] * b[-2]) % N if len(b) > 1 else 0
-                    a, b = b, self._reduce0(
-                        [lc2 * x - q0 * y - q1 * z for x, y, z
-                         in zip(a, b[:-1], chain((0,), b))])
-                    continue
-                if lc != 1 and lcs:
-                    self.p_assert_strongly_unitary(PolyA(s.level, tuple(lcs)))
-                    lcs = []
-                if not b:
-                    break
-                if lc != 1:
-                    inv = self.e_invert((lc,))[0]
-                    b = [x * inv % N for x in b]
-                a, b = b, self._reduce0(self._divmod0(a, b)[1])
-            if len(a) == 1:  # a unit: its lc was certified
-                return PolyA(s.level, ((1,),))
-            if a[-1] != 1:
-                inv = self.e_invert((a[-1],))[0]
-                a = [x * inv for x in a]
-            return self._poly0(s.level, a)
+            return self._poly0(s.level, self._gcd0(self._ints(s), self._ints(t)))
         return self._bezout(s, t)[0]
 
     def p_exact_divide(self, t: PolyA, d: PolyA) -> PolyA:
@@ -397,49 +398,58 @@ class AlgebraTower:
         Output factors are monic, squarefree, pairwise coprime and certified
         strongly unitary.  Musser's gcd loop divides c by the monic w once per
         step, as gcd(c, w) would first: a zero remainder gives y = w and s = 1,
-        else y = gcd(w, c mod w).  A part with vanishing derivative goes
+        else y = gcd(w, c mod w).  Over Z/N it runs on int lists and makes
+        each part a PolyA once.  A part with vanishing derivative goes
         through a p-th root, which only a prime N = p can reach: over a
         composite N the driver keeps every prime of N above deg f.  A linear
-        f skips the loop, whose gcds and divisions would be by the monic 1.
-        """
+        f skips the loop, whose gcds and divisions would be by the monic 1."""
         if not f.coeffs:
             raise ValueError("squarefree decomposition of zero")
-        out: dict[int, PolyA] = {}  # multiplicity -> product of its parts
+        L, N, out = f.level, self.N, {}  # multiplicity -> product of parts
         lc, scale = f.coeffs[-1], 1  # lc^-1 f, or the lc's FactorEvent
         g = f if self.is_one(lc) else self.p_scale(f, self.e_invert(lc))
         if g.degree() == 1:
             self.p_assert_strongly_unitary(g)
             return [(g, 1)]
-        while g.degree() >= 1:
-            c = g
-            deriv = self.p_deriv(g)
-            if deriv.coeffs:
-                c = self.p_gcd(g, deriv)
-                w = self.p_exact_divide(g, c)
-                i = 1
-                while not self.p_is_one(w):
-                    if i > g.degree():
+        flat = self.sizes[L] == 1  # the level's arithmetic: int lists or PolyA
+        g, gcd, div, mul = ((self._ints(g), self._gcd0, self._divmod0, pmul)
+                            if flat else
+                            (g, self.p_gcd, self.p_divmod_monic, self.p_mul))
+
+        def exact(a, b):  # a / b for a monic b dividing a
+            q, r = div(a, b)
+            if r:
+                raise NonExactDivision(f"remainder of degree {len(r) - 1}")
+            return q
+
+        while len(g) > 1:
+            c, deriv = g, (self._reduce0([i * x for i, x in enumerate(g)][1:])
+                           if flat else self.p_deriv(g))
+            if deriv:
+                c = gcd(g, deriv)
+                w, i = exact(g, c), 1
+                while len(w) > 1:
+                    if i >= len(g):
                         raise RuntimeError(
                             "squarefree decomposition did not terminate")
-                    quo, rem = self.p_divmod_monic(c, w)
-                    if not rem.coeffs:  # y = w, s = 1
+                    quo, rem = div(c, w)
+                    if not rem:  # y = w, s = 1
                         c = quo
                     else:  # y divides rem, so deg s >= deg w - deg rem > 0
-                        y = self.p_gcd(w, rem)
-                        s = self.p_exact_divide(w, y)
+                        y = gcd(w, rem)
+                        s = exact(w, y)
                         m = i * scale
-                        out[m] = self.p_mul(out[m], s) if m in out else s
-                        w, c = y, self.p_exact_divide(c, y)
+                        out[m] = mul(out[m], s) if m in out else s
+                        w, c = y, exact(c, y)
                     i += 1
-            if c.degree() < 1:
+            if len(c) < 2:
                 break
-            # c = g^p over a prime N = p: x^(p^(sizes[L]-1)) inverts x^p in
-            # the field A_L, so g is every p-th coefficient of c to that power
-            k = self.N ** (self.sizes[c.level] - 1)
-            g = self.p_trim(c.level, [self.e_pow(x, k)
-                                      for x in c.coeffs[::self.N]])
-            scale *= self.N
-        for s in out.values():
+            # c = g^p, N = p prime: x^(p^(sizes[L]-1)) inverts x^p in A_L
+            g = c[::N] if flat else self.p_trim(L, [
+                self.e_pow(x, N ** (self.sizes[L] - 1)) for x in c.coeffs[::N]])
+            scale *= N
+        for m, s in out.items():
+            out[m] = s = self._poly0(L, s) if flat else s
             self.p_assert_strongly_unitary(s)
         return [(s, m) for m, s in sorted(out.items())]
 

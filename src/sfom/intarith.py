@@ -110,9 +110,9 @@ def coprime_base(nums: list[int]) -> set[int]:
             continue
         for i, b in enumerate(base):
             g = math.gcd(n, b)
-            if g != 1:  # split both along g and retry the pieces
+            if g != 1:  # split off g's whole power and retry the pieces
                 base.pop(i)
-                stack += (g, n // g, b // g)
+                stack += (g, ord_n(n, g)[1], ord_n(b, g)[1])
                 break
         else:
             base.append(n)

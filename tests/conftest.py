@@ -8,10 +8,10 @@ over package objects (`int_poly_at`, `p_pow`, `make_monic`, `p_quotrem`,
 `basis_vectors`, `hnf_merge`, `psub`, `resultant_valuation_check`,
 `quotient_value_bound`) and the driver hook `shuffled_worklist` are used by
 tests only; `hnf_rows_reference`, `p_sfd_reference`, `p_sfd_musser_reference`,
-`charpoly_is_integral_reference`, `pz_enlarge_reference`,
-`eval_up_reference`, `om_prime_complete`, the `*_reference` level-0 loops and
-the `e_*_reference` element routes keep replaced package algorithms for
-differential tests.
+`coprime_base_reference`, `charpoly_is_integral_reference`,
+`pz_enlarge_reference`, `eval_up_reference`, `om_prime_complete`, the
+`*_reference` level-0 loops and the `e_*_reference` element routes keep
+replaced package algorithms for differential tests.
 """
 
 from __future__ import annotations
@@ -700,6 +700,30 @@ def sylvester_resultant(f, g):
             M[i][k] = 0
         denom = M[k][k]
     return sign * M[size - 1][size - 1]
+
+
+# ---------------------------------------------------------------------------
+# the coprime base that splits off one g per hit, not its whole power
+
+
+def coprime_base_reference(nums):
+    """The gcd-splitting loop of `intarith.coprime_base` with one g split
+    off per hit: push g, n/g and b/g."""
+    stack = [n for n in nums if n > 1]
+    base = []
+    while stack:
+        n = stack.pop()
+        if n == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(n, b)
+            if g != 1:  # split both along g and retry the pieces
+                base.pop(i)
+                stack += (g, n // g, b // g)
+                break
+        else:
+            base.append(n)
+    return set(base)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,21 @@ def test_exact_divide_examples(T):
         T.p_exact_divide(P(T, 1, 0, 1), P(T, 0, 1))
 
 
+def test_p_sfd_checks_its_exact_divisions(T, monkeypatch):
+    # p_sfd divides by its gcds exactly; a faulty gcd x + 3, which does not
+    # divide (x + 1)^2 (x + 2), raises NonExactDivision on the int lists of
+    # Z/N and over a nonlinear level, instead of returning wrong parts
+    f = ia.pmul(ia.pmul((1, 1), (1, 1)), (2, 1))
+    T1 = T.extend(T.p_from_int_poly((2, 3, 1)))
+    monkeypatch.setattr(AlgebraTower, "_gcd0", lambda self, a, b: [3, 1])
+    with pytest.raises(NonExactDivision):
+        T.p_sfd(T.p_from_int_poly(f))
+    monkeypatch.setattr(AlgebraTower, "p_gcd",
+                        lambda self, s, t: int_poly_at(T1, (3, 1), 1))
+    with pytest.raises(NonExactDivision):
+        T1.p_sfd(int_poly_at(T1, f, 1))
+
+
 def test_minimality_of_unitary_moduli(T, rng):
     # no nonzero multiple of a unitary t has degree below deg t
     for _ in range(50):
@@ -335,12 +350,16 @@ def _musser_agrees(T, f):
     return want
 
 
-@pytest.mark.parametrize("t0", [None, (2, 3, 1)],
-                         ids=["level_0", "over_a_nonlinear_level"])
+@pytest.mark.parametrize(
+    "t0", [None, (2, 3, 1), (3, 1)],
+    ids=["level_0", "over_a_nonlinear_level", "over_a_linear_level"])
 def test_p_sfd_musser_step_on_powers(t0):
     # x^k and (x - a)^k (x - b): every step of x^k divides c by w = x with
     # no remainder, while (x - a)^k (x - b) first meets a nonzero one; b - a
-    # is a unit, or a zero divisor that splits N or t_0 = (y + 1)(y + 2)
+    # is a unit, or a zero divisor that splits N or t_0 = (y + 1)(y + 2);
+    # over t_0 = y + 3 the level is Z/N again, on int lists.  With a zero
+    # divisor a, (x - a)^k (x + 1) splits nothing in the gcds: the unit
+    # certificate of the part x - a raises the event
     N = 10007 * 10009
     T = AlgebraTower(N)
     if t0:
@@ -348,10 +367,11 @@ def test_p_sfd_musser_step_on_powers(t0):
     L = T.levels()
     rng = random.Random(60)
     zero_divisors = [T.embed_int(10009, L)] + (
-        [T.e_add(T.z(1), T.one(1))] if t0 else [])
+        [T.e_add(T.z(1), T.one(1))] if T.sizes[L] > 1 else [])
     x = T.p_y(L)
     seen = collections.Counter()
-    ks = range(1, 61) if L == 0 else (*range(1, 9), 12, 16, 24, 36, 48, 60)
+    ks = (range(1, 61) if T.sizes[L] == 1
+          else (*range(1, 9), 12, 16, 24, 36, 48, 60))
     for i, k in enumerate(ks):
         assert _musser_agrees(T, p_pow(T, x, k)) == [(x, k)]
         a = tuple(rng.randrange(N) for _ in range(T.sizes[L]))
@@ -362,23 +382,30 @@ def test_p_sfd_musser_step_on_powers(t0):
         want = _musser_agrees(T, f)
         seen["event" if want[0] == "event" else len(want)] += 1
     assert seen["event"] >= 5 and seen[2] >= 5, seen
+    for a in zero_divisors:
+        for k in (1, 2, 3, 7):
+            f = T.p_mul(p_pow(T, T.p_trim(L, [T.e_neg(a), T.one(L)]), k),
+                        T.p_trim(L, [T.one(L), T.one(L)]))
+            assert _musser_agrees(T, f)[0] == "event", (a, k)
 
 
-@pytest.mark.parametrize("primes", [(5, 7), (11, 13), (10007, 10009)],
-                         ids=["35", "143", "10007*10009"])
-def test_p_sfd_musser_step_matches_the_reference(primes):
+@pytest.mark.parametrize("primes, t0", [
+    ((5, 7), (2, 3, 1)), ((11, 13), (2, 3, 1)), ((10007, 10009), (2, 3, 1)),
+    ((17, 19), (3, 1))], ids=["35", "143", "10007*10009", "over_a_linear_level"])
+def test_p_sfd_musser_step_matches_the_reference(primes, t0):
     # seeded products of powers of random monic parts, at level 0 and over
-    # t_0 = (y + 1)(y + 2); a twin part that agrees with another modulo a
-    # zero divisor makes a gcd split N or t_0
+    # t_0 = (y + 1)(y + 2) or y + 3 (Z/N again, on int lists); a twin part
+    # that agrees with another modulo a zero divisor makes a gcd split N or
+    # t_0
     N, p = math.prod(primes), primes[0]
     rng = random.Random(N)
     T0 = AlgebraTower(N)
-    T1 = T0.extend(T0.p_from_int_poly((2, 3, 1)))
+    T1 = T0.extend(T0.p_from_int_poly(t0))
     top = min(p, 16)  # deg f < top: below every prime of N
     seen = collections.Counter()
     for T, L in ((T0, 0), (T1, 1)):
         zero_divisors = [T.embed_int(p, L)] + (
-            [T1.e_add(T1.z(1), T1.one(1))] if L else [])
+            [T1.e_add(T1.z(1), T1.one(1))] if T.sizes[L] > 1 else [])
         for _ in range(50):
             f = T.p_one(L)
             while True:
@@ -402,17 +429,30 @@ def test_p_sfd_musser_step_matches_the_reference(primes):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_p_sfd_in_characteristic_p(p):
-    # p <= deg f: p-th-power factors reach the p-th-root path
+    # p <= deg f: p-th-power factors reach the p-th-root path, also over
+    # the linear level y + 1 (Z/p again, on int lists); (x + 1)^(p k) (x + 2)
+    # takes v_p(p k) p-th roots
     rng = random.Random(p)
     T = AlgebraTower(p)
+    T1 = T.extend(T.p_from_int_poly((1, 1)))
+    cases = []
+    for k in range(1, 2 * p + 2):
+        cases.append([2, 1])
+        for _ in range(p * k):
+            cases[-1] = fp_mul(cases[-1], [1, 1], p)
     for _ in range(40):
         f = [1]
         for _ in range(rng.randrange(1, 4)):
             s = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
             for _ in range(rng.choice([1, 2, p, p + 1, p * p])):
                 f = fp_mul(f, s, p)
+        cases.append(f)
+    for f in cases:
+        want = fp_sfd(f, p)
         out = T.p_sfd(T.p_from_int_poly(f))
-        assert [(tuple(poly_ints(s)), l) for s, l in out] == fp_sfd(f, p)
+        assert [(tuple(poly_ints(s)), l) for s, l in out] == want
+        out = T1.p_sfd(int_poly_at(T1, f, 1))
+        assert [(tuple(poly_ints(s)), l) for s, l in out] == want
 
 
 def test_two_level_tower(T):

@@ -1,10 +1,12 @@
+import collections
 import math
 import random
 
 import pytest
 
 from sfom import intarith as ia
-from conftest import example1, is_probable_prime, sylvester_resultant
+from conftest import (coprime_base_reference, example1, is_probable_prime,
+                      sylvester_resultant)
 
 
 def test_ord_n_examples():
@@ -102,6 +104,33 @@ def test_coprime_splitting_matches_factor_refinement(rng):
         cases += 1
         mersenne += N % (2 ** 61 - 1) == 0
     assert cases >= 2000 and mersenne >= 150
+
+
+def test_coprime_base_matches_the_gcd_at_a_time_reference():
+    # a hit g splits off g's whole power from both numbers at once; the base
+    # is the one that splitting off one g per round gives, on N = prod p^k
+    # (k <= 40) with d | N, and on N = d^k m (k <= 200) with m sharing
+    # primes with d or not
+    rng = random.Random(30)
+    pool = [2, 3, 5, 7, 11, 13, 10007, 10009, 2 ** 31 - 1, 2 ** 61 - 1]
+    cases = collections.Counter()
+    for trial in range(600):
+        exps = {p: rng.randint(1, 40 if trial % 2 else 3)
+                for p in rng.sample(pool, rng.randint(1, 4))}
+        d = math.prod(p ** rng.randint(0, e) for p, e in exps.items())
+        if trial % 2:
+            N = math.prod(p ** e for p, e in exps.items())
+        else:
+            k = rng.randint(1, 200)
+            N = d ** k * math.prod(rng.sample(pool, rng.randint(0, 3)))
+        if not 1 < d < N:
+            continue
+        base = coprime_base_reference([d, N])
+        assert ia.coprime_base([d, N]) == base, (d, N)
+        assert ia.coprime_splitting(d, N) == sorted(
+            {ia.perfect_power(b)[0] for b in base}), (d, N)
+        cases[trial % 2, len(base) > 1] += 1
+    assert min(cases.values()) >= 40 and len(cases) == 4, cases
 
 
 def test_int_sfd_examples():
