@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import example1, example3, refine_fixture
+from conftest import example1, example2, example3, refine_fixture
 from sfom import cli
 from sfom import intarith as ia
 from sfom.artinalg import NonExactDivision
@@ -378,6 +379,41 @@ def test_verify_cli_degree_24(capsys):
     assert {"elements-integral", "p-maximal-5", "p-maximal-7"} <= {
         c["check"] for c in checks}
     assert all(c["status"] == "pass" for c in checks), checks
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of `verify` on the bench
+# `verify` fixtures, example3(2, 35), and example1(35) without known primes;
+# a change to any check's verdict, name, order or details fails here
+VERIFY_DIGESTS = {
+    "example1_35": (
+        example1(35), "5,7",
+        "a0bee04259acfe388ecd49e8dda1abad8e127dc8ecbe6859cfade536002b861b"),
+    "example2_11_3_5": (
+        example2(11, 3, 5), "11",
+        "8c42dd604465ba68aab96faf9a4852a300b52e3f785ab8d350fa42ab6d34365c"),
+    "example3_r1_35": (
+        example3(1, 35)[0], "5,7",
+        "75b5a4c7a8621592781e29854cf55d16c61f419edffcf0859792bfc99fe532b5"),
+    "example3_r2_35": (
+        example3(2, 35)[0], "5,7",
+        "75b5a4c7a8621592781e29854cf55d16c61f419edffcf0859792bfc99fe532b5"),
+    "refine_fixture_35": (
+        refine_fixture(35), "5,7",
+        "a0bee04259acfe388ecd49e8dda1abad8e127dc8ecbe6859cfade536002b861b"),
+    "example1_35_no_known_primes": (
+        example1(35), None,
+        "6f3f8458bd079b7510ff6d18c5d693d18166bc03db702e79bc6cfee22c043c42"),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_DIGESTS)
+def test_verify_bytes_are_pinned(capsys, name):
+    f, primes, digest = VERIFY_DIGESTS[name]
+    argv = ["verify", "--poly=" + ",".join(map(str, f))]
+    if primes is not None:
+        argv += ["--known-primes", primes]
+    got = json.dumps(list(run(capsys, argv)))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
