@@ -115,7 +115,7 @@ def project_check(rep: SFOMRep, f: IntPoly, p: int) -> dict:
 # ring structure, traces, maximality
 #
 # Shared work passes as keyword-only arguments, computed when absent:
-# `sums` = power_sums(f) and `products` = product_table(lat, f).
+# `products` = product_table(lat, f) and `closed` = ring_closed(lat, f).
 
 
 def power_sums(f: IntPoly) -> list[int]:
@@ -133,17 +133,11 @@ def power_sums(f: IntPoly) -> list[int]:
     return s
 
 
-def trace_of(num: IntPoly, sums: list[int]) -> int:
-    return sum(c * sums[k] for k, c in enumerate(num))
-
-
 def mul_mod(a: IntPoly, b: IntPoly, f: IntPoly) -> IntPoly:
-    _, r = ia.pdivmod_monic(ia.pmul(a, b), f)
-    return r
+    return ia.pdivmod_monic(ia.pmul(a, b), f)[1]
 
 
-def product_table(lat: bs.IntegerLattice, f: IntPoly, *,
-                  sums: list[int] | None = None) -> tuple[list, list]:
+def product_table(lat: bs.IntegerLattice, f: IntPoly) -> tuple[list, list]:
     """(coords, traces) of the products w_i * w_j of the basis w, each
     computed once for i <= j and shared with (j, i).
 
@@ -152,7 +146,7 @@ def product_table(lat: bs.IntegerLattice, f: IntPoly, *,
     tr(w_i * w_j), an entry of the integer Gram matrix of the numerators.
     """
     n = lat.n
-    sums = sums or power_sums(f)
+    sums = power_sums(f)
     rows = [ia.ptrim(row) for row in lat.rows]
     coords = [[None] * n for _ in range(n)]
     traces = [[0] * n for _ in range(n)]
@@ -161,7 +155,8 @@ def product_table(lat: bs.IntegerLattice, f: IntPoly, *,
             prod = mul_mod(rows[i], rows[j], f)
             vec = list(prod) + [0] * (n - len(prod))
             coords[i][j] = coords[j][i] = lat.solve(vec, lat.den * lat.den)
-            traces[i][j] = traces[j][i] = trace_of(prod, sums)
+            traces[i][j] = traces[j][i] = sum(
+                c * sums[k] for k, c in enumerate(prod))
     return coords, traces
 
 
@@ -216,41 +211,22 @@ def index_disc_identity(lat: bs.IntegerLattice, f: IntPoly,
     return disc == idx * idx * order_discriminant(lat, f, products=products)
 
 
-def charpoly(num: IntPoly, f: IntPoly, *,
-             sums: list[int] | None = None) -> list[int]:
-    """Characteristic polynomial of num(theta), monic first: c_0 = 1, ..., c_n.
+def elements_integral(lat: bs.IntegerLattice, f: IntPoly, moduli, *,
+                      closed: bool | None = None) -> bool:
+    """lat is ring-closed and holds every local element num/N^e of `moduli`,
+    (N, elements) pairs: then each element is integral.
 
-    The traces p_k = tr(num(theta)^k) give the coefficients by Newton's
-    identities k * c_k = -sum_{i<k} c_i * p_{k-i}, all in integers.
-    """
-    n = ia.pdeg(f)
-    sums = sums or power_sums(f)
-    a = ia.pdivmod_monic(num, f)[1]
-    traces = [n]
-    power = (1,)
-    for _ in range(n):
-        power = mul_mod(power, a, f)
-        traces.append(trace_of(power, sums))
-    coeffs = [1]
-    for k in range(1, n + 1):
-        c, rem = divmod(-sum(coeffs[i] * traces[k - i] for i in range(k)), k)
-        if rem:
-            raise RuntimeError("Newton's identities left a remainder")
-        coeffs.append(c)
-    return coeffs
-
-
-def charpoly_is_integral(num: IntPoly, den: int, f: IntPoly, *,
-                         sums: list[int] | None = None) -> bool:
-    """Whether num(theta)/den is an algebraic integer (exact char poly test).
-
-    Z[theta] is integral, so num(theta)/den is integral iff r(theta)/den is,
-    with r = num reduced coefficientwise modulo den; r = 0 is integral.  The
-    char poly of r(theta)/den has coefficients c_k / den^k.
-    """
-    red = ia.ptrim(c % den for c in num)
-    return not red or all(c % den ** k == 0 for k, c in
-                          enumerate(charpoly(red, f, sums=sums)))
+    lat holds Z[theta], so 1; closed under products it is a ring and a
+    finitely generated Z-module, so all its elements are integral (the
+    determinant trick, Atiyah-Macdonald, Prop. 2.4 and 5.1).  As Z[theta] is
+    in lat, num/N^e is iff (num mod N^e)/N^e is, and e = 0 needs no solve.
+    An integral element outside lat fails too: the check tests the merge."""
+    if closed is None:
+        closed = ring_closed(lat, f)
+    return closed and all(
+        lat.solve([c % d for c in el.num] + [0] * (lat.n - len(el.num)), d)
+        is not None for N, b in moduli for el in b
+        if (d := N ** el.den_exp) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +327,8 @@ def verify_report(f: IntPoly, D: int | None = None,
 
     `disc` is disc(f) when the caller already has it; the index identity
     always compares against disc(f), never against a D standing in for it.
-    The power sums of f and the product table of the merged lattice are
-    computed once and shared by every check.
+    The product table of the merged lattice is computed once and shared by
+    every check, and `elements-integral` takes the `ring-closed` verdict.
     """
     checks = []
     result = bs.global_basis(f, D)
@@ -364,18 +340,17 @@ def verify_report(f: IntPoly, D: int | None = None,
         checks.append({"check": name, "status": "pass" if ok else "fail",
                        "details": details})
 
-    sums = power_sums(f)
-    products = product_table(lat, f, sums=sums)
+    products = product_table(lat, f)
+    closed = ring_closed(lat, f, products=products)
     add("basis-count", all(len(b) == ia.pdeg(f) for _, b in result.moduli))
-    add("ring-closed", ring_closed(lat, f, products=products))
+    add("ring-closed", closed)
     try:
         add("index-discriminant",
             index_disc_identity(lat, f, disc, products=products))
     except (ValueError, RuntimeError) as exc:
         add("index-discriminant", False, str(exc))
-    add("elements-integral", all(
-        charpoly_is_integral(el.num, N ** el.den_exp, f, sums=sums)
-        for N, b in result.moduli for el in b))
+    add("elements-integral",
+        elements_integral(lat, f, result.moduli, closed=closed))
     reps = {}  # composite modulus -> its tree, built once
     for p in known_primes or []:
         add(f"p-maximal-{p}", p_maximal(lat, f, p, products=products))

@@ -8,10 +8,11 @@ over package objects (`int_poly_at`, `p_pow`, `make_monic`, `p_quotrem`,
 `basis_vectors`, `hnf_merge`, `psub`, `resultant_valuation_check`,
 `quotient_value_bound`) and the driver hook `shuffled_worklist` are used by
 tests only; `hnf_rows_reference`, `p_sfd_reference`, `p_sfd_musser_reference`,
-`coprime_base_reference`, `charpoly_is_integral_reference`,
-`pz_enlarge_reference`, `eval_up_reference`, `om_prime_complete`, the
-`*_reference` level-0 loops and the `e_*_reference` element routes keep
-replaced package algorithms for differential tests.
+`coprime_base_reference`, `charpoly`, `charpoly_is_integral`,
+`charpoly_is_integral_reference`, `pz_enlarge_reference`,
+`eval_up_reference`, `om_prime_complete`, the `*_reference` level-0 loops and
+the `e_*_reference` element routes keep replaced package algorithms for
+differential tests.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from sfom import basis as bs
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.artinalg import FactorEvent, PolyA
-from sfom.validate import charpoly, product_table
+from sfom.validate import mul_mod, power_sums, product_table
 
 # ---------------------------------------------------------------------------
 # example polynomials
@@ -230,6 +231,41 @@ def quotient_value_bound(f, leaf, p, rho):
         val = ia.ord_n(ia.resultant(f, q), p)[0]
         out.append((i, j, H, val, Fraction(n * rho) * H))
     return out
+
+
+def charpoly(num, f, *, sums=None):
+    """Characteristic polynomial of num(theta), monic first: c_0 = 1, ..., c_n.
+
+    The traces p_k = tr(num(theta)^k) give the coefficients by Newton's
+    identities k * c_k = -sum_{i<k} c_i * p_{k-i}, all in integers.
+    """
+    n = ia.pdeg(f)
+    sums = sums or power_sums(f)
+    a = ia.pdivmod_monic(num, f)[1]
+    traces = [n]
+    power = (1,)
+    for _ in range(n):
+        power = mul_mod(power, a, f)
+        traces.append(sum(c * sums[k] for k, c in enumerate(power)))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        c, rem = divmod(-sum(coeffs[i] * traces[k - i] for i in range(k)), k)
+        if rem:
+            raise RuntimeError("Newton's identities left a remainder")
+        coeffs.append(c)
+    return coeffs
+
+
+def charpoly_is_integral(num, den, f, *, sums=None):
+    """Whether num(theta)/den is an algebraic integer (exact char poly test).
+
+    Z[theta] is integral, so num(theta)/den is integral iff r(theta)/den is,
+    with r = num reduced coefficientwise modulo den; r = 0 is integral.  The
+    char poly of r(theta)/den has coefficients c_k / den^k.
+    """
+    red = ia.ptrim(c % den for c in num)
+    return not red or all(c % den ** k == 0 for k, c in
+                          enumerate(charpoly(red, f, sums=sums)))
 
 
 def charpoly_is_integral_reference(num, den, f):

@@ -7,17 +7,17 @@ from itertools import product
 
 import pytest
 
-from conftest import (basis_vectors, example1, example2, example3,
-                      from_elements, hnf_merge, hnf_rows_reference,
-                      pollard_factor, power_basis, refine_fixture)
+from conftest import (basis_vectors, charpoly_is_integral, example1,
+                      example2, example3, from_elements, hnf_merge,
+                      hnf_rows_reference, pollard_factor, power_basis,
+                      refine_fixture)
 from sfom import intarith as ia
 from sfom import sftypes as st
 from sfom.basis import (BasisElement, IntegerLattice, _merge_row_groups,
                         global_basis, hnf_rows, n_integral_basis,
                         order_zero_basis, terminal_basis)
 from sfom.sfom import ReducibleInput, sfom
-from sfom.validate import (charpoly_is_integral, index_disc_identity,
-                           mul_mod, p_maximal, ring_closed)
+from sfom.validate import index_disc_identity, mul_mod, p_maximal, ring_closed
 
 sfom_module = importlib.import_module("sfom.sfom")
 

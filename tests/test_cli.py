@@ -337,7 +337,16 @@ def test_polygon_golden(capsys, tmp_path):
     svg = tmp_path / "poly.svg"
     code, _, _ = run(capsys, ["polygon", "--poly", EX1, "--modulus", "35",
                               "--level", "1", "--svg", str(svg)])
-    assert code == 0 and svg.read_text().startswith("<svg")
+    assert code == 0 and svg.read_text() == POLYGON_SVG
+
+
+# the level-1 polygon of example1(35): vertices (0, 2) and (4, 0), and the
+# point (2, 1) of its cloud, all at most max u = 2 and so all drawn
+POLYGON_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="240" height="160">'
+    '<polyline points="40,40 200,120" fill="none" stroke="black"'
+    ' stroke-width="2"/><circle cx="40" cy="40" r="4"/>'
+    '<circle cx="120" cy="80" r="4"/><circle cx="200" cy="120" r="4"/></svg>')
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])

@@ -519,8 +519,12 @@ def test_polygon_dump_format(chain):
     f, root, node1, leaf = chain
     poly1 = polygon_of(node1, f)
     assert st.polygon_dump(poly1) == "0 2\n4 0\nside 1/2 0 4"
-    svg = st.polygon_svg(poly1)
-    assert svg.startswith("<svg") and "polyline" in svg
+    assert st.polygon_svg(poly1) == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="240" height="160">'
+        '<polyline points="40,40 200,120" fill="none" stroke="black"'
+        ' stroke-width="2"/><circle cx="40" cy="40" r="4"/>'
+        '<circle cx="120" cy="80" r="4"/><circle cx="200" cy="120" r="4"/>'
+        '</svg>')
 
 
 def test_expand_reconstruction_property(rng):

@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (charpoly_is_integral_reference, example1, example2,
+from conftest import (charpoly, charpoly_is_integral,
+                      charpoly_is_integral_reference, example1, example2,
                       example3, om_prime_complete, pollard_factor,
                       power_basis, psub, pz_enlarge_reference,
                       quotient_value_bound, refine_fixture,
                       resultant_valuation_check, sylvester_resultant)
 from sfom import intarith as ia
 from sfom import validate
-from sfom.basis import IntegerLattice, global_basis, n_integral_basis
+from sfom.basis import (BasisElement, GlobalBasisResult, IntegerLattice,
+                        global_basis, n_integral_basis)
 from sfom.omprime import om_prime
 from sfom.sfom import sfom
-from sfom.validate import (charpoly, charpoly_is_integral, index_disc_identity,
+from sfom.validate import (elements_integral, index_disc_identity,
                            normalized_chain, order_discriminant, p_maximal,
                            power_sums, project_check, pz_enlarge,
                            ring_closed, verify_report)
@@ -463,9 +465,8 @@ def _checks_one_by_one(f, D, primes):
                                     for _, b in result.moduli)),
            check("ring-closed", ring_closed(lat, f)),
            check("index-discriminant", index_disc_identity(lat, f)),
-           check("elements-integral", all(
-               charpoly_is_integral(el.num, N ** el.den_exp, f)
-               for N, b in result.moduli for el in b))]
+           check("elements-integral",
+                 elements_integral(lat, f, result.moduli))]
     for p in primes:
         out.append(check(f"p-maximal-{p}", p_maximal(lat, f, p)))
         for N, _ in result.moduli:
@@ -489,6 +490,62 @@ def test_verify_report_matches_the_oracles_one_by_one(f, D, primes):
     checks = verify_report(f, D, primes)
     assert checks == _checks_one_by_one(f, D, primes)
     assert (D is None) == all(c["status"] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("f", [
+    example1(35), example2(11, 3, 5), example3(1, 35)[0], refine_fixture(35)],
+    ids=["example1", "example2", "example3_r1", "refine_fixture"])
+def test_elements_integral_rejects_one_more_power_of_n(f):
+    result = global_basis(f)
+    lat, moduli = result.merged, result.moduli
+    assert elements_integral(lat, f, moduli)
+    for k, (N, b) in enumerate(moduli):
+        for i, el in enumerate(b):
+            worse = b[:i] + [BasisElement(el.num, el.den_exp + 1)] + b[i + 1:]
+            bad = moduli[:k] + [(N, worse)] + moduli[k + 1:]
+            assert not elements_integral(lat, f, bad, closed=True), (N, el)
+
+
+def _plus_a_fifth(lat):
+    """lat + Z * 1/5, for a lattice whose den 5 divides: it holds lat, but
+    (1/5)^2 leaves it."""
+    rows = list(lat.rows) + [[lat.den // 5] + [0] * (lat.n - 1)]
+    return IntegerLattice.from_rows(rows, lat.den, lat.n)
+
+
+def test_elements_integral_rejects_a_lattice_that_is_no_ring():
+    f = example1(35)
+    result = global_basis(f)
+    lat = result.merged
+    wider = _plus_a_fifth(lat)
+    assert wider != lat and not ring_closed(wider, f)
+    assert all(wider.solve(list(el.num) + [0] * (lat.n - len(el.num)),
+                           N ** el.den_exp) is not None
+               for N, b in result.moduli for el in b)
+    assert not elements_integral(wider, f, result.moduli)
+
+
+def test_elements_integral_rejects_integral_elements_outside_the_lattice():
+    # Z[theta] is a ring, and every local element of example1(35) is
+    # integral, but the ones with a denominator are not in Z[theta]: the
+    # check fails on a bad merge, which the char polys never looked at
+    f = example1(35)
+    moduli = global_basis(f).moduli
+    assert all(charpoly_is_integral(el.num, N ** el.den_exp, f)
+               for N, b in moduli for el in b)
+    assert any(el.den_exp for _, b in moduli for el in b)
+    assert not elements_integral(power_basis(4), f, moduli)
+
+
+def test_verify_report_fails_elements_integral_off_a_ring(monkeypatch):
+    # the report reads the ring-closed verdict into elements-integral
+    f = example1(35)
+    result = global_basis(f)
+    wider = _plus_a_fifth(result.merged)
+    monkeypatch.setattr(validate.bs, "global_basis", lambda f, D: (
+        GlobalBasisResult(result.f, result.D, result.moduli, wider)))
+    status = {c["check"]: c["status"] for c in verify_report(f)}
+    assert status["ring-closed"] == status["elements-integral"] == "fail"
 
 
 def test_ring_closed_rejects_a_lattice_that_is_no_ring():
