@@ -115,7 +115,7 @@ def project_check(rep: SFOMRep, f: IntPoly, p: int) -> dict:
 # ring structure, traces, maximality
 #
 # Shared work passes as keyword-only arguments, computed when absent:
-# `products` = product_table(lat, f) and `closed` = ring_closed(lat, f).
+# `products` = product_table(lat, f).
 
 
 def power_sums(f: IntPoly) -> list[int]:
@@ -134,7 +134,8 @@ def power_sums(f: IntPoly) -> list[int]:
 
 
 def mul_mod(a: IntPoly, b: IntPoly, f: IntPoly) -> IntPoly:
-    return ia.pdivmod_monic(ia.pmul(a, b), f)[1]
+    _, r = ia.pdivmod_monic(ia.pmul(a, b), f)
+    return r
 
 
 def product_table(lat: bs.IntegerLattice, f: IntPoly) -> tuple[list, list]:
@@ -211,18 +212,16 @@ def index_disc_identity(lat: bs.IntegerLattice, f: IntPoly,
     return disc == idx * idx * order_discriminant(lat, f, products=products)
 
 
-def elements_integral(lat: bs.IntegerLattice, f: IntPoly, moduli, *,
-                      closed: bool | None = None) -> bool:
-    """lat is ring-closed and holds every local element num/N^e of `moduli`,
-    (N, elements) pairs: then each element is integral.
+def elements_integral(lat: bs.IntegerLattice, moduli, closed: bool) -> bool:
+    """lat is ring-closed (`closed`, the verdict of `ring_closed`) and holds
+    every local element num/N^e of `moduli`, (N, elements) pairs: then each
+    element is integral.
 
     lat holds Z[theta], so 1; closed under products it is a ring and a
     finitely generated Z-module, so all its elements are integral (the
     determinant trick, Atiyah-Macdonald, Prop. 2.4 and 5.1).  As Z[theta] is
     in lat, num/N^e is iff (num mod N^e)/N^e is, and e = 0 needs no solve.
     An integral element outside lat fails too: the check tests the merge."""
-    if closed is None:
-        closed = ring_closed(lat, f)
     return closed and all(
         lat.solve([c % d for c in el.num] + [0] * (lat.n - len(el.num)), d)
         is not None for N, b in moduli for el in b
@@ -350,7 +349,7 @@ def verify_report(f: IntPoly, D: int | None = None,
     except (ValueError, RuntimeError) as exc:
         add("index-discriminant", False, str(exc))
     add("elements-integral",
-        elements_integral(lat, f, result.moduli, closed=closed))
+        elements_integral(lat, result.moduli, closed))
     reps = {}  # composite modulus -> its tree, built once
     for p in known_primes or []:
         add(f"p-maximal-{p}", p_maximal(lat, f, p, products=products))

@@ -465,8 +465,8 @@ def _checks_one_by_one(f, D, primes):
                                     for _, b in result.moduli)),
            check("ring-closed", ring_closed(lat, f)),
            check("index-discriminant", index_disc_identity(lat, f)),
-           check("elements-integral",
-                 elements_integral(lat, f, result.moduli))]
+           check("elements-integral", elements_integral(
+               lat, result.moduli, ring_closed(lat, f)))]
     for p in primes:
         out.append(check(f"p-maximal-{p}", p_maximal(lat, f, p)))
         for N, _ in result.moduli:
@@ -498,12 +498,12 @@ def test_verify_report_matches_the_oracles_one_by_one(f, D, primes):
 def test_elements_integral_rejects_one_more_power_of_n(f):
     result = global_basis(f)
     lat, moduli = result.merged, result.moduli
-    assert elements_integral(lat, f, moduli)
+    assert elements_integral(lat, moduli, ring_closed(lat, f))
     for k, (N, b) in enumerate(moduli):
         for i, el in enumerate(b):
             worse = b[:i] + [BasisElement(el.num, el.den_exp + 1)] + b[i + 1:]
             bad = moduli[:k] + [(N, worse)] + moduli[k + 1:]
-            assert not elements_integral(lat, f, bad, closed=True), (N, el)
+            assert not elements_integral(lat, bad, True), (N, el)
 
 
 def _plus_a_fifth(lat):
@@ -522,7 +522,7 @@ def test_elements_integral_rejects_a_lattice_that_is_no_ring():
     assert all(wider.solve(list(el.num) + [0] * (lat.n - len(el.num)),
                            N ** el.den_exp) is not None
                for N, b in result.moduli for el in b)
-    assert not elements_integral(wider, f, result.moduli)
+    assert not elements_integral(wider, result.moduli, ring_closed(wider, f))
 
 
 def test_elements_integral_rejects_integral_elements_outside_the_lattice():
@@ -534,7 +534,8 @@ def test_elements_integral_rejects_integral_elements_outside_the_lattice():
     assert all(charpoly_is_integral(el.num, N ** el.den_exp, f)
                for N, b in moduli for el in b)
     assert any(el.den_exp for _, b in moduli for el in b)
-    assert not elements_integral(power_basis(4), f, moduli)
+    lat = power_basis(4)
+    assert ring_closed(lat, f) and not elements_integral(lat, moduli, True)
 
 
 def test_verify_report_fails_elements_integral_off_a_ring(monkeypatch):
