@@ -391,8 +391,10 @@ def test_verify_cli_degree_24(capsys):
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) of `verify` on the bench
-# `verify` fixtures, example3(2, 35), and example1(35) without known primes;
-# a change to any check's verdict, name, order or details fails here
+# `verify` fixtures, example3(2, 35), example1(35) without known primes, and
+# example1(10007^2 * 10009), whose order is not maximal at 10007 (exit 1,
+# `p-maximal-10007` and `project-...-10007` fail), so its maximality step
+# enlarges; a change to any check's verdict, name, order or details fails here
 VERIFY_DIGESTS = {
     "example1_35": (
         example1(35), "5,7",
@@ -412,6 +414,9 @@ VERIFY_DIGESTS = {
     "example1_35_no_known_primes": (
         example1(35), None,
         "6f3f8458bd079b7510ff6d18c5d693d18166bc03db702e79bc6cfee22c043c42"),
+    "example1_10007sq_10009": (
+        example1(10007 ** 2 * 10009), "10007,10009",
+        "3b50382fa656bfaad6e65c564d434e158460cbc37bec993f2ef979e87194de93"),
 }
 
 
