@@ -275,7 +275,12 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
     """One radical/multiplier-ring enlargement step of the order at p.
 
     The ideal I = rad + pO is the HNF of the radical's lifts modulo p, in
-    coordinates over lat.  The enlargement contains the order, and so Z^n."""
+    coordinates over lat: its r rows with pivot 1 are the lifts b_a.  The
+    multiplier ring U = {x : x*I in pI} lies in I, as pO does, and I maps pO
+    into pI, so U/pO is the x = sum c_a b_a with every x*b_b in pI.  Each
+    product b_a*b_b is solved mod p^2, which pI contains: its coordinates
+    over I are right mod p.  The enlargement U/p contains the order, so Z^n;
+    for U = pO it returns lat itself, exact when lat is from_rows-canonical."""
     if not ia.is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     n = lat.n
@@ -295,16 +300,23 @@ def pz_enlarge(lat: bs.IntegerLattice, f: IntPoly, p: int, *,
     rad = _left_kernel_mod_p([ia.power(e, q, mul_p, None) for e in unit], p)
     # ideal I = <radical lifts> + pO, as lattice coordinates over lat
     ideal = bs.IntegerLattice(1, tuple(map(tuple, bs.hnf_rows(rad, n, p))), n)
-    # multiplier ring: y with y * I inside p * I gives y/p in the enlargement
-    big = []
-    for e in unit:
-        images = [ideal.solve(_coord_mul(e, row, table)) for row in ideal.rows]
-        if None in images:
-            raise ValueError("vector outside the ideal lattice")
-        big.append([c % p for coords in images for c in coords])
+    # multiplier ring: y in U gives y/p in the enlargement
+    lifts = [row for i, row in enumerate(ideal.rows) if row[i] == 1]
+    big = [[None] * len(lifts) for _ in lifts]  # block (a, b): b_a*b_b
+    for a, x in enumerate(lifts):
+        for b in range(a, len(lifts)):
+            coords = ideal.solve(
+                [c % (p * p) for c in _coord_mul(x, lifts[b], table)])
+            if coords is None:
+                raise ValueError("vector outside the ideal lattice")
+            big[a][b] = big[b][a] = [c % p for c in coords]
+    kernel = _left_kernel_mod_p([sum(blocks, []) for blocks in big], p)
+    if not kernel:
+        return lat
     rows = [[p * x for x in row] for row in lat.rows]
-    for v in _left_kernel_mod_p(big, p):
-        rows.append([sum(c * row[k] for c, row in zip(v, lat.rows))
+    for v in kernel:
+        y = [sum(c * b[k] for c, b in zip(v, lifts)) for k in range(n)]
+        rows.append([sum(c * row[k] for c, row in zip(y, lat.rows))
                      for k in range(n)])
     return bs.IntegerLattice.from_rows(rows, lat.den * p, n)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from sfom.omprime import om_prime
 from sfom.sfom import sfom
 from sfom.validate import (elements_integral, index_disc_identity,
                            normalized_chain, order_discriminant, p_maximal,
-                           power_sums, project_check, pz_enlarge,
-                           ring_closed, verify_report)
+                           power_sums, product_table, project_check,
+                           pz_enlarge, ring_closed, verify_report)
 
 
 def test_power_sums():
@@ -100,6 +101,67 @@ def test_pz_enlarge_matches_the_reference(f, primes):
             assert pz_enlarge(lat, f, p) == pz_enlarge_reference(lat, f, p)
     assert any(pz_enlarge(power_basis(ia.pdeg(f)), f, p)
                != power_basis(ia.pdeg(f)) for p in primes)
+
+
+def _walk_enlargement_chain(f, p):
+    """Enlarge Z[theta] at p until the order is p-maximal, checking every
+    step against the reference step; the number of steps that enlarged."""
+    lat = power_basis(ia.pdeg(f))
+    for steps in itertools.count():
+        products = product_table(lat, f)
+        new = pz_enlarge(lat, f, p, products=products)
+        assert new == pz_enlarge_reference(lat, f, p, products=products), (
+            f, p, steps)
+        if new == lat:
+            return steps
+        lat = new
+
+
+@pytest.mark.parametrize("f, p, r, steps", [
+    ((1, 0, 1), 3, 0, 0),  # p does not divide disc f: the radical is 0
+    ((3, 6, 3, 0, 0, 1), 3, 4, 0),  # Eisenstein at p: r = n - 1, maximal
+    ((-25, 0, 1), 5, 1, 1),  # r = n - 1 and one enlargement
+    ((7 ** 4, 0, 0, 0, 1), 7, 3, 3),  # theta/7 is integral: three steps
+], ids=["unramified", "eisenstein", "x2_minus_25", "x4_plus_7_4"])
+def test_pz_enlarge_solves_only_the_radical_products(f, p, r, steps,
+                                                     monkeypatch):
+    # at Z[theta] with its product table given, the step's only solves are
+    # the r(r+1)/2 products of the r radical lifts, against the ideal
+    solves = []
+    solve = IntegerLattice.solve
+
+    def counting(lat, *args):
+        solves.append(lat)
+        return solve(lat, *args)
+
+    Z = power_basis(ia.pdeg(f))
+    products = product_table(Z, f)
+    monkeypatch.setattr(IntegerLattice, "solve", counting)
+    pz_enlarge(Z, f, p, products=products)
+    assert len(solves) == r * (r + 1) // 2
+    monkeypatch.undo()
+    assert _walk_enlargement_chain(f, p) == steps
+
+
+def test_pz_enlarge_matches_the_reference_along_enlargement_chains():
+    # seeded monic fields of degree 2-8 whose coefficients carry powers of
+    # a small prime, so that Z[theta] is often not maximal: every step of
+    # the chain at every prime below 200 that divides disc f agrees
+    rng = random.Random(1009)
+    primes = [q for q in range(2, 200) if ia.is_probable_prime(q)]
+    fields = enlarged = 0
+    while fields < 100:
+        m = rng.choice((2, 3, 5, 7))
+        f = tuple(rng.randrange(-5, 6) * m ** rng.randrange(3)
+                  for _ in range(rng.randrange(2, 9))) + (1,)
+        disc = ia.discriminant(f)
+        if not disc:
+            continue
+        fields += 1
+        for p in primes:
+            if disc % p == 0:
+                enlarged += _walk_enlargement_chain(f, p)
+    assert enlarged >= 80  # 94 of the 324 steps enlarge
 
 
 @pytest.mark.parametrize("enlarge", [pz_enlarge, pz_enlarge_reference],
