@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -116,6 +117,24 @@ def test_hnf_rows_matches_the_reference_on_a_merge():
         fields += 1
         assert any(el.den_exp == 0 for _, b in result.moduli for el in b)
         _merge_matches_the_reference(result, n, rng)
+
+
+# sha256 of json.dumps([den, rows]) of the merged lattice of
+# global_basis(example3(r, N), D=N), N = 10007 * 10009: the one-group merges
+# of degree 36, 48 and 60 that bench `towers` times, pinned byte for byte
+MERGE_DIGESTS = {
+    3: "1addd0a43ca0abea6080b9faff9707227bf4cb3c0286c72c569021be21e83d74",
+    4: "692c02618aa3887b974534cbd61a358c32e924693e6f59d3219b16c0ef2f76fa",
+    5: "dbdf6459fd3ffd1b14cc8d7b5eeeffe55d1f86d9458c6217b344d66d3bf9d659",
+}
+
+
+@pytest.mark.parametrize("r", sorted(MERGE_DIGESTS))
+def test_merge_bytes_are_pinned(r):
+    N = 10007 * 10009
+    merged = global_basis(example3(r, N)[0], D=N).merged
+    got = json.dumps([merged.den, merged.rows])
+    assert hashlib.sha256(got.encode()).hexdigest() == MERGE_DIGESTS[r]
 
 
 def _om_rows(rng, N, n, k):
