@@ -29,13 +29,17 @@ class BasisElement(Record):
 # Hermite normal form lattices
 
 
-def _sub_multiple(row: dict, q: int, p: dict) -> None:
-    """row -= q * p on rows held as {column: nonzero entry}."""
+def _sub_multiple(row: dict, p: dict, j: int, q: int, r: int) -> None:
+    """row -= q * p on rows held as {column: nonzero entry}, off column j,
+    which the caller took out of row: the remainder r goes there."""
     for k, y in p.items():
-        if x := row.get(k, 0) - q * y:
-            row[k] = x
-        else:
-            del row[k]
+        if k != j:
+            if x := row.get(k, 0) - q * y:
+                row[k] = x
+            else:
+                row.pop(k, None)
+    if r:
+        row[j] = r
 
 
 def hnf_rows(rows, n: int, modulus: int) -> list[list[int]]:
@@ -43,20 +47,22 @@ def hnf_rows(rows, n: int, modulus: int) -> list[list[int]]:
     positive divisor of the modulus, entries above each pivot reduced into
     [0, pivot).
 
-    The rows modulus * e_j seed the pivots, and the other entries are kept in
-    [0, modulus) (Cohen, GTM 138, 2.4.2): reducing them adds multiples of
-    modulus * e_k, which the untouched pivots of the columns k to the right
-    still span.  An extended-gcd step leaves its pivot at the gcd, which
-    divides the old pivot and stays below the modulus.
+    The rows modulus * e_j seed the pivots (Cohen, GTM 138, 2.4.2), and
+    pivot rows stay in [0, modulus).  A work row may leave it between steps:
+    a step reduces only the row's entry at the pivot column and the entries
+    an extended-gcd step reads.  The row stays congruent modulo the modulus
+    (so in the same coset of the lattice) to that of a run that reduces
+    every entry, and every quotient, gcd and pivot entry is that run's.  An
+    extended-gcd step leaves its pivot at the gcd, a divisor of the old one.
 
     Every work and pivot row is a dict {column: nonzero entry}, so a step
     touches only the entries that exist.  Rows go in by ascending last
     column.  First each row is size-reduced, right to left, against the
-    lower pivots (for each column, the first row that ends there), and then
-    modulo the modulus again: the nearly triangular OM rows keep few nonzero
-    entries that way.  Then each row meets the pivot of its first nonzero
-    column, by an exact step or an extended-gcd step, until it is zero.  The
-    back-reduction runs from the bottom row up, against reduced rows.
+    lower pivots (for each column, the first row that ends there): the
+    nearly triangular OM rows keep few nonzero entries that way.  Then each
+    row meets the pivot of its first nonzero column, by an exact step or an
+    extended-gcd step, until it is zero.  The back-reduction runs from the
+    bottom row up, against reduced rows.
     """
     work = sorted(filter(None, ({j: y for j, x in enumerate(row)
                                  if (y := x % modulus)} for row in rows)),
@@ -65,34 +71,42 @@ def hnf_rows(rows, n: int, modulus: int) -> list[list[int]]:
     for row in work:
         last = max(row)
         for j in range(last - 1, -1, -1):
-            if (p := lower[j]) is not None and (q := row.get(j, 0) // p[j]):
-                _sub_multiple(row, q, p)
+            if (p := lower[j]) is not None and (x := row.pop(j, 0)):
+                q, r = divmod(x, p[j])
+                _sub_multiple(row, p, j, q, r)
         if lower[last] is None:
             lower[last] = row
     basis = [{j: modulus} for j in range(n)]
     for row in work:
-        row = {k: y for k, x in row.items() if (y := x % modulus)}
         while row:
             piv = basis[j := min(row)]
-            a, b = piv[j], row[j]
-            if b % a == 0:
-                q = b // a
-                for k, y in piv.items():
-                    if x := (row.get(k, 0) - q * y) % modulus:
-                        row[k] = x
-                    else:
-                        row.pop(k, None)
+            if not (b := row.pop(j) % modulus):
                 continue
+            q, r = divmod(b, a := piv[j])
+            if not r:
+                _sub_multiple(row, piv, j, q, 0)
+                continue
+            row[j] = b
             d, u, v = ia.xgcd(a, b)
             a, b = a // d, b // d
-            xy = [(k, row.get(k, 0), piv.get(k, 0))
-                  for k in piv.keys() | row.keys()]
-            basis[j] = {k: z for k, x, y in xy if (z := (u * y + v * x) % modulus)}
-            row = {k: z for k, x, y in xy if (z := (a * x - b * y) % modulus)}
+            new_piv, new_row = {}, {}
+            for k, y in piv.items():
+                x = row.pop(k, 0) % modulus
+                if z := (u * y + v * x) % modulus:
+                    new_piv[k] = z
+                if z := a * x - b * y:
+                    new_row[k] = z
+            for k, x in row.items():
+                if x := x % modulus:
+                    if z := v * x % modulus:
+                        new_piv[k] = z
+                    new_row[k] = a * x
+            basis[j], row = new_piv, new_row
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
-            if (x := basis[i].get(j)) and (q := x // basis[j][j]):
-                _sub_multiple(basis[i], q, basis[j])
+            if x := basis[i].pop(j, 0):
+                q, r = divmod(x, basis[j][j])
+                _sub_multiple(basis[i], basis[j], j, q, r)
     return [[row.get(k, 0) for k in range(n)] for row in basis]
 
 

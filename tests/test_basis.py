@@ -152,7 +152,9 @@ def _sparse_hnf_case(kind, rng):
     """(rows, n, modulus) of one seeded case of the given kind."""
     N = rng.choice((3, 35, 143, 10007 * 10009, 2 ** 61 - 1))
     n, k = rng.randint(2, 10), rng.randint(1, 4)
-    if kind == "two_coprime_groups":
+    if kind.startswith("deep_"):
+        N, n, k = 10007 * 10009, rng.randint(20, 40), rng.randint(10, 30)
+    if kind.endswith("two_coprime_groups"):
         M = rng.choice((2, 17, 65537))  # coprime to every N above
         k2 = rng.randint(1, 3)
         den = N ** k * M ** k2
@@ -183,12 +185,17 @@ def _sparse_hnf_case(kind, rng):
 
 @pytest.mark.parametrize("kind", ["om_rows", "shared_last_columns",
                                   "two_coprime_groups", "off_range_entries",
-                                  "one_column", "modulus_one"])
+                                  "one_column", "modulus_one",
+                                  "deep_om_rows",
+                                  "deep_two_coprime_groups"])
 def test_hnf_rows_on_om_shaped_rows(kind):
     # the sparse rows give the reference HNF from any row order, and the
-    # caller's rows come back unchanged
+    # caller's rows come back unchanged; the deep kinds (n up to 40 over
+    # N^30, N = 10007 * 10009) reach the size of the bench towers' merges,
+    # and nearly every step of theirs starts from a work row holding
+    # entries outside [0, modulus)
     rng = random.Random(kind)
-    for _ in range(60):
+    for _ in range(4 if kind.startswith("deep_") else 60):
         rows, n, modulus = _sparse_hnf_case(kind, rng)
         rng.shuffle(rows)
         want = hnf_rows_reference(rows, n, modulus)
